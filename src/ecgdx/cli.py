@@ -26,7 +26,7 @@ from .synth import SynthSpec, generate
 from .ensemble import (DEFAULT_THRESHOLD, postprocess, read_predictions,
                        relabel_pseudo, write_predictions)
 from .scoring import RewardMatrix, challenge_score, per_class_metrics
-from .nn import SeResNet, SeResNetConfig, load_checkpoint, save_checkpoint, train
+from .nn import SeResNetConfig, load_checkpoint, save_checkpoint, train
 
 
 def _write_manifest(path: str, command: str, options: dict) -> None:
@@ -75,14 +75,14 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_preprocess(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    cmap = _load_classmap(args.classes)
-    cfg = PreprocessConfig(target_fs=args.target_fs,
-                           window_seconds=args.window,
-                           wavelet=args.wavelet,
-                           decomposition_level=args.level,
-                           denoise_enabled=not args.no_denoise)
+def _preprocess_config(args) -> PreprocessConfig:
+    """The one spec built from flags; ``train`` saves it in its checkpoint."""
+    return PreprocessConfig(target_fs=args.target_fs, window_seconds=args.window,
+                            denoise_enabled=not args.no_denoise)
+
+
+def _features(args, cfg: PreprocessConfig, cmap: ClassMap):
+    """Stacked features and labels, and the ids, of the ``--data`` records."""
     xs, ys, ids = [], [], []
     for stem in _record_stems(args.data):
         rec = load_record(stem)
@@ -90,8 +90,15 @@ def _cmd_preprocess(args) -> int:
         xs.append(x)
         ys.append(y)
         ids.append(rec.record_id)
+    return np.stack(xs), np.stack(ys), ids
+
+
+def _cmd_preprocess(args) -> int:
+    os.makedirs(args.out, exist_ok=True)
+    x, y, ids = _features(args, _preprocess_config(args),
+                          _load_classmap(args.classes))
     np.savez(os.path.join(args.out, "features.npz"),
-             x=np.stack(xs), y=np.stack(ys), record_ids=np.array(ids))
+             x=x, y=y, record_ids=np.array(ids))
     _write_manifest(os.path.join(args.out, "manifest.txt"), "preprocess",
                     _manifest_options(args))
     return 0
@@ -115,18 +122,11 @@ def _model_config(args, input_length: int) -> SeResNetConfig:
 
 
 def _cmd_train(args) -> int:
-    cmap = _load_classmap(args.classes)
-    cfg = PreprocessConfig(target_fs=args.target_fs, window_seconds=args.window,
-                           denoise_enabled=not args.no_denoise)
-    xs, ys = [], []
-    for stem in _record_stems(args.data):
-        x, y = make_example(load_record(stem), cfg, cmap)
-        xs.append(x)
-        ys.append(y)
-    x = np.stack(xs)
-    y = np.stack(ys)
+    cfg = _preprocess_config(args)
+    x, y, _ = _features(args, cfg, _load_classmap(args.classes))
     config = _model_config(args, input_length=x.shape[2])
     result = train(x, y, config, epochs=args.epochs, batch_size=args.batch_size)
+    result.model.preprocess = cfg
     save_checkpoint(args.out, result.model)
     history_path = args.out + ".history.csv"
     with open(history_path, "w", encoding="utf-8") as fh:
@@ -138,34 +138,28 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _predict_probs(model: SeResNet, records, target_fs: int,
-                   cmap: ClassMap) -> np.ndarray:
-    window = model.config.input_length / target_fs
-    cfg = PreprocessConfig(target_fs=target_fs, window_seconds=window,
-                           denoise_enabled=False)
-    xs = [make_example(rec, cfg, cmap)[0] for rec in records]
-    x = np.stack(xs)
-    out = []
-    for start in range(0, x.shape[0], 32):
-        out.append(model.predict_probs(x[start:start + 32]))
-    return np.concatenate(out, axis=0)
-
-
-def _load_models(args) -> tuple[SeResNet, SeResNet]:
+def _ensemble_probs(args, cmap: ClassMap):
+    """Records and their short/long-window probabilities; each distinct
+    checkpoint runs once, on features built with the spec it carries."""
     long_path = args.checkpoint_long or args.checkpoint
     short_path = args.checkpoint_short or args.checkpoint
     if not long_path or not short_path:
         raise EcgdxError("provide --checkpoint or both --checkpoint-long and "
                          "--checkpoint-short")
-    return load_checkpoint(long_path), load_checkpoint(short_path)
+    records = [load_record(stem) for stem in _record_stems(args.data)]
+    probs = {}
+    for path in dict.fromkeys((long_path, short_path)):
+        model = load_checkpoint(path)
+        x = np.stack([make_example(rec, model.preprocess, cmap)[0]
+                      for rec in records])
+        probs[path] = np.concatenate([model.predict_probs(x[i:i + 32])
+                                      for i in range(0, len(x), 32)])
+    return records, probs[short_path], probs[long_path]
 
 
 def _cmd_predict(args) -> int:
     cmap = _load_classmap(args.classes)
-    model_long, model_short = _load_models(args)
-    records = [load_record(stem) for stem in _record_stems(args.data)]
-    p_long = _predict_probs(model_long, records, args.target_fs, cmap)
-    p_short = _predict_probs(model_short, records, args.target_fs, cmap)
+    records, p_short, p_long = _ensemble_probs(args, cmap)
     pred_sets = [postprocess(p_short[i], p_long[i], rec,
                              threshold=args.threshold, cmap=cmap)
                  for i, rec in enumerate(records)]
@@ -177,10 +171,7 @@ def _cmd_predict(args) -> int:
 
 def _cmd_relabel(args) -> int:
     cmap = _load_classmap(args.classes)
-    model_long, model_short = _load_models(args)
-    records = [load_record(stem) for stem in _record_stems(args.data)]
-    p_long = _predict_probs(model_long, records, args.target_fs, cmap)
-    p_short = _predict_probs(model_short, records, args.target_fs, cmap)
+    records, p_short, p_long = _ensemble_probs(args, cmap)
     fused = {rec.record_id: 0.5 * (p_long[i] + p_short[i])
              for i, rec in enumerate(records)}
     original = {c.strip() for c in args.original_codes.split(",") if c.strip()}
@@ -272,12 +263,13 @@ def _cmd_report(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-def _add_common(sub, classes=True, target_fs=False):
-    if classes:
-        sub.add_argument("--classes", default=None,
-                         help="override the scored-class table (CSV)")
-    if target_fs:
+def _add_common(sub, preprocess=False):
+    sub.add_argument("--classes", default=None,
+                     help="override the scored-class table (CSV)")
+    if preprocess:
+        sub.add_argument("--window", type=int, choices=(10, 30), default=30)
         sub.add_argument("--target-fs", type=int, default=500)
+        sub.add_argument("--no-denoise", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -302,11 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="records -> feature tensors")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--window", type=int, choices=(10, 30), default=30)
-    p.add_argument("--wavelet", default="bior2.6")
-    p.add_argument("--level", type=int, default=8)
-    p.add_argument("--no-denoise", action="store_true")
-    _add_common(p, target_fs=True)
+    _add_common(p, preprocess=True)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("rpeaks", help="print detected R peaks as CSV")
@@ -316,13 +304,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a classifier on a record directory")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True, help="checkpoint output path")
-    p.add_argument("--window", type=int, choices=(10, 30), default=30)
     p.add_argument("--epochs", type=int, default=19)
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", choices=("small", "default"), default="default")
-    p.add_argument("--no-denoise", action="store_true")
-    _add_common(p, target_fs=True)
+    _add_common(p, preprocess=True)
     p.set_defaults(func=_cmd_train)
 
     for name, fn in (("predict", _cmd_predict), ("relabel", _cmd_relabel)):
@@ -333,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint-long", default=None)
         p.add_argument("--checkpoint-short", default=None)
         p.add_argument("--out", required=True)
-        _add_common(p, target_fs=True)
+        _add_common(p)
         if name == "predict":
             p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
         else:
@@ -363,6 +349,8 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
+    if idx + 1 == len(argv):
+        raise EcgdxError("--config needs a file path")
     path = argv[idx + 1]
     pairs = []
     with open(path, "r", encoding="utf-8") as fh:
@@ -385,19 +373,11 @@ def _apply_config_file(argv: list[str]) -> list[str]:
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        argv = _apply_config_file(list(argv))
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config_file(list(argv)))
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        return args.func(args)
-    except EcgdxError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (EcgdxError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

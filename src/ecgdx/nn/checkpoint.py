@@ -1,27 +1,38 @@
-"""Single-file binary checkpoint for model parameters and buffers.
+"""Single-file binary checkpoint for model parameters, buffers and the
+preprocessing spec that built the training features.
 
 Layout (little endian):
 
 * bytes 0..7    magic ``b"ECGDXNN\\0"``
 * bytes 8..11   uint32 length L of the JSON header
-* bytes 12..12+L  UTF-8 JSON: ``{"format_version": 1, "config": {...},
+* bytes 12..12+L  UTF-8 JSON: ``{"format_version": 2, "config": {...},
+  "preprocess": {...} | null,
   "arrays": [{"name": str, "kind": "param"|"buffer", "shape": [...]}]}``
 * remainder     for each entry of ``arrays`` in order, the C-order
   float64 little-endian payload (8 bytes per element)
+
+``preprocess`` holds the ``PreprocessConfig`` fields.  Without one (a
+version-1 file, or a model saved with ``preprocess=None``) a checkpoint
+reads with the legacy inference spec: 500 Hz, ``window_seconds =
+input_length / 500``, no denoising.  Only version 2 is written; any
+malformed file raises ``HeaderParseError``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
+from dataclasses import asdict
 
 import numpy as np
 
 from .model import SeResNet, SeResNetConfig
 from ..errors import HeaderParseError
+from ..preprocess import PreprocessConfig
 
 MAGIC = b"ECGDXNN\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 
 def save_checkpoint(path, model: SeResNet) -> None:
@@ -35,6 +46,7 @@ def save_checkpoint(path, model: SeResNet) -> None:
     header = json.dumps({
         "format_version": FORMAT_VERSION,
         "config": model.config.to_dict(),
+        "preprocess": asdict(model.preprocess) if model.preprocess else None,
         "arrays": arrays,
     }, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -45,26 +57,51 @@ def save_checkpoint(path, model: SeResNet) -> None:
 
 
 def load_checkpoint(path) -> SeResNet:
+    """Read a checkpoint; the model's ``preprocess`` is never ``None``."""
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:8] != MAGIC:
         raise HeaderParseError(f"{path}: not a checkpoint file (bad magic)")
+    try:
+        return _parse(blob)
+    except (KeyError, TypeError, ValueError, RecursionError, struct.error) as exc:
+        raise HeaderParseError(
+            f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
+
+
+def _parse(blob: bytes) -> SeResNet:
     (header_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + header_len].decode("utf-8"))
-    if header.get("format_version") != FORMAT_VERSION:
-        raise HeaderParseError(
-            f"{path}: unsupported checkpoint version {header.get('format_version')}")
+    if not isinstance(header, dict):
+        raise ValueError("JSON header is not an object")
+    if header.get("format_version") not in (1, 2):
+        raise ValueError(f"unsupported version {header.get('format_version')}")
     config = SeResNetConfig.from_dict(header["config"])
+    spec_fields = header.get("preprocess")
+    if spec_fields is None:   # the legacy inference spec
+        spec_fields = dict(target_fs=500, window_seconds=config.input_length / 500,
+                           denoise_enabled=False)
+    spec = PreprocessConfig(**spec_fields)
+    if int(round(spec.target_fs * spec.window_seconds)) != config.input_length:
+        raise ValueError(
+            f"preprocess spec ({spec.target_fs} Hz x {spec.window_seconds} s)"
+            f" does not match model input length {config.input_length}")
     offset = 12 + header_len
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        nbytes = count * 8
+        shape = entry["shape"]
+        if entry["kind"] not in ("param", "buffer") \
+                or not all(type(n) is int and n >= 0 for n in shape):
+            raise ValueError(f"bad array entry {entry!r}")
+        count = math.prod(shape)
+        # frombuffer raises ValueError when the payload ends inside the array
         arr = np.frombuffer(blob, dtype="<f8", count=count,
-                            offset=offset).reshape(entry["shape"]).copy()
-        offset += nbytes
+                            offset=offset).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ValueError(f"non-finite values in array {entry['name']!r}")
+        offset += 8 * count
         (params if entry["kind"] == "param" else buffers)[entry["name"]] = arr
     if offset != len(blob):
-        raise HeaderParseError(f"{path}: trailing bytes after arrays")
-    return SeResNet(config, params=params, buffers=buffers)
+        raise ValueError("trailing bytes after arrays")
+    return SeResNet(config, params=params, buffers=buffers, preprocess=spec)

@@ -80,11 +80,13 @@ class SeResNet:
 
     ``params`` maps name -> float64 ndarray (trainable); ``buffers`` maps
     name -> ndarray (batch-norm running statistics; saved, not trained).
+    ``preprocess`` is the ``PreprocessConfig`` of the inputs, or ``None``.
     """
 
     def __init__(self, config: SeResNetConfig, params: dict | None = None,
-                 buffers: dict | None = None):
+                 buffers: dict | None = None, preprocess=None):
         self.config = config
+        self.preprocess = preprocess
         if params is not None and buffers is not None:
             self.params = params
             self.buffers = buffers

@@ -1,8 +1,9 @@
 """Deterministic mini-batch training loop.
 
-Given a fixed seed the whole run is reproducible bit for bit: parameter
-initialization, batch shuffling, and every arithmetic step are driven by
-seeded PCG64 streams and single-threaded numpy ops.
+Seeded PCG64 streams drive initialization and shuffling, so a run is bit
+for bit reproducible for a fixed seed, BLAS build and BLAS thread count;
+matrix products sum in a thread-dependent order, so gradients differ
+between ``OPENBLAS_NUM_THREADS=1`` and ``=2``.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ wavelet denoising, and assembly of (feature, label) training examples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import signal as sps
@@ -31,29 +31,6 @@ class PreprocessConfig:
         if self.decomposition_level < 1:
             raise ConfigError(
                 f"decomposition_level must be >= 1, got {self.decomposition_level}")
-
-    def to_lines(self) -> str:
-        out = []
-        for f in fields(self):
-            out.append(f"{f.name}={getattr(self, f.name)}")
-        return "\n".join(out) + "\n"
-
-    @classmethod
-    def from_lines(cls, text: str) -> "PreprocessConfig":
-        kwargs = {}
-        casts = {"target_fs": int, "window_seconds": float, "wavelet": str,
-                 "decomposition_level": int,
-                 "denoise_enabled": lambda s: s.lower() in ("1", "true", "yes")}
-        for line in text.splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in casts:
-                raise ConfigError(f"unknown preprocess option {key!r}")
-            kwargs[key] = casts[key](value.strip())
-        return cls(**kwargs)
 
 
 def resample(signal, from_fs: int, to_fs: int) -> np.ndarray:

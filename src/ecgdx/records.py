@@ -291,8 +291,9 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
         except ValueError:
             raise HeaderParseError(
                 f"line {lineno}: bad gain/offset in {lines[1 + k]!r}") from None
-        if gains[-1] == 0:
-            raise RecordValidationError(f"line {lineno}: zero gain")
+        if gains[-1] == 0 or not np.isfinite(gains[-1]):
+            raise RecordValidationError(
+                f"line {lineno}: gain {parts[0]} is not finite and non-zero")
         names.append(parts[2])
 
     age: Optional[int] = None

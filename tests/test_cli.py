@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from ecgdx import cli
 from ecgdx.cli import dispatch
 
 
@@ -59,7 +60,7 @@ class TestPreprocessCommand:
         out_dir = tmp_path / "o"
         code, _, _ = run(capsys, "preprocess", "--data", str(data),
                          "--out", str(out_dir), "--window", "10",
-                         "--target-fs", "128", "--level", "4")
+                         "--target-fs", "128")
         assert code == 0
         blob = np.load(out_dir / "features.npz")
         assert blob["x"].shape == (3, 8, 1280)
@@ -93,7 +94,7 @@ def pipeline_dirs(tmp_path_factory):
     assert code == 0
     preds = root / "preds.csv"
     code = dispatch(["predict", "--data", str(data), "--checkpoint", str(ckpt),
-                     "--target-fs", "128", "--out", str(preds)])
+                     "--out", str(preds)])
     assert code == 0
     return data, ckpt, preds
 
@@ -139,7 +140,7 @@ class TestTrainPredictScore:
         data, ckpt, _ = pipeline_dirs
         out = tmp_path / "relabel.csv"
         code, _, _ = run(capsys, "relabel", "--data", str(data),
-                         "--checkpoint", str(ckpt), "--target-fs", "128",
+                         "--checkpoint", str(ckpt),
                          "--original-codes", "426783006",
                          "--out", str(out))
         assert code == 0
@@ -150,7 +151,7 @@ class TestTrainPredictScore:
         data, ckpt, preds = pipeline_dirs
         again = tmp_path / "again.csv"
         code = dispatch(["predict", "--data", str(data), "--checkpoint",
-                         str(ckpt), "--target-fs", "128", "--out", str(again)])
+                         str(ckpt), "--out", str(again)])
         assert code == 0
         assert again.read_bytes() == preds.read_bytes()
         assert (str(again) + ".manifest.txt") != (str(preds) + ".manifest.txt")
@@ -160,6 +161,65 @@ class TestTrainPredictScore:
         diff = [pair for pair in zip(manifest_a.splitlines(),
                                      manifest_b.splitlines()) if pair[0] != pair[1]]
         assert all(left.startswith("out=") for left, _ in diff)
+
+    def test_single_checkpoint_runs_once_with_same_bytes(self, pipeline_dirs,
+                                                         tmp_path, monkeypatch):
+        data, ckpt, preds = pipeline_dirs
+        loads = []
+        real = cli.load_checkpoint
+        monkeypatch.setattr(cli, "load_checkpoint",
+                            lambda path: loads.append(path) or real(path))
+        single = tmp_path / "single.csv"
+        assert dispatch(["predict", "--data", str(data), "--checkpoint",
+                         str(ckpt), "--out", str(single)]) == 0
+        assert loads == [str(ckpt)]
+        # a copy under another name forces a second, independent model pass
+        copy = tmp_path / "copy.ckpt"
+        copy.write_bytes(ckpt.read_bytes())
+        both = tmp_path / "both.csv"
+        assert dispatch(["predict", "--data", str(data),
+                         "--checkpoint-long", str(ckpt),
+                         "--checkpoint-short", str(copy), "--out", str(both)]) == 0
+        assert loads[1:] == [str(ckpt), str(copy)]
+        assert both.read_bytes() == single.read_bytes() == preds.read_bytes()
+
+    def test_truncated_checkpoint_exits_1(self, capsys, pipeline_dirs, tmp_path):
+        data, ckpt, _ = pipeline_dirs
+        bad = tmp_path / "cut.ckpt"
+        bad.write_bytes(ckpt.read_bytes()[:-8])
+        code, _, err = run(capsys, "predict", "--data", str(data),
+                           "--checkpoint", str(bad),
+                           "--out", str(tmp_path / "p.csv"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+
+
+class TestPreprocessSpec:
+    def test_predict_features_equal_train_features(self, capsys, tmp_path,
+                                                   monkeypatch):
+        """Inference rebuilds exactly the (denoised) features training saw."""
+        data = tmp_path / "d"
+        run(capsys, "synth", "--count", "2", "--duration", "12",
+            "--noise-sigma", "0.05", "--out", str(data))
+        features = {}
+        real = cli.make_example
+        def recording(rec, config, cmap):
+            x, y = real(rec, config, cmap)
+            features[rec.record_id] = x
+            return x, y
+        monkeypatch.setattr(cli, "make_example", recording)
+        ckpt = tmp_path / "m.ckpt"
+        code, _, _ = run(capsys, "train", "--data", str(data), "--out", str(ckpt),
+                         "--window", "10", "--preset", "small", "--epochs", "1")
+        assert code == 0
+        seen_in_training = dict(features)
+        features.clear()
+        code, _, _ = run(capsys, "predict", "--data", str(data),
+                         "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.csv"))
+        assert code == 0
+        assert sorted(features) == sorted(seen_in_training) == ["rec000", "rec001"]
+        for record_id, x in features.items():
+            np.testing.assert_array_equal(x, seen_in_training[record_id])
 
 
 class TestConfigFile:
@@ -173,3 +233,8 @@ class TestConfigFile:
         manifest = (out / "manifest.txt").read_text()
         assert "bpm=50.0" in manifest
         assert "duration=8.0" in manifest   # explicit flag wins
+
+    def test_config_without_path_exits_1(self, capsys, tmp_path):
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path), "--config")
+        assert code == 1
+        assert err == "error: --config needs a file path\n"

@@ -1,12 +1,18 @@
 """Gradient checks for every layer, model contracts, and the optimizer."""
 
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
 
-from ecgdx.errors import ConfigError, RecordValidationError
+from ecgdx.errors import ConfigError, HeaderParseError, RecordValidationError
 from ecgdx.nn import (Adam, SeResNet, SeResNetConfig, load_checkpoint,
                       lr_for_epoch, save_checkpoint)
 from ecgdx.nn import autodiff as ad
+from ecgdx.nn.checkpoint import MAGIC
+from ecgdx.preprocess import PreprocessConfig
 
 RNG = np.random.default_rng(42)
 FD_STEP = 1e-5
@@ -330,6 +336,53 @@ class TestOptimizer:
         np.testing.assert_array_equal(run(), run())
 
 
+def _edit_checkpoint(edit):
+    """Damage a checkpoint via ``edit(header, payload) -> (header, payload)``."""
+    def apply(blob):
+        (n,) = struct.unpack("<I", blob[8:12])
+        header, payload = edit(json.loads(blob[12:12 + n]), blob[12 + n:])
+        text = json.dumps(header).encode("utf-8")
+        return MAGIC + struct.pack("<I", len(text)) + text + payload
+    return apply
+
+
+def _without(key):
+    return _edit_checkpoint(
+        lambda h, p: ({k: v for k, v in h.items() if k != key}, p))
+
+
+def _with_spec(**fields):
+    return _edit_checkpoint(
+        lambda h, p: ({**h, "preprocess": {**h["preprocess"], **fields}}, p))
+
+
+def _first_shape(shape):
+    return _edit_checkpoint(lambda h, p: (
+        {**h, "arrays": [{**h["arrays"][0], "shape": shape}] + h["arrays"][1:]},
+        p))
+
+
+MALFORMED = {
+    "under-12-bytes": lambda blob: blob[:10],
+    "cut-header": lambda blob: blob[:40],
+    "invalid-json": lambda blob: blob[:12] + b"?" + blob[13:],
+    "deeply-nested-json": lambda blob: (
+        MAGIC + struct.pack("<I", 10 ** 6) + b"[" * 10 ** 6),
+    "short-payload": lambda blob: blob[:-8],
+    "header-not-object": _edit_checkpoint(lambda h, p: ([h], p)),
+    "unknown-version": _edit_checkpoint(
+        lambda h, p: ({**h, "format_version": 3}, p)),
+    "missing-config": _without("config"),
+    "missing-arrays": _without("arrays"),
+    "unknown-preprocess-key": _with_spec(bogus=1),
+    "spec-length-mismatch": _with_spec(target_fs=64),
+    "shape-beyond-payload": _first_shape([10 ** 6]),
+    "negative-shape": _first_shape([-1]),
+    "non-finite-value": _edit_checkpoint(
+        lambda h, p: (h, np.array([np.nan], "<f8").tobytes() + p[8:])),
+}
+
+
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = SeResNet(TestModelForward.CFG)
@@ -346,10 +399,50 @@ class TestCheckpoint:
             np.testing.assert_array_equal(back.buffers[name], model.buffers[name])
         np.testing.assert_array_equal(back.predict_logits(x),
                                       model.predict_logits(x))
+        # saved without a spec: read with the legacy inference spec
+        assert back.preprocess == PreprocessConfig(
+            target_fs=500, window_seconds=64 / 500, denoise_enabled=False)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"NOTACKPT" + b"\0" * 32)
-        from ecgdx.errors import HeaderParseError
         with pytest.raises(HeaderParseError):
             load_checkpoint(path)
+
+    def test_preprocess_spec_roundtrip(self, tmp_path):
+        spec = PreprocessConfig(target_fs=250, window_seconds=10,
+                                wavelet="bior2.4", decomposition_level=6,
+                                denoise_enabled=False)
+        config = dataclasses.replace(TestModelForward.CFG, input_length=2500)
+        save_checkpoint(tmp_path / "m.ckpt", SeResNet(config, preprocess=spec))
+        assert load_checkpoint(tmp_path / "m.ckpt").preprocess == spec
+
+    def test_version1_file_reads_with_legacy_spec(self, tmp_path):
+        model = SeResNet(TestModelForward.CFG)
+        arrays, payload = [], b""
+        for kind, table in (("param", model.params), ("buffer", model.buffers)):
+            for name in sorted(table):
+                arrays.append({"name": name, "kind": kind,
+                               "shape": list(table[name].shape)})
+                payload += table[name].astype("<f8").tobytes()
+        header = json.dumps({"format_version": 1,
+                             "config": model.config.to_dict(),
+                             "arrays": arrays}).encode("utf-8")
+        path = tmp_path / "v1.ckpt"
+        path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + payload)
+        back = load_checkpoint(path)
+        assert back.preprocess == PreprocessConfig(
+            target_fs=500, window_seconds=64 / 500, denoise_enabled=False)
+        for name in model.params:
+            np.testing.assert_array_equal(back.params[name], model.params[name])
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_malformed_file_rejected(self, tmp_path, damage):
+        path = tmp_path / "model.ckpt"
+        spec = PreprocessConfig(target_fs=32, window_seconds=2)
+        save_checkpoint(path, SeResNet(TestModelForward.CFG, preprocess=spec))
+        load_checkpoint(path)   # the undamaged file is valid
+        path.write_bytes(MALFORMED[damage](path.read_bytes()))
+        with pytest.raises(HeaderParseError):
+            load_checkpoint(path)
+

@@ -146,17 +146,6 @@ class TestMakeExample:
 
 
 class TestPreprocessConfig:
-    def test_serialization_roundtrip(self):
-        cfg = PreprocessConfig(target_fs=250, window_seconds=10,
-                               wavelet="bior2.4", decomposition_level=6,
-                               denoise_enabled=False)
-        back = PreprocessConfig.from_lines(cfg.to_lines())
-        assert back == cfg
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            PreprocessConfig.from_lines("bogus=1\n")
-
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             PreprocessConfig(target_fs=0)

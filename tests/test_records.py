@@ -63,6 +63,11 @@ class TestParseRecord:
         with pytest.raises(RecordValidationError):
             parse_record("r0 1 -500 10\n1000 0 I\n", b"\0" * 20)
 
+    @pytest.mark.parametrize("gain", ["0", "inf", "nan"])
+    def test_zero_or_non_finite_gain_rejected(self, gain):
+        with pytest.raises(RecordValidationError, match="line 2"):
+            parse_record(f"r0 1 500 10\n{gain} 0 I\n", b"\0" * 20)
+
     def test_age_sex_comments(self):
         raw = np.zeros((2, 4), dtype=int)
         text = _header(n_samples=4) + "# Age: 63\n# Sex: female\n"
