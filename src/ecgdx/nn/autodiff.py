@@ -129,10 +129,10 @@ def conv1d(x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
     def vjp(g):
         dw = np.tensordot(g, cols, axes=([0, 2], [0, 3]))       # [C_out, C_in, k]
         db = g.sum(axis=(0, 2))
-        dcols = np.einsum("bot,oik->bikt", g, w.value)
+        dcols = np.tensordot(w.value, g, axes=([0], [1]))       # [C_in, k, B, T']
         dxp = np.zeros((batch, c_in, t_pad))
-        for j in range(k):
-            dxp[:, :, j:j + stride * t_out:stride] += dcols[:, :, j, :]
+        for j in range(k):   # col2im: scatter-add each tap back onto the input
+            dxp[:, :, j:j + stride * t_out:stride] += dcols[:, j].transpose(1, 0, 2)
         dx = dxp[:, :, padding:padding + t_in] if padding else dxp
         return dx, dw, db
 

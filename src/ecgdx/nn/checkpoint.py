@@ -14,8 +14,9 @@ Layout (little endian):
 ``preprocess`` holds the ``PreprocessConfig`` fields.  Without one (a
 version-1 file, or a model saved with ``preprocess=None``) a checkpoint
 reads with the legacy inference spec: 500 Hz, ``window_seconds =
-input_length / 500``, no denoising.  Only version 2 is written; any
-malformed file raises ``HeaderParseError``.
+input_length / 500``, no denoising.  The names, kinds and shapes of
+``arrays`` must be exactly those ``config`` implies.  Only version 2 is
+written; any malformed file raises ``HeaderParseError``.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import SeResNet, SeResNetConfig
+from .model import SeResNet, SeResNetConfig, array_layout
 from ..errors import HeaderParseError
 from ..preprocess import PreprocessConfig
 
@@ -86,22 +87,30 @@ def _parse(blob: bytes) -> SeResNet:
         raise ValueError(
             f"preprocess spec ({spec.target_fs} Hz x {spec.window_seconds} s)"
             f" does not match model input length {config.input_length}")
+    expected = {name: (kind, list(shape))
+                for name, kind, shape in array_layout(config)}
     offset = 12 + header_len
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
     for entry in header["arrays"]:
-        shape = entry["shape"]
-        if entry["kind"] not in ("param", "buffer") \
-                or not all(type(n) is int and n >= 0 for n in shape):
-            raise ValueError(f"bad array entry {entry!r}")
+        name, kind, shape = entry["name"], entry["kind"], entry["shape"]
+        if name not in expected:
+            raise ValueError(f"array {name!r} is not in the model config"
+                             " (or is listed twice)")
+        want = expected.pop(name)
+        if (kind, shape) != want or not all(type(n) is int for n in shape):
+            raise ValueError(f"array {name!r} is {kind} {shape!r};"
+                             f" the model config implies {want[0]} {want[1]}")
         count = math.prod(shape)
         # frombuffer raises ValueError when the payload ends inside the array
         arr = np.frombuffer(blob, dtype="<f8", count=count,
                             offset=offset).reshape(shape).copy()
         if not np.isfinite(arr).all():
-            raise ValueError(f"non-finite values in array {entry['name']!r}")
+            raise ValueError(f"non-finite values in array {name!r}")
         offset += 8 * count
-        (params if entry["kind"] == "param" else buffers)[entry["name"]] = arr
+        (params if kind == "param" else buffers)[name] = arr
+    if expected:
+        raise ValueError(f"arrays missing: {', '.join(sorted(expected))}")
     if offset != len(blob):
         raise ValueError("trailing bytes after arrays")
     return SeResNet(config, params=params, buffers=buffers, preprocess=spec)

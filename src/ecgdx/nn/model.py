@@ -38,13 +38,14 @@ class SeResNetConfig:
             raise ConfigError("blocks_per_stage and channels_per_stage lengths differ")
         if not self.blocks_per_stage:
             raise ConfigError("need at least one stage")
+        if min(self.input_leads, self.input_length, self.stem_channels,
+               self.n_classes, self.se_reduction, self.stem_kernel,
+               self.block_kernel, *self.channels_per_stage) <= 0:
+            raise ConfigError("all dimensions must be positive")
         for c in self.channels_per_stage:
             if c % self.se_reduction != 0:
                 raise ConfigError(
                     f"se_reduction {self.se_reduction} does not divide channels {c}")
-        if min(self.input_leads, self.input_length, self.stem_channels,
-               self.n_classes) <= 0:
-            raise ConfigError("all dimensions must be positive")
 
     @classmethod
     def small(cls, **overrides) -> "SeResNetConfig":
@@ -75,6 +76,47 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
     return rng.uniform(-bound, bound, size=shape)
 
 
+def array_layout(config: SeResNetConfig) -> list[tuple[str, str, tuple[int, ...]]]:
+    """``(name, kind, shape)`` of every array a model of ``config`` holds,
+    in initialization order; ``kind`` is ``"param"`` or ``"buffer"``."""
+    layout = []
+
+    def conv(name, c_in, c_out, k):
+        layout.extend([(name + ".w", "param", (c_out, c_in, k)),
+                       (name + ".b", "param", (c_out,))])
+
+    def dense(name, f_in, f_out):
+        layout.extend([(name + ".w", "param", (f_in, f_out)),
+                       (name + ".b", "param", (f_out,))])
+
+    def bn(name, c):
+        layout.extend([(name + ".gamma", "param", (c,)),
+                       (name + ".beta", "param", (c,)),
+                       (name + ".running_mean", "buffer", (c,)),
+                       (name + ".running_var", "buffer", (c,))])
+
+    c = config.stem_channels
+    conv("stem.conv", config.input_leads, c, config.stem_kernel)
+    bn("stem.bn", c)
+    in_c, k, r = c, config.block_kernel, config.se_reduction
+    for s, (n_blocks, out_c) in enumerate(zip(config.blocks_per_stage,
+                                              config.channels_per_stage)):
+        for b in range(n_blocks):
+            prefix = f"stage{s}.block{b}"
+            bn(prefix + ".bn1", in_c)
+            conv(prefix + ".conv1", in_c, out_c, k)
+            bn(prefix + ".bn2", out_c)
+            conv(prefix + ".conv2", out_c, out_c, k)
+            dense(prefix + ".se.fc1", out_c, out_c // r)
+            dense(prefix + ".se.fc2", out_c // r, out_c)
+            if b == 0 or in_c != out_c:   # the first block of a stage has stride 2
+                conv(prefix + ".short", in_c, out_c, 1)
+            in_c = out_c
+    bn("head.bn", in_c)
+    dense("head.fc", in_c, config.n_classes)
+    return layout
+
+
 class SeResNet:
     """Holds parameters/buffers and builds the forward graph.
 
@@ -94,47 +136,15 @@ class SeResNet:
         self.params = {}
         self.buffers = {}
         rng = np.random.default_rng(np.random.PCG64(config.seed))
-        c = config.stem_channels
-        self._make_conv(rng, "stem.conv", config.input_leads, c, config.stem_kernel)
-        self._make_bn("stem.bn", c)
-        in_c = c
-        for s, (n_blocks, out_c) in enumerate(zip(config.blocks_per_stage,
-                                                  config.channels_per_stage)):
-            for b in range(n_blocks):
-                prefix = f"stage{s}.block{b}"
-                self._make_block(rng, prefix, in_c, out_c,
-                                 stride=2 if b == 0 else 1)
-                in_c = out_c
-        self._make_bn("head.bn", in_c)
-        self._make_dense(rng, "head.fc", in_c, config.n_classes)
-
-    # -- parameter construction -------------------------------------------
-
-    def _make_conv(self, rng, name, c_in, c_out, k):
-        self.params[name + ".w"] = _kaiming_uniform(rng, (c_out, c_in, k), c_in * k)
-        self.params[name + ".b"] = np.zeros(c_out)
-
-    def _make_dense(self, rng, name, f_in, f_out):
-        self.params[name + ".w"] = _kaiming_uniform(rng, (f_in, f_out), f_in)
-        self.params[name + ".b"] = np.zeros(f_out)
-
-    def _make_bn(self, name, c):
-        self.params[name + ".gamma"] = np.ones(c)
-        self.params[name + ".beta"] = np.zeros(c)
-        self.buffers[name + ".running_mean"] = np.zeros(c)
-        self.buffers[name + ".running_var"] = np.ones(c)
-
-    def _make_block(self, rng, prefix, in_c, out_c, stride):
-        k = self.config.block_kernel
-        self._make_bn(prefix + ".bn1", in_c)
-        self._make_conv(rng, prefix + ".conv1", in_c, out_c, k)
-        self._make_bn(prefix + ".bn2", out_c)
-        self._make_conv(rng, prefix + ".conv2", out_c, out_c, k)
-        r = self.config.se_reduction
-        self._make_dense(rng, prefix + ".se.fc1", out_c, out_c // r)
-        self._make_dense(rng, prefix + ".se.fc2", out_c // r, out_c)
-        if stride != 1 or in_c != out_c:
-            self._make_conv(rng, prefix + ".short", in_c, out_c, 1)
+        for name, kind, shape in array_layout(config):
+            if name.endswith(".w"):   # conv [C_out, C_in, k] or dense [F_in, F_out]
+                fan_in = shape[1] * shape[2] if len(shape) == 3 else shape[0]
+                value = _kaiming_uniform(rng, shape, fan_in)
+            elif name.endswith((".gamma", ".running_var")):
+                value = np.ones(shape)
+            else:
+                value = np.zeros(shape)
+            (self.params if kind == "param" else self.buffers)[name] = value
 
     def parameter_count(self) -> int:
         return sum(v.size for v in self.params.values())

@@ -94,16 +94,6 @@ def merge_pairs(labels27, cmap: ClassMap | None = None) -> np.ndarray:
     return out[0] if np.asarray(labels27).ndim == 1 else out
 
 
-def merge_probs(probs27, cmap: ClassMap | None = None) -> np.ndarray:
-    """Merged probabilities take the max over each equivalence group."""
-    cmap = cmap or ClassMap.default()
-    p = np.atleast_2d(np.asarray(probs27, dtype=np.float64))
-    out = np.zeros((p.shape[0], cmap.n_merged))
-    for class_idx, merged_idx in enumerate(cmap.merged_index):
-        out[:, merged_idx] = np.maximum(out[:, merged_idx], p[:, class_idx])
-    return out[0] if np.asarray(probs27).ndim == 1 else out
-
-
 def confusion(pred_merged, truth_merged) -> np.ndarray:
     """Credit-spread confusion matrix over merged categories.
 

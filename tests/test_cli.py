@@ -193,6 +193,23 @@ class TestTrainPredictScore:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_checkpoint_array_mismatching_config_exits_1(self, capsys,
+                                                         pipeline_dirs, tmp_path):
+        from ecgdx.nn import load_checkpoint, save_checkpoint
+        data, ckpt, _ = pipeline_dirs
+        model = load_checkpoint(ckpt)
+        # a well-formed file whose stem kernel (3) is not the config's (7)
+        model.params["stem.conv.w"] = model.params["stem.conv.w"][:, :, :3]
+        bad = tmp_path / "kernel3.ckpt"
+        save_checkpoint(bad, model)
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--data", str(data),
+                           "--checkpoint", str(bad), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "stem.conv.w" in err
+        assert not out.exists()
+
 
 class TestPreprocessSpec:
     def test_predict_features_equal_train_features(self, capsys, tmp_path,

@@ -72,6 +72,14 @@ class TestLayerGradients:
         b = RNG.normal(size=3) * 0.1
         check_op(lambda v: ad.conv1d(v[0], v[1], v[2], 3, 0), [x, w, b])
 
+    def test_conv1d_pointwise_stride2_shortcut(self):
+        """The residual shortcut: 1x1 kernel shorter than its stride, no padding."""
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(2, 3, 11))
+        w = rng.normal(size=(4, 3, 1)) * 0.3
+        b = rng.normal(size=4) * 0.1
+        check_op(lambda v: ad.conv1d(v[0], v[1], v[2], 2, 0), [x, w, b])
+
     def test_dense(self):
         x = RNG.normal(size=(4, 6))
         w = RNG.normal(size=(6, 3)) * 0.4
@@ -143,6 +151,22 @@ class TestConvValues:
         w = RNG.normal(size=(1, 1, 3))
         out = ad.conv1d(ad.Var(x), ad.Var(w), ad.Var(np.zeros(1)), 2, 1)
         assert out.value.shape[-1] == 8
+
+    def test_input_gradient_matches_einsum_formula(self):
+        rng = np.random.default_rng(3)
+        batch, c_in, c_out, k, stride, padding, t_in = 3, 16, 24, 7, 2, 3, 101
+        x = ad.Var(rng.normal(size=(batch, c_in, t_in)))
+        w = rng.normal(size=(c_out, c_in, k))
+        out = ad.conv1d(x, ad.Var(w), ad.Var(np.zeros(c_out)), stride, padding)
+        g = rng.normal(size=out.shape)
+        ad.backward(out, seed=g)
+        # reference: per-tap input cotangents by einsum, then col2im
+        t_out = g.shape[-1]
+        dcols = np.einsum("bot,oik->bikt", g, w)
+        dxp = np.zeros((batch, c_in, t_in + 2 * padding))
+        for j in range(k):
+            dxp[:, :, j:j + stride * t_out:stride] += dcols[:, :, j, :]
+        np.testing.assert_allclose(x.grad, dxp[:, :, padding:-padding], rtol=1e-12)
 
     def test_channel_mismatch_rejected(self):
         with pytest.raises(RecordValidationError):
@@ -362,6 +386,33 @@ def _first_shape(shape):
         p))
 
 
+def _edit_arrays(edit):
+    """Damage a well-formed file's array list via ``edit(pairs) -> pairs``,
+    where each pair is (header entry, payload bytes) in file order."""
+    def apply(h, p):
+        pairs, offset = [], 0
+        for entry in h["arrays"]:
+            size = 8 * int(np.prod(entry["shape"]))
+            pairs.append((entry, p[offset:offset + size]))
+            offset += size
+        pairs = edit(pairs)
+        return ({**h, "arrays": [entry for entry, _ in pairs]},
+                b"".join(data for _, data in pairs))
+    return _edit_checkpoint(apply)
+
+
+def _stem_kernel_3(pairs):
+    """stem.conv.w as [C_out, C_in, 3] while the config says kernel 7."""
+    out = []
+    for entry, data in pairs:
+        if entry["name"] == "stem.conv.w":
+            c_out, c_in, _ = entry["shape"]
+            entry, data = {**entry, "shape": [c_out, c_in, 3]}, \
+                data[:8 * c_out * c_in * 3]
+        out.append((entry, data))
+    return out
+
+
 MALFORMED = {
     "under-12-bytes": lambda blob: blob[:10],
     "cut-header": lambda blob: blob[:40],
@@ -380,6 +431,17 @@ MALFORMED = {
     "negative-shape": _first_shape([-1]),
     "non-finite-value": _edit_checkpoint(
         lambda h, p: (h, np.array([np.nan], "<f8").tobytes() + p[8:])),
+    "missing-array": _edit_arrays(
+        lambda pairs: [(e, d) for e, d in pairs if e["name"] != "head.fc.w"]),
+    "extra-array": _edit_arrays(lambda pairs: pairs + [(
+        {"name": "head.fc2.b", "kind": "param", "shape": [1]}, bytes(8))]),
+    "duplicate-array": _edit_arrays(lambda pairs: pairs + pairs[:1]),
+    "misshaped-array": _edit_arrays(_stem_kernel_3),
+    "param-listed-as-buffer": _edit_arrays(lambda pairs: [
+        ({**e, "kind": "buffer"} if e["name"] == "head.fc.w" else e, d)
+        for e, d in pairs]),
+    "zero-se-reduction": _edit_checkpoint(
+        lambda h, p: ({**h, "config": {**h["config"], "se_reduction": 0}}, p)),
 }
 
 

@@ -6,8 +6,7 @@ import pytest
 from ecgdx.errors import DegenerateDatasetError, RecordValidationError
 from ecgdx.records import ClassMap
 from ecgdx.scoring import (PerClassMetrics, RewardMatrix, challenge_score,
-                           confusion, merge_pairs, merge_probs,
-                           per_class_metrics)
+                           confusion, merge_pairs, per_class_metrics)
 
 CMAP = ClassMap.default()
 SNR_MERGED = int(CMAP.merged_index[CMAP.sinus_rhythm_index])
@@ -96,13 +95,6 @@ class TestMergePairs:
             for m, idx in first_member.items():
                 expanded[idx] = target[m]
             np.testing.assert_array_equal(merge_pairs(expanded, CMAP), target)
-
-    def test_merge_probs_takes_max(self):
-        probs = np.zeros(27)
-        probs[CMAP.index_of_abbr("PVC")] = 0.3
-        probs[CMAP.index_of_abbr("VPB")] = 0.7
-        merged = merge_probs(probs, CMAP)
-        assert merged[int(CMAP.merged_index[CMAP.index_of_abbr("PVC")])] == 0.7
 
 
 class TestConfusion:
