@@ -33,13 +33,15 @@ class PredictionSet:
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
-        lab = np.asarray(self.labels, dtype=np.uint8)
+        lab = np.asarray(self.labels)
         if p.shape != lab.shape or p.ndim != 1:
             raise RecordValidationError("probs and labels must be aligned vectors")
-        if np.any((p < 0) | (p > 1)):
-            raise RecordValidationError("probabilities outside [0, 1]")
+        if not np.all((lab == 0) | (lab == 1)):
+            raise RecordValidationError("labels must be 0 or 1")
+        if not np.all((p >= 0) & (p <= 1)):   # also false for NaN
+            raise RecordValidationError("probabilities must be finite and in [0, 1]")
         object.__setattr__(self, "probs", p)
-        object.__setattr__(self, "labels", lab)
+        object.__setattr__(self, "labels", lab.astype(np.uint8))
 
 
 def fuse(p_short, p_long, weight_short: float = 0.5) -> np.ndarray:
@@ -156,15 +158,25 @@ def write_predictions(pred_sets, cmap: ClassMap | None = None) -> str:
 
 
 def read_predictions(text: str, cmap: ClassMap | None = None) -> list[PredictionSet]:
+    """Parse a predictions file; any malformed cell raises RecordValidationError."""
     cmap = cmap or ClassMap.default()
     n = cmap.n_scored
-    rows = list(csv.reader(io.StringIO(text)))
+    try:
+        rows = list(csv.reader(io.StringIO(text)))
+    except csv.Error as exc:
+        raise RecordValidationError(f"prediction file is not valid CSV: {exc}") from None
     if not rows or len(rows[0]) != 1 + 2 * n:
         raise RecordValidationError(
             f"prediction file must have 1 + {2 * n} columns")
     out = []
-    for row in rows[1:]:
-        labels = np.array([int(v) for v in row[1:1 + n]], dtype=np.uint8)
-        probs = np.array([float(v) for v in row[1 + n:]], dtype=np.float64)
-        out.append(PredictionSet(record_id=row[0], probs=probs, labels=labels))
+    for number, row in enumerate(rows[1:], start=2):
+        try:
+            if len(row) != 1 + 2 * n:
+                raise RecordValidationError(
+                    f"{len(row)} columns, expected {1 + 2 * n}")
+            labels = np.array([int(v) for v in row[1:1 + n]])
+            probs = np.array([float(v) for v in row[1 + n:]])
+            out.append(PredictionSet(record_id=row[0], probs=probs, labels=labels))
+        except ValueError as exc:
+            raise RecordValidationError(f"prediction file row {number}: {exc}") from None
     return out

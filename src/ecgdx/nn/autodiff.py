@@ -5,14 +5,36 @@ that maps the output cotangent to input cotangents.  :func:`backward`
 topologically sorts the graph from the root and accumulates gradients.
 Gradients are exact reverse-mode derivatives; unit tests hold each op to
 central finite differences.
+
+Inside :func:`no_grad` the same ops record no graph: each ``Var`` keeps
+its value only, so an intermediate array is freed as soon as the next op
+has consumed it.  Inference runs there; training never does.
 """
 
 from __future__ import annotations
+
+import contextlib
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ConfigError, RecordValidationError
+
+_grad_enabled = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Build no graph inside the block: new Vars drop their parents and vjp.
+
+    The previous setting comes back on exit, also when the block raises.
+    """
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Var:
@@ -22,8 +44,10 @@ class Var:
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
-        self.parents = parents
-        self.vjp = vjp
+        if _grad_enabled:
+            self.parents, self.vjp = parents, vjp
+        else:
+            self.parents, self.vjp = (), None
         self.grad = None
 
     @property

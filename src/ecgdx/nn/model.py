@@ -203,7 +203,9 @@ class SeResNet:
         return logits, pvars
 
     def predict_logits(self, x) -> np.ndarray:
-        logits, _ = self.forward(x, training=False)
+        """Eval-mode logits, computed without building the autodiff graph."""
+        with ad.no_grad():
+            logits, _ = self.forward(x, training=False)
         return logits.value
 
     def predict_probs(self, x) -> np.ndarray:

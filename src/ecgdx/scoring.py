@@ -106,15 +106,11 @@ def confusion(pred_merged, truth_merged) -> np.ndarray:
     if pred.shape != truth.shape:
         raise RecordValidationError(
             f"prediction matrix {pred.shape} does not align with truth {truth.shape}")
-    n_cat = pred.shape[1]
-    a = np.zeros((n_cat, n_cat))
-    for r in range(pred.shape[0]):
-        union = np.count_nonzero(pred[r] | truth[r])
-        if union == 0:
-            logger.warning("record %d has no positive prediction or truth; skipped", r)
-            continue
-        a[np.ix_(pred[r], truth[r])] += 1.0 / union
-    return a
+    union = np.count_nonzero(pred | truth, axis=1)
+    for r in np.flatnonzero(union == 0):
+        logger.warning("record %d has no positive prediction or truth; skipped", r)
+    keep = union > 0
+    return pred[keep].T.astype(np.float64) @ (truth[keep] / union[keep, None])
 
 
 @dataclass(frozen=True)

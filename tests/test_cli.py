@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +34,14 @@ class TestUsage:
                            "--out", str(tmp_path / "o"))
         assert code == 1
         assert "error" in err
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run([sys.executable, "-m", "ecgdx", "--help"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert "predict" in done.stdout
 
 
 class TestSynthAndRpeaks:
@@ -209,6 +220,21 @@ class TestTrainPredictScore:
         assert err.startswith("error:") and err.count("\n") == 1
         assert "stem.conv.w" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("column, cell", [(1, "x"), (1, "7"), (28, "nan")],
+                             ids=["label-x", "label-7", "prob-nan"])
+    def test_malformed_predictions_exit_1(self, capsys, pipeline_dirs, tmp_path,
+                                          column, cell):
+        data, _, preds = pipeline_dirs
+        lines = preds.read_text().splitlines()
+        row = lines[1].split(",")
+        row[column] = cell
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([lines[0], ",".join(row)] + lines[2:]) + "\n")
+        code, _, err = run(capsys, "score", "--truth", str(data),
+                           "--pred", str(bad), "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
 
 
 class TestPreprocessSpec:

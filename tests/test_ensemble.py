@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgdx.ensemble import (PredictionSet, apply_brady_veto, binarize, fuse,
                             postprocess, read_predictions, relabel_pseudo,
                             snr_postprocess, write_predictions)
-from ecgdx.errors import RecordValidationError
+from ecgdx.errors import EcgdxError, RecordValidationError
 from ecgdx.records import ClassMap
 from ecgdx.synth import SynthSpec, generate
 
@@ -141,6 +143,46 @@ class TestPredictionSet:
         for a, b in zip(sets, back):
             np.testing.assert_array_equal(a.labels, b.labels)
             np.testing.assert_array_equal(a.probs, b.probs)
+
+    @pytest.mark.parametrize("column, cell", [
+        (1, "x"), (1, "7"), (1, "-1"), (1, "1e3"), (28, "nan"), (28, "inf"),
+        (28, "-0.5"), (28, "p")])
+    def test_malformed_cell_rejected(self, column, cell):
+        row = ["r0"] + ["0"] * 27 + ["0.5"] * 27
+        row[column] = cell
+        text = write_predictions([], CMAP) + ",".join(row) + "\n"
+        with pytest.raises(RecordValidationError, match="row 2"):
+            read_predictions(text, CMAP)
+
+    def test_short_row_rejected(self):
+        text = write_predictions([], CMAP) + "r0,1,0.5\n"
+        with pytest.raises(RecordValidationError, match="3 columns"):
+            read_predictions(text, CMAP)
+
+
+def _parses_or_package_error(text):
+    try:
+        out = read_predictions(text, CMAP)
+    except EcgdxError:
+        return
+    assert isinstance(out, list)
+
+
+class TestReadPredictionsProperties:
+    HEADER = write_predictions([], CMAP)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.text())
+    def test_any_text(self, text):
+        _parses_or_package_error(text)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.lists(st.text(max_size=6) | st.sampled_from(
+        ["0", "1", "0.5", "nan", "-inf", "1e400", "9" * 30]),
+        min_size=53, max_size=57), max_size=3))
+    def test_any_cells_under_a_valid_header(self, rows):
+        body = "".join(",".join(row) + "\n" for row in rows)
+        _parses_or_package_error(self.HEADER + body)
 
 
 class TestRelabel:

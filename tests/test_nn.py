@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -258,6 +259,15 @@ class TestModelForward:
         np.testing.assert_array_equal(model.predict_logits(x),
                                       model.predict_logits(x))
 
+    @pytest.mark.parametrize("cfg, shape", [(CFG, (2, 4, 64)),
+                                            (SeResNetConfig(), (2, 8, 256))],
+                             ids=["tiny", "default"])
+    def test_predict_logits_equal_graph_forward(self, cfg, shape):
+        model = SeResNet(cfg)
+        x = np.random.default_rng(5).normal(size=shape)
+        logits, _ = model.forward(x, training=False)
+        np.testing.assert_array_equal(model.predict_logits(x), logits.value)
+
     def test_same_seed_same_init(self):
         a = SeResNet(self.CFG)
         b = SeResNet(self.CFG)
@@ -272,6 +282,51 @@ class TestModelForward:
     def test_se_reduction_must_divide_stage_channels(self):
         with pytest.raises(ConfigError):
             SeResNetConfig(channels_per_stage=(30, 64, 128, 256))
+
+
+class TestNoGrad:
+    def _conv_bn(self):
+        rng = np.random.default_rng(11)
+        x, w, b = (ad.Var(rng.normal(size=shape))
+                   for shape in ((2, 3, 12), (4, 3, 5), (4,)))
+        gamma, beta = ad.Var(np.ones(4)), ad.Var(np.zeros(4))
+        y = ad.conv1d(x, w, b, padding=2)
+        z = ad.batchnorm(y, gamma, beta, np.zeros(4), np.ones(4), training=False)
+        return (x, w, b, gamma, beta), y, z
+
+    def test_ops_inside_record_no_graph(self):
+        with ad.no_grad():
+            with ad.no_grad():
+                pass
+            _, y, z = self._conv_bn()   # still off after a nested block
+        for out in (y, z):
+            assert out.parents == ()
+            assert out.vjp is None
+
+    def test_graph_returns_after_block_even_on_error(self):
+        model = SeResNet(TestModelForward.CFG)
+        with pytest.raises(RecordValidationError):
+            model.predict_logits(np.zeros((2, 3, 64)))   # raises inside no_grad
+        inputs, _, z = self._conv_bn()
+        ad.backward(z)
+        for var in inputs:
+            assert var.grad is not None and np.any(var.grad != 0)
+
+    def test_predict_peak_memory_below_half_of_graph_forward(self):
+        model = SeResNet(TestModelForward.CFG)
+        x = np.random.default_rng(6).normal(size=(4, 4, 2048))
+        peaks = []
+        for run in (lambda: model.forward(x, training=False),
+                    lambda: model.predict_logits(x)):
+            tracemalloc.start()
+            try:
+                out = run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            del out
+        graph_peak, predict_peak = peaks
+        assert predict_peak < 0.5 * graph_peak, peaks
 
 
 class TestBackwardThroughModel:

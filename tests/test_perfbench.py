@@ -1,0 +1,35 @@
+"""The benchmark harness in perfbench/ still fits the package it traces."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from ecgdx.nn import SeResNet, SeResNetConfig
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def test_harness_selftest_passes():
+    done = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_traced_predict_builds_no_graph(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    model = SeResNet(SeResNetConfig.small())
+    x = np.random.default_rng(0).normal(
+        size=(2, model.config.input_leads, 256))
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    try:
+        model.predict_probs(x)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics([tracer.report()])
+    assert metrics["nn.autodiff.graph_nodes"] == 1
+    assert metrics["nn.model.stem.fwd_ms"] > 0

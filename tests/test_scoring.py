@@ -145,6 +145,17 @@ class TestConfusion:
                                    oracle_confusion(pred.tolist(), truth.tolist()),
                                    atol=1e-12)
 
+    def test_matches_oracle_with_empty_records(self, caplog):
+        # 1000 sparse records; 129 of them have an empty union
+        rng = np.random.default_rng(3)
+        pred = (rng.random((1000, 24)) < 0.04).astype(int)
+        truth = (rng.random((1000, 24)) < 0.04).astype(int)
+        with caplog.at_level("WARNING"):
+            a = confusion(pred, truth)
+        np.testing.assert_allclose(a, oracle_confusion(pred.tolist(), truth.tolist()),
+                                   atol=1e-12)
+        assert caplog.text.count("skipped") == 129
+
 
 class TestChallengeScore:
     W_ID = RewardMatrix.identity(CMAP)
