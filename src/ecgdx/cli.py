@@ -19,11 +19,12 @@ import numpy as np
 
 from . import __version__
 from .errors import EcgdxError
-from .records import ClassMap, labels_from_codes, load_record, save_record
+from .records import (ClassMap, labels_from_codes, load_record, read_text,
+                      save_record)
 from .preprocess import PreprocessConfig, make_example
 from .rpeaks import detect_rpeaks
 from .synth import SynthSpec, generate
-from .ensemble import (DEFAULT_THRESHOLD, postprocess, read_predictions,
+from .ensemble import (DEFAULT_THRESHOLD, fuse, postprocess, read_predictions,
                        relabel_pseudo, write_predictions)
 from .scoring import RewardMatrix, challenge_score, per_class_metrics
 from .nn import SeResNetConfig, load_checkpoint, save_checkpoint, train
@@ -40,10 +41,6 @@ def _write_manifest(path: str, command: str, options: dict) -> None:
 def _manifest_options(args: argparse.Namespace) -> dict:
     skip = {"func", "config", "command"}
     return {k: v for k, v in vars(args).items() if k not in skip}
-
-
-def _load_classmap(path: str | None) -> ClassMap:
-    return ClassMap.load(path) if path else ClassMap.default()
 
 
 def _record_stems(data_dir: str) -> list[str]:
@@ -95,8 +92,7 @@ def _features(args, cfg: PreprocessConfig, cmap: ClassMap):
 
 def _cmd_preprocess(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    x, y, ids = _features(args, _preprocess_config(args),
-                          _load_classmap(args.classes))
+    x, y, ids = _features(args, _preprocess_config(args), ClassMap.default())
     np.savez(os.path.join(args.out, "features.npz"),
              x=x, y=y, record_ids=np.array(ids))
     _write_manifest(os.path.join(args.out, "manifest.txt"), "preprocess",
@@ -123,7 +119,7 @@ def _model_config(args, input_length: int) -> SeResNetConfig:
 
 def _cmd_train(args) -> int:
     cfg = _preprocess_config(args)
-    x, y, _ = _features(args, cfg, _load_classmap(args.classes))
+    x, y, _ = _features(args, cfg, ClassMap.default())
     config = _model_config(args, input_length=x.shape[2])
     result = train(x, y, config, epochs=args.epochs, batch_size=args.batch_size)
     result.model.preprocess = cfg
@@ -158,7 +154,7 @@ def _ensemble_probs(args, cmap: ClassMap):
 
 
 def _cmd_predict(args) -> int:
-    cmap = _load_classmap(args.classes)
+    cmap = ClassMap.default()
     records, p_short, p_long = _ensemble_probs(args, cmap)
     pred_sets = [postprocess(p_short[i], p_long[i], rec,
                              threshold=args.threshold, cmap=cmap)
@@ -170,10 +166,9 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_relabel(args) -> int:
-    cmap = _load_classmap(args.classes)
+    cmap = ClassMap.default()
     records, p_short, p_long = _ensemble_probs(args, cmap)
-    fused = {rec.record_id: 0.5 * (p_long[i] + p_short[i])
-             for i, rec in enumerate(records)}
+    fused = dict(zip((rec.record_id for rec in records), fuse(p_short, p_long)))
     original = {c.strip() for c in args.original_codes.split(",") if c.strip()}
     report = relabel_pseudo(lambda rec: fused[rec.record_id], records,
                             original, cmap)
@@ -196,8 +191,7 @@ def _load_truth(truth_dir: str, cmap: ClassMap) -> dict[str, np.ndarray]:
 
 
 def _aligned_arrays(pred_file: str, truth_dir: str, cmap: ClassMap):
-    with open(pred_file, "r", encoding="utf-8") as fh:
-        preds = read_predictions(fh.read(), cmap)
+    preds = read_predictions(read_text(pred_file), cmap)
     truth_by_id = _load_truth(truth_dir, cmap)
     missing = [p.record_id for p in preds if p.record_id not in truth_by_id]
     if missing:
@@ -214,25 +208,25 @@ def _default_weights() -> RewardMatrix:
     return RewardMatrix.from_csv(text)
 
 
-def _write_per_class(path: str, cmap: ClassMap, metrics) -> None:
+def _write_per_class(path: str, cmap: ClassMap, aucs, f1s) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["abbreviation", "auc", "f1"])
-        for abbr, auc, f1 in zip(cmap.abbreviations, metrics.auc, metrics.f1):
+        for abbr, auc, f1 in zip(cmap.abbreviations, aucs, f1s):
             writer.writerow([abbr, "" if np.isnan(auc) else repr(float(auc)),
                              repr(float(f1))])
 
 
 def _cmd_score(args) -> int:
-    cmap = _load_classmap(args.classes)
+    cmap = ClassMap.default()
     labels, probs, truths = _aligned_arrays(args.pred, args.truth, cmap)
     weights = RewardMatrix.load(args.weights) if args.weights else _default_weights()
     report = challenge_score(labels, truths, weights, probs27=probs, cmap=cmap)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
         fh.write(report.to_json(cmap.abbreviations) + "\n")
-    metrics = per_class_metrics(probs, truths, labels=labels)
-    _write_per_class(os.path.join(args.out, "per_class.csv"), cmap, metrics)
+    _write_per_class(os.path.join(args.out, "per_class.csv"), cmap,
+                     report.per_class_auc, report.per_class_f1)
     _write_manifest(os.path.join(args.out, "manifest.txt"), "score",
                     _manifest_options(args))
     print(f"normalized_score={report.normalized}")
@@ -240,11 +234,12 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cmap = _load_classmap(args.classes)
+    cmap = ClassMap.default()
     labels, probs, truths = _aligned_arrays(args.pred, args.truth, cmap)
     metrics = per_class_metrics(probs, truths, labels=labels)
     os.makedirs(args.out, exist_ok=True)
-    _write_per_class(os.path.join(args.out, "per_class.csv"), cmap, metrics)
+    _write_per_class(os.path.join(args.out, "per_class.csv"), cmap,
+                     metrics.auc, metrics.f1)
     # long-format file ready for bar-chart tooling
     with open(os.path.join(args.out, "plot_data.csv"), "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -263,13 +258,10 @@ def _cmd_report(args) -> int:
 # parser
 # ----------------------------------------------------------------------
 
-def _add_common(sub, preprocess=False):
-    sub.add_argument("--classes", default=None,
-                     help="override the scored-class table (CSV)")
-    if preprocess:
-        sub.add_argument("--window", type=int, choices=(10, 30), default=30)
-        sub.add_argument("--target-fs", type=int, default=500)
-        sub.add_argument("--no-denoise", action="store_true")
+def _add_preprocess(sub):
+    sub.add_argument("--window", type=int, choices=(10, 30), default=30)
+    sub.add_argument("--target-fs", type=int, default=500)
+    sub.add_argument("--no-denoise", action="store_true")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("preprocess", help="records -> feature tensors")
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p, preprocess=True)
+    _add_preprocess(p)
     p.set_defaults(func=_cmd_preprocess)
 
     p = sub.add_parser("rpeaks", help="print detected R peaks as CSV")
@@ -308,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=16)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--preset", choices=("small", "default"), default="default")
-    _add_common(p, preprocess=True)
+    _add_preprocess(p)
     p.set_defaults(func=_cmd_train)
 
     for name, fn in (("predict", _cmd_predict), ("relabel", _cmd_relabel)):
@@ -319,7 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--checkpoint-long", default=None)
         p.add_argument("--checkpoint-short", default=None)
         p.add_argument("--out", required=True)
-        _add_common(p)
         if name == "predict":
             p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
         else:
@@ -332,14 +323,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True)
     p.add_argument("--weights", default=None, help="reward matrix CSV")
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_score)
 
     p = sub.add_parser("report", help="per-class AUC/F1 and plot data")
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
     p.set_defaults(func=_cmd_report)
     return parser
 
@@ -353,13 +342,12 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         raise EcgdxError("--config needs a file path")
     path = argv[idx + 1]
     pairs = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            pairs.append((key.strip(), value.strip()))
+    for line in read_text(path).split("\n"):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        pairs.append((key.strip(), value.strip()))
     # config entries become leading flags so later explicit flags override
     injected: list[str] = []
     for key, value in pairs:

@@ -44,14 +44,14 @@ class PredictionSet:
         object.__setattr__(self, "labels", lab.astype(np.uint8))
 
 
-def fuse(p_short, p_long, weight_short: float = 0.5) -> np.ndarray:
-    """Combine the 10 s and 30 s model outputs (arithmetic mean by default)."""
+def fuse(p_short, p_long) -> np.ndarray:
+    """Combine the 10 s and 30 s model outputs (arithmetic mean)."""
     a = np.asarray(p_short, dtype=np.float64)
     b = np.asarray(p_long, dtype=np.float64)
     if a.shape != b.shape:
         raise RecordValidationError(
             f"cannot fuse probability vectors of shapes {a.shape} and {b.shape}")
-    return weight_short * a + (1.0 - weight_short) * b
+    return 0.5 * a + 0.5 * b
 
 
 def binarize(probs, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:

@@ -65,7 +65,8 @@ def load_checkpoint(path) -> SeResNet:
         raise HeaderParseError(f"{path}: not a checkpoint file (bad magic)")
     try:
         return _parse(blob)
-    except (KeyError, TypeError, ValueError, RecursionError, struct.error) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError,
+            struct.error) as exc:
         raise HeaderParseError(
             f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
 
@@ -87,6 +88,12 @@ def _parse(blob: bytes) -> SeResNet:
         raise ValueError(
             f"preprocess spec ({spec.target_fs} Hz x {spec.window_seconds} s)"
             f" does not match model input length {config.input_length}")
+    # every block holds arrays, so a block count above the file's array
+    # count is malformed; checked first, as the layout is built per block
+    blocks = sum(config.blocks_per_stage)
+    if blocks > len(header["arrays"]):
+        raise ValueError(f"config has {blocks} blocks but the file lists"
+                         f" {len(header['arrays'])} arrays")
     expected = {name: (kind, list(shape))
                 for name, kind, shape in array_layout(config)}
     offset = 12 + header_len

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 LR_INITIAL = 0.001
 LR_AFTER_DROP = 0.0001
 DROP_EPOCH = 13  # 1-indexed epoch at which the rate is rescheduled
+BETA1 = 0.9      # first-moment decay
+BETA2 = 0.999    # second-moment decay
+EPS = 1e-8
 
 
 def lr_for_epoch(epoch: int) -> float:
@@ -16,15 +17,10 @@ def lr_for_epoch(epoch: int) -> float:
     return LR_AFTER_DROP if epoch >= DROP_EPOCH else LR_INITIAL
 
 
-@dataclass
 class Adam:
     """First/second-moment adaptive optimizer (beta1=0.9, beta2=0.999)."""
 
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-
-    def __post_init__(self):
+    def __init__(self):
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -32,8 +28,8 @@ class Adam:
     def step(self, params: dict, grads: dict, lr: float) -> None:
         """Update ``params`` in place from ``grads`` (matching name -> array)."""
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - BETA1 ** self.t
+        b2c = 1.0 - BETA2 ** self.t
         for name in sorted(params):
             g = grads[name]
             if name not in self._m:
@@ -41,8 +37,8 @@ class Adam:
                 self._v[name] = np.zeros_like(params[name])
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            params[name] -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            params[name] -= lr * (m / b1c) / (np.sqrt(v / b2c) + EPS)

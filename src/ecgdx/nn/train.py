@@ -23,7 +23,7 @@ logger = logging.getLogger(__name__)
 
 
 def sign_loss_pair(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """Default training loss: (scalar, dLoss/dprobs) with batch-mean scaling."""
+    """The training loss: (scalar, dLoss/dprobs) with batch-mean scaling."""
     batch = LossBatch(probs, targets)
     total, _ = sign_loss(batch)
     return total, sign_loss_grad(batch) / probs.shape[0]
@@ -39,8 +39,8 @@ class TrainResult:
         return [row["loss"] for row in self.history]
 
 
-def train(x, y, config: SeResNetConfig, epochs: int = 19, batch_size: int = 16,
-          loss=sign_loss_pair, model: SeResNet | None = None) -> TrainResult:
+def train(x, y, config: SeResNetConfig, epochs: int = 19,
+          batch_size: int = 16) -> TrainResult:
     """Train a model on (x [N, leads, T], y [N, n_classes]).
 
     Aborts with :class:`TrainingDivergedError` if the loss goes
@@ -51,7 +51,7 @@ def train(x, y, config: SeResNetConfig, epochs: int = 19, batch_size: int = 16,
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:
         raise TrainingDivergedError("empty dataset")
-    model = model or SeResNet(config)
+    model = SeResNet(config)
     optimizer = Adam()
     shuffle_rng = np.random.default_rng(np.random.PCG64(config.seed + 0x5eed))
     history: list[dict] = []
@@ -63,7 +63,7 @@ def train(x, y, config: SeResNetConfig, epochs: int = 19, batch_size: int = 16,
             idx = order[start:start + batch_size]
             logits, pvars = model.forward(x[idx], training=True)
             probs = ad.sigmoid(logits)
-            value, dprobs = loss(probs.value, y[idx])
+            value, dprobs = sign_loss_pair(probs.value, y[idx])
             if not np.isfinite(value):
                 raise TrainingDivergedError(
                     f"loss became {value} at epoch {epoch}, "

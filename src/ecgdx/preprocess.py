@@ -82,13 +82,12 @@ def wavelet_denoise(signal, config: PreprocessConfig | None = None) -> np.ndarra
 
     Noise level is estimated from the finest detail band (median absolute
     deviation) and thresholded at ``sigma * sqrt(2 ln n)``.  Output length
-    always equals input length.
+    always equals input length.  ``config.denoise_enabled`` is not read
+    here: :func:`make_example` decides whether to denoise.
     """
     config = config or PreprocessConfig()
     x = np.asarray(signal, dtype=np.float64)
     coeffs = wavelet.wavedec(x, config.wavelet, config.decomposition_level)
-    if not config.denoise_enabled:
-        return wavelet.waverec(coeffs)
     thr = _universal_threshold(coeffs.details[0], len(x))
     coeffs.details = [np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
                       for d in coeffs.details]

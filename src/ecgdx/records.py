@@ -1,8 +1,7 @@
 """ECG record parsing/writing, the scored-class map, and lead arithmetic.
 
 The on-disk container is a text header plus little-endian 16-bit samples
-with per-lead gain/offset (a CSV fallback is provided for quick
-inspection).  Header grammar, one record::
+with per-lead gain/offset.  Header grammar, one record::
 
     <record_id> <n_leads> <fs> <n_samples>
     <gain> <offset> <lead_name>          (one line per lead)
@@ -25,13 +24,10 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import HeaderParseError, RecordValidationError, SignalTruncationError
+from .errors import (EcgdxError, HeaderParseError, RecordValidationError,
+                     SignalTruncationError)
 
 SEXES = ("male", "female", "unknown")
-
-#: Standard clinical lead order.
-STANDARD_LEADS = ("I", "II", "III", "aVR", "aVL", "aVF",
-                  "V1", "V2", "V3", "V4", "V5", "V6")
 
 #: Limb leads that are linear combinations of leads I and II.
 DERIVED_LEADS = ("III", "aVR", "aVL", "aVF")
@@ -120,9 +116,9 @@ class ClassMap:
 
     Three clinically equivalent pairs (CRBBB/RBBB, PAC/SVPB, PVC/VPB)
     share a group id, collapsing the 27 classes into 24 scored
-    categories.  The table is loaded from a CSV file (``code,
-    abbreviation, group``); a packaged default ships with the library and
-    callers may substitute their own.
+    categories.  The table is fixed by the PhysioNet/CinC 2020 Challenge
+    and ships with the package as a CSV file (``code, abbreviation,
+    group``), read by :meth:`default`.
     """
 
     def __init__(self, entries: Sequence[ClassEntry]):
@@ -151,7 +147,6 @@ class ClassMap:
         if len(merged) != 24:
             raise RecordValidationError(
                 f"class map must merge to 24 categories, got {len(merged)}")
-        self._merged_groups = tuple(merged)
         self._code_to_index = {e.code: i for i, e in enumerate(self.entries)}
         self._abbr_to_index = {e.abbreviation: i for i, e in enumerate(self.entries)}
         self._merged_of = np.array(
@@ -209,11 +204,6 @@ class ClassMap:
                                       row["abbreviation"].strip(),
                                       int(row["group"])))
         return cls(entries)
-
-    @classmethod
-    def load(cls, path) -> "ClassMap":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_csv(fh.read())
 
     _default: Optional["ClassMap"] = None
 
@@ -312,7 +302,10 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
                 dx.update(c.strip() for c in codes.split(",") if c.strip())
         elif body.lower().startswith("age:"):
             value = body[4:].strip()
-            age = int(value) if value.isdigit() else None
+            # ASCII only: str.isdigit also accepts digits such as "²" that
+            # int() rejects; more than three digits is not an age
+            age = int(value) if value.isascii() and value.isdigit() \
+                and len(value) <= 3 else None
         elif body.lower().startswith("sex:"):
             value = body[4:].strip().lower()
             sex = value if value in SEXES else "unknown"
@@ -369,53 +362,22 @@ def save_record(record: EcgRecord, directory, stem: Optional[str] = None) -> Non
         fh.write(payload)
 
 
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file; other bytes raise an error naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError:
+            raise EcgdxError(f"{path}: not valid UTF-8 text") from None
+
+
 def load_record(path_stem) -> EcgRecord:
     """Read ``<path_stem>.hea`` + ``<path_stem>.dat``."""
     path_stem = str(path_stem)
-    with open(path_stem + ".hea", "r", encoding="utf-8") as fh:
-        header = fh.read()
+    header = read_text(path_stem + ".hea")
     with open(path_stem + ".dat", "rb") as fh:
         payload = fh.read()
     return parse_record(header, payload)
-
-
-# ----------------------------------------------------------------------
-# CSV fallback (one column per lead, mV values)
-# ----------------------------------------------------------------------
-
-def write_record_csv(record: EcgRecord) -> str:
-    meta = [f"id={record.record_id}", f"fs={record.fs}"]
-    if record.age is not None:
-        meta.append(f"age={record.age}")
-    if record.sex != "unknown":
-        meta.append(f"sex={record.sex}")
-    if record.dx_codes:
-        meta.append("dx=" + ";".join(sorted(record.dx_codes)))
-    out = ["# " + " ".join(meta), ",".join(record.lead_names)]
-    for t in range(record.n_samples):
-        out.append(",".join(repr(float(v)) for v in record.signals[:, t]))
-    return "\n".join(out) + "\n"
-
-
-def parse_record_csv(text: str) -> EcgRecord:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("#"):
-        raise HeaderParseError("line 1: CSV record must start with a '# id=... fs=...' line")
-    meta = {}
-    for token in lines[0][1:].split():
-        if "=" in token:
-            key, _, value = token.partition("=")
-            meta[key] = value
-    if "id" not in meta or "fs" not in meta:
-        raise HeaderParseError("line 1: CSV metadata must include id= and fs=")
-    names = tuple(lines[1].split(","))
-    rows = [[float(v) for v in ln.split(",")] for ln in lines[2:]]
-    sig = np.array(rows, dtype=np.float64).T
-    dx = frozenset(c for c in meta.get("dx", "").split(";") if c)
-    age = int(meta["age"]) if "age" in meta else None
-    return EcgRecord(record_id=meta["id"], signals=sig, lead_names=names,
-                     fs=int(meta["fs"]), age=age, sex=meta.get("sex", "unknown"),
-                     dx_codes=dx)
 
 
 # ----------------------------------------------------------------------

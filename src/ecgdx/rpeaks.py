@@ -3,8 +3,8 @@
 Detection follows the classic five-stage QRS pipeline: band-pass,
 derivative, squaring, moving-window integration, then an adaptive
 dual-threshold peak decision with a refractory period and a search-back
-pass for missed beats.  All stage constants are exposed on
-:class:`DetectorConfig`.
+pass for missed beats.  The stage constants are the module-level values
+below (Pan & Tompkins, 1985).
 """
 
 from __future__ import annotations
@@ -17,18 +17,16 @@ from scipy import signal as sps
 from .errors import RecordValidationError, SignalTooShortError
 
 
-@dataclass
-class DetectorConfig:
-    band_low_hz: float = 5.0
-    band_high_hz: float = 15.0
-    filter_order: int = 2
-    integration_window_s: float = 0.150
-    refractory_s: float = 0.200
-    signal_update: float = 0.125     # running-estimate weight for QRS peaks
-    noise_update: float = 0.125      # running-estimate weight for noise peaks
-    threshold_fraction: float = 0.25  # THR = noise + fraction * (signal - noise)
-    searchback_factor: float = 1.66   # RR gap triggering a search-back
-    searchback_threshold: float = 0.5  # fraction of THR used during search-back
+BAND_LOW_HZ = 5.0
+BAND_HIGH_HZ = 15.0
+FILTER_ORDER = 2
+INTEGRATION_WINDOW_S = 0.150
+REFRACTORY_S = 0.200
+SIGNAL_UPDATE = 0.125         # running-estimate weight for QRS peaks
+NOISE_UPDATE = 0.125          # running-estimate weight for noise peaks
+THRESHOLD_FRACTION = 0.25     # THR = noise + fraction * (signal - noise)
+SEARCHBACK_FACTOR = 1.66      # RR gap triggering a search-back
+SEARCHBACK_THRESHOLD = 0.5    # fraction of THR used during search-back
 
 
 @dataclass(frozen=True)
@@ -64,13 +62,12 @@ def _moving_integration(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def detect_rpeaks(lead_i, fs: int, config: DetectorConfig | None = None) -> RPeakResult:
+def detect_rpeaks(lead_i, fs: int) -> RPeakResult:
     """Locate R peaks on a single lead.
 
     Requires at least two seconds of signal at 100-1000 Hz.  A constant
     signal yields an empty peak list rather than an error.
     """
-    cfg = config or DetectorConfig()
     x = np.asarray(lead_i, dtype=np.float64)
     if not (100 <= fs <= 1000):
         raise RecordValidationError(f"fs {fs} outside supported range [100, 1000]")
@@ -81,16 +78,16 @@ def detect_rpeaks(lead_i, fs: int, config: DetectorConfig | None = None) -> RPea
         return RPeakResult.from_indices([], fs)
 
     nyq = fs / 2.0
-    b, a = sps.butter(cfg.filter_order,
-                      [cfg.band_low_hz / nyq, cfg.band_high_hz / nyq],
+    b, a = sps.butter(FILTER_ORDER,
+                      [BAND_LOW_HZ / nyq, BAND_HIGH_HZ / nyq],
                       btype="band")
     band = sps.filtfilt(b, a, x)
     deriv = np.gradient(band)
     squared = deriv * deriv
-    win = max(int(round(cfg.integration_window_s * fs)), 1)
+    win = max(int(round(INTEGRATION_WINDOW_S * fs)), 1)
     mwi = _moving_integration(squared, win)
 
-    refractory = int(round(cfg.refractory_s * fs))
+    refractory = int(round(REFRACTORY_S * fs))
     cand, _ = sps.find_peaks(mwi, distance=max(refractory, 1))
     if cand.size == 0:
         return RPeakResult.from_indices([], fs)
@@ -108,21 +105,21 @@ def detect_rpeaks(lead_i, fs: int, config: DetectorConfig | None = None) -> RPea
             del rr_history[:-8]
 
     for i, peak in enumerate(cand):
-        thr = npki + cfg.threshold_fraction * (spki - npki)
+        thr = npki + THRESHOLD_FRACTION * (spki - npki)
         value = mwi[peak]
         if value > thr:
             accept(peak)
-            spki = cfg.signal_update * value + (1 - cfg.signal_update) * spki
+            spki = SIGNAL_UPDATE * value + (1 - SIGNAL_UPDATE) * spki
         else:
-            npki = cfg.noise_update * value + (1 - cfg.noise_update) * npki
+            npki = NOISE_UPDATE * value + (1 - NOISE_UPDATE) * npki
             # search-back: a long RR gap suggests the threshold overshot
             if qrs and rr_history:
                 mean_rr = float(np.mean(rr_history))
                 gap = (peak - qrs[-1]) / fs
-                if gap > cfg.searchback_factor * mean_rr and \
-                        value > cfg.searchback_threshold * thr:
+                if gap > SEARCHBACK_FACTOR * mean_rr and \
+                        value > SEARCHBACK_THRESHOLD * thr:
                     accept(peak)
-                    spki = cfg.signal_update * value + (1 - cfg.signal_update) * spki
+                    spki = SIGNAL_UPDATE * value + (1 - SIGNAL_UPDATE) * spki
 
     if not qrs:
         return RPeakResult.from_indices([], fs)

@@ -19,8 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
+from .ensemble import DEFAULT_THRESHOLD
 from .errors import DegenerateDatasetError, RecordValidationError
-from .records import ClassMap
+from .records import ClassMap, read_text
 
 logger = logging.getLogger(__name__)
 
@@ -31,7 +32,7 @@ class RewardMatrix:
 
     Always loaded from data (CSV with a header row of category
     abbreviations), never hardcoded; the diagonal must be exactly 1 and
-    no entry may exceed 1.
+    every entry finite and at most 1.
     """
     values: np.ndarray
     abbreviations: tuple[str, ...]
@@ -44,6 +45,8 @@ class RewardMatrix:
                 f"reward matrix shape {w.shape} does not match {n} categories")
         if not np.allclose(np.diag(w), 1.0, atol=0):
             raise RecordValidationError("reward matrix diagonal must be exactly 1")
+        if not np.all(np.isfinite(w)):
+            raise RecordValidationError("reward matrix entries must be finite")
         if np.any(w > 1.0):
             raise RecordValidationError("reward matrix entries must be <= 1")
         object.__setattr__(self, "values", w)
@@ -56,14 +59,21 @@ class RewardMatrix:
             raise RecordValidationError("reward matrix CSV needs header + rows")
         abbrs = tuple(h.strip() for h in rows[0][1:])
         values = []
-        for row in rows[1:]:
-            values.append([float(v) for v in row[1:]])
+        for number, row in enumerate(rows[1:], start=2):
+            if len(row) != len(rows[0]):
+                raise RecordValidationError(
+                    f"reward matrix row {number}: {len(row)} columns,"
+                    f" expected {len(rows[0])}")
+            try:
+                values.append([float(v) for v in row[1:]])
+            except ValueError as exc:
+                raise RecordValidationError(
+                    f"reward matrix row {number}: {exc}") from None
         return cls(values=np.array(values), abbreviations=abbrs)
 
     @classmethod
     def load(cls, path) -> "RewardMatrix":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.from_csv(fh.read())
+        return cls.from_csv(read_text(path))
 
     @classmethod
     def identity(cls, cmap: ClassMap | None = None) -> "RewardMatrix":
@@ -148,8 +158,13 @@ def challenge_score(pred_labels27, truth_labels27, w: RewardMatrix,
 
     ``pred_labels27``/``truth_labels27`` are aligned [n, 27] binary
     matrices; ``probs27`` (optional, [n, 27]) feeds the per-class AUC.
+    ``w`` must name the merged categories of ``cmap``, in order.
     """
     cmap = cmap or ClassMap.default()
+    if w.abbreviations != cmap.merged_abbreviations:
+        raise RecordValidationError(
+            "reward matrix categories must be the merged abbreviations in order: "
+            + ",".join(cmap.merged_abbreviations))
     pred = np.atleast_2d(np.asarray(pred_labels27))
     truth = np.atleast_2d(np.asarray(truth_labels27))
     if pred.shape != truth.shape:
@@ -188,7 +203,7 @@ class PerClassMetrics:
 
 
 def per_class_metrics(probs, truths, labels=None,
-                      threshold: float = 0.36) -> PerClassMetrics:
+                      threshold: float = DEFAULT_THRESHOLD) -> PerClassMetrics:
     """Columnwise ranking AUC (midranks for ties) and F1.
 
     F1 is computed at the supplied binarized ``labels`` (defaulting to

@@ -2,15 +2,20 @@
 
 import json
 import os
+import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgdx import cli
 from ecgdx.cli import dispatch
+from ecgdx.errors import EcgdxError
 
 
 def run(capsys, *argv):
@@ -236,6 +241,69 @@ class TestTrainPredictScore:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def _score(self, capsys, pipeline_dirs, tmp_path, *extra):
+        data, _, preds = pipeline_dirs
+        return run(capsys, "score", "--truth", str(data),
+                   "--pred", str(preds), "--out", str(tmp_path / "s"), *extra)
+
+    def test_weights_file_scores_like_the_default(self, capsys, pipeline_dirs,
+                                                 tmp_path):
+        weights = tmp_path / "w.csv"
+        weights.write_text(cli._default_weights().to_csv())
+        code, _, _ = self._score(capsys, pipeline_dirs, tmp_path / "a")
+        assert code == 0
+        code, _, _ = self._score(capsys, pipeline_dirs, tmp_path / "b",
+                                 "--weights", str(weights))
+        assert code == 0
+        for name in ("report.json", "per_class.csv"):
+            assert (tmp_path / "a" / "s" / name).read_bytes() == \
+                (tmp_path / "b" / "s" / name).read_bytes()
+
+    @pytest.mark.parametrize("damage, message", [
+        ("header", "merged abbreviations in order"),
+        ("cell", "row 2"),
+        ("short-row", "row 3: 24 columns"),
+    ], ids=["header", "cell", "short-row"])
+    def test_malformed_weights_exit_1(self, capsys, pipeline_dirs, tmp_path,
+                                      damage, message):
+        lines = cli._default_weights().to_csv().splitlines()
+        if damage == "header":
+            lines[0] = ",".join(["category"] + [f"X{i}" for i in range(24)])
+        elif damage == "cell":
+            lines[1] = lines[1][:-len("0.0")] + "zero"
+        else:
+            lines[2] = lines[2].rsplit(",", 1)[0]
+        weights = tmp_path / "w.csv"
+        weights.write_text("\n".join(lines) + "\n")
+        code, _, err = self._score(capsys, pipeline_dirs, tmp_path,
+                                   "--weights", str(weights))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert message in err
+        assert not (tmp_path / "s" / "report.json").exists()
+
+    @pytest.mark.parametrize("damaged", ["header", "predictions", "config",
+                                         "weights"])
+    def test_file_not_utf8_exits_1_naming_it(self, capsys, pipeline_dirs,
+                                             tmp_path, damaged):
+        data, _, preds = pipeline_dirs
+        truth = tmp_path / "truth"
+        shutil.copytree(data, truth)
+        pred = tmp_path / "preds.csv"
+        pred.write_bytes(preds.read_bytes())
+        weights = tmp_path / "w.csv"
+        weights.write_text(cli._default_weights().to_csv())
+        config = tmp_path / "run.cfg"
+        config.write_text("# no options\n")
+        target = {"header": truth / "slow0.hea", "predictions": pred,
+                  "config": config, "weights": weights}[damaged]
+        target.write_bytes(target.read_bytes() + b"# \xff\xfe\n")
+        code, _, err = run(capsys, "score", "--config", str(config),
+                           "--truth", str(truth), "--pred", str(pred),
+                           "--weights", str(weights), "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert err == f"error: {target}: not valid UTF-8 text\n"
+
 
 class TestPreprocessSpec:
     def test_predict_features_equal_train_features(self, capsys, tmp_path,
@@ -281,3 +349,20 @@ class TestConfigFile:
         code, _, err = run(capsys, "synth", "--out", str(tmp_path), "--config")
         assert code == 1
         assert err == "error: --config needs a file path\n"
+
+
+class TestConfigFileProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(st.binary(max_size=48)
+           | st.text(max_size=48).map(lambda text: text.encode("utf-8")))
+    def test_any_bytes_read_or_package_error(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            try:
+                argv = cli._apply_config_file(["rpeaks", "--config", path, "r"])
+            except EcgdxError:
+                return
+        assert argv[0] == "rpeaks" and argv[-1] == "r"
+        assert all(isinstance(arg, str) for arg in argv)

@@ -2,11 +2,15 @@
 
 import dataclasses
 import json
+import os
 import struct
+import tempfile
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecgdx.errors import ConfigError, HeaderParseError, RecordValidationError
 from ecgdx.nn import (Adam, SeResNet, SeResNetConfig, load_checkpoint,
@@ -497,6 +501,9 @@ MALFORMED = {
         for e, d in pairs]),
     "zero-se-reduction": _edit_checkpoint(
         lambda h, p: ({**h, "config": {**h["config"], "se_reduction": 0}}, p)),
+    "infinite-window": _with_spec(window_seconds=float("inf")),
+    "huge-block-count": _edit_checkpoint(lambda h, p: (
+        {**h, "config": {**h["config"], "blocks_per_stage": [10 ** 12, 1]}}, p)),
 }
 
 
@@ -563,3 +570,87 @@ class TestCheckpoint:
         with pytest.raises(HeaderParseError):
             load_checkpoint(path)
 
+
+
+EDGE_VALUES = st.sampled_from([float("inf"), float("-inf"), float("nan"),
+                               10 ** 400, -1, 0, 0.5, ""])
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+    | EDGE_VALUES,
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=6), inner, max_size=3)),
+    max_leaves=6)
+
+
+def _node_paths(node, path=()):
+    """Key/index path of every node of a JSON document, the root included."""
+    yield path
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield from _node_paths(child, path + (key,))
+
+
+def _mutate(header, data):
+    """One random edit: replace a node with any JSON value, or delete it.
+    The top-level entry is drawn first, so the few config and spec fields
+    are hit as often as the many array entries."""
+    groups: dict = {}
+    for path in _node_paths(header):
+        groups.setdefault(path[:1], []).append(path)
+    top = data.draw(st.sampled_from(sorted(groups, key=repr)))
+    path = data.draw(st.sampled_from(groups[top]))
+    value = data.draw(JSON_VALUES)
+    if not path:
+        return value
+    parent = header
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return header
+
+
+class TestCheckpointProperties:
+    """Any edit of a valid header loads or raises ``HeaderParseError``."""
+
+    SPEC = PreprocessConfig(target_fs=32, window_seconds=2)
+
+    def _load_edited(self, edit):
+        model = SeResNet(TestModelForward.CFG, preprocess=self.SPEC)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "model.ckpt")
+            save_checkpoint(path, model)
+            with open(path, "rb") as fh:
+                blob = fh.read()
+            (n,) = struct.unpack("<I", blob[8:12])
+            header = edit(json.loads(blob[12:12 + n]))
+            text = json.dumps(header).encode("utf-8")   # NaN/Infinity allowed
+            with open(path, "wb") as fh:
+                fh.write(MAGIC + struct.pack("<I", len(text)) + text + blob[12 + n:])
+            try:
+                back = load_checkpoint(path)
+            except HeaderParseError:
+                return
+        assert isinstance(back, SeResNet)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_any_nodes_replaced_or_deleted(self, data):
+        def edit(header):
+            for _ in range(data.draw(st.integers(1, 3))):
+                header = _mutate(header, data)
+            return header
+        self._load_edited(edit)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.dictionaries(st.sampled_from(sorted(TestModelForward.CFG.to_dict())),
+                           JSON_VALUES, max_size=3),
+           st.dictionaries(st.sampled_from(sorted(dataclasses.asdict(SPEC))),
+                           JSON_VALUES, max_size=3))
+    def test_any_config_and_spec_values(self, config_edits, spec_edits):
+        self._load_edited(lambda h: {
+            **h, "config": {**h["config"], **config_edits},
+            "preprocess": {**h["preprocess"], **spec_edits}})

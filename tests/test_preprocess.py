@@ -80,8 +80,9 @@ class TestWavelet:
     @pytest.mark.parametrize("n", [4096, 5000, 15000])
     def test_roundtrip_without_thresholding(self, n):
         x = np.random.default_rng(n).normal(size=n)
-        cfg = PreprocessConfig(denoise_enabled=False)
-        out = wavelet_denoise(x, cfg)
+        cfg = PreprocessConfig()
+        out = wavelet.waverec(wavelet.wavedec(x, cfg.wavelet,
+                                              cfg.decomposition_level))
         assert len(out) == n
         assert np.max(np.abs(out - x)) < 1e-8
 

@@ -2,13 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ecgdx.errors import (HeaderParseError, RecordValidationError,
+from ecgdx.errors import (EcgdxError, HeaderParseError, RecordValidationError,
                           SignalTruncationError)
 from ecgdx.records import (ClassMap, EcgRecord, TRAINING_LEADS,
                            derive_limb_leads, labels_from_codes, parse_record,
-                           parse_record_csv, select_training_leads,
-                           write_record, write_record_csv)
+                           select_training_leads, write_record)
 
 AF_CODE = "164889003"
 SINUS_CODE = "426783006"
@@ -74,6 +75,58 @@ class TestParseRecord:
         rec = parse_record(text, _bytes_for(raw))
         assert rec.age == 63 and rec.sex == "female"
 
+    @pytest.mark.parametrize("value", ["\u00b2", "9" * 5000, "-5", "six"],
+                             ids=["superscript-two", "5000-digits", "negative",
+                                  "word"])
+    def test_unparsable_age_is_unknown(self, value):
+        raw = np.zeros((2, 4), dtype=int)
+        text = _header(n_samples=4) + f"# Age: {value}\n"
+        assert parse_record(text, _bytes_for(raw)).age is None
+
+
+FIELDS = (st.integers(-2, 4).map(str) | st.text(max_size=4)
+          | st.sampled_from(["1e3", "nan", "-inf", "\u0663", "\u00b2", "9" * 30]))
+
+
+@st.composite
+def headers_and_payloads(draw):
+    """Headers close to the grammar (one field in eight replaced by junk),
+    with arbitrary comment bodies and a payload of the declared or any size."""
+    n_leads, n_samples = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def field(valid):
+        return draw(FIELDS) if draw(st.integers(0, 7)) == 0 else str(valid)
+
+    lines = [f"r0 {field(n_leads)} {field(500)} {field(n_samples)}"]
+    for name in ("I", "II", "V1")[:n_leads]:
+        lines.append(f"{field(1000)} {field(0)} {field(name)}")
+    for _ in range(draw(st.integers(0, 3))):
+        tag = draw(st.sampled_from(["# Age: ", "# Sex: ", "# Dx: ", "#", ""]))
+        lines.append(tag + draw(FIELDS | st.text(max_size=8)))
+    size = 2 * n_leads * n_samples
+    payload = draw(st.binary(min_size=size, max_size=size) | st.binary(max_size=32))
+    return "\n".join(lines) + "\n", payload
+
+
+def _parses_or_package_error(header, payload):
+    try:
+        rec = parse_record(header, payload)
+    except EcgdxError:
+        return
+    assert isinstance(rec, EcgRecord)
+
+
+class TestParseRecordProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.text(), st.binary(max_size=32))
+    def test_any_text_and_payload(self, header, payload):
+        _parses_or_package_error(header, payload)
+
+    @settings(max_examples=300, deadline=None)
+    @given(headers_and_payloads())
+    def test_near_valid_headers(self, pair):
+        _parses_or_package_error(*pair)
+
 
 class TestWriteRecord:
     def test_roundtrip_is_bit_exact(self):
@@ -93,14 +146,6 @@ class TestWriteRecord:
                         lead_names=("I",), fs=100)
         with pytest.raises(RecordValidationError):
             write_record(rec)
-
-    def test_csv_fallback_roundtrip(self):
-        rec = EcgRecord(record_id="c0", signals=np.array([[0.5, -0.25, 0.125]]),
-                        lead_names=("I",), fs=100, dx_codes=frozenset({AF_CODE}))
-        back = parse_record_csv(write_record_csv(rec))
-        assert back.record_id == rec.record_id and back.fs == rec.fs
-        assert back.dx_codes == rec.dx_codes
-        np.testing.assert_array_equal(back.signals, rec.signals)
 
 
 class TestRecordValidation:
