@@ -7,12 +7,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
-from . import wavelet
+from . import dsp, wavelet
 from .errors import ConfigError, UnsupportedRatioError
 from .records import (ClassMap, EcgRecord, TRAINING_LEADS, labels_from_codes,
                       select_training_leads)
+
+# deepest wavelet decomposition a spec may ask for (2**16 samples is over
+# two minutes at 500 Hz); a checkpoint's spec sets the level predict uses
+MAX_DECOMPOSITION_LEVEL = 16
 
 
 @dataclass
@@ -28,9 +31,10 @@ class PreprocessConfig:
             raise ConfigError(f"target_fs must be positive, got {self.target_fs}")
         if self.window_seconds <= 0:
             raise ConfigError(f"window_seconds must be positive, got {self.window_seconds}")
-        if self.decomposition_level < 1:
+        if not 1 <= self.decomposition_level <= MAX_DECOMPOSITION_LEVEL:
             raise ConfigError(
-                f"decomposition_level must be >= 1, got {self.decomposition_level}")
+                f"decomposition_level must be in [1, {MAX_DECOMPOSITION_LEVEL}],"
+                f" got {self.decomposition_level}")
 
 
 def resample(signal, from_fs: int, to_fs: int) -> np.ndarray:
@@ -50,9 +54,9 @@ def resample(signal, from_fs: int, to_fs: int) -> np.ndarray:
             f"resampling {from_fs} Hz -> {to_fs} Hz is not an integer ratio")
     q = from_fs // to_fs
     # zero-phase FIR low-pass at the new Nyquist, then decimate
-    taps = sps.firwin(20 * q + 1, 1.0 / q)
+    taps = dsp.firwin(20 * q + 1, 1.0 / q)
     padlen = min(3 * len(taps), len(x) - 1)
-    filtered = sps.filtfilt(taps, [1.0], x, padlen=padlen)
+    filtered = dsp.filtfilt(taps, [1.0], x, padlen=padlen)
     return filtered[::q][: len(x) * to_fs // from_fs]
 
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as sps
 
+from . import dsp
 from .errors import RecordValidationError, SignalTooShortError
 
 
@@ -78,17 +78,15 @@ def detect_rpeaks(lead_i, fs: int) -> RPeakResult:
         return RPeakResult.from_indices([], fs)
 
     nyq = fs / 2.0
-    b, a = sps.butter(FILTER_ORDER,
-                      [BAND_LOW_HZ / nyq, BAND_HIGH_HZ / nyq],
-                      btype="band")
-    band = sps.filtfilt(b, a, x)
+    b, a = dsp.butter_bandpass(FILTER_ORDER, BAND_LOW_HZ / nyq, BAND_HIGH_HZ / nyq)
+    band = dsp.filtfilt(b, a, x)
     deriv = np.gradient(band)
     squared = deriv * deriv
     win = max(int(round(INTEGRATION_WINDOW_S * fs)), 1)
     mwi = _moving_integration(squared, win)
 
     refractory = int(round(REFRACTORY_S * fs))
-    cand, _ = sps.find_peaks(mwi, distance=max(refractory, 1))
+    cand = dsp.find_peaks(mwi, distance=max(refractory, 1))
     if cand.size == 0:
         return RPeakResult.from_indices([], fs)
 

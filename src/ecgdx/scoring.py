@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .ensemble import DEFAULT_THRESHOLD
 from .errors import DegenerateDatasetError, RecordValidationError
@@ -195,6 +194,20 @@ def challenge_score(pred_labels27, truth_labels27, w: RewardMatrix,
                        per_class_auc=auc, per_class_f1=f1)
 
 
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``x``, ties sharing the mean of their ranks; all NaN
+    when any value is NaN."""
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x)
+    ordered = x[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    counts = np.diff(np.r_[starts, x.size])
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
 @dataclass(frozen=True)
 class PerClassMetrics:
     auc: np.ndarray        # NaN marks classes without both a positive and a negative
@@ -227,7 +240,7 @@ def per_class_metrics(probs, truths, labels=None,
         if n_pos == 0 or n_neg == 0:
             auc[k] = np.nan
         else:
-            ranks = rankdata(p[:, k], method="average")
+            ranks = _average_ranks(p[:, k])
             auc[k] = (ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
         tp = int(np.count_nonzero(lab[:, k] & pos))
         fp = int(np.count_nonzero(lab[:, k] & ~pos))

@@ -226,6 +226,25 @@ class TestTrainPredictScore:
         assert "stem.conv.w" in err
         assert not out.exists()
 
+    def test_huge_decomposition_level_exits_1(self, capsys, pipeline_dirs, tmp_path):
+        import struct
+        from ecgdx.nn.checkpoint import MAGIC
+        data, ckpt, _ = pipeline_dirs
+        blob = ckpt.read_bytes()
+        (n,) = struct.unpack("<I", blob[8:12])
+        header = json.loads(blob[12:12 + n])
+        header["preprocess"]["decomposition_level"] = 20000
+        text = json.dumps(header).encode("utf-8")
+        bad = tmp_path / "deep.ckpt"
+        bad.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + blob[12 + n:])
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--data", str(data),
+                           "--checkpoint", str(bad), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "decomposition_level" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("column, cell", [(1, "x"), (1, "7"), (28, "nan")],
                              ids=["label-x", "label-7", "prob-nan"])
     def test_malformed_predictions_exit_1(self, capsys, pipeline_dirs, tmp_path,
@@ -303,6 +322,48 @@ class TestTrainPredictScore:
                            "--weights", str(weights), "--out", str(tmp_path / "s"))
         assert code == 1
         assert err == f"error: {target}: not valid UTF-8 text\n"
+
+
+class TestNumpyOnlyRuntime:
+    """The package runs without scipy: every import of it fails here."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+
+    def _python(self, code, *args):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                              capture_output=True, text=True, env=env, timeout=300)
+
+    def test_commands_run_with_scipy_blocked(self, pipeline_dirs, tmp_path):
+        data, ckpt, preds = pipeline_dirs
+        code = """
+import sys
+sys.modules["scipy"] = None
+from ecgdx.cli import dispatch
+data, ckpt, preds, out = sys.argv[1:]
+for argv in (
+        ["synth", "--fs", "500", "--duration", "4", "--count", "2", "--out", out + "/d"],
+        ["rpeaks", out + "/d/rec000"],
+        ["preprocess", "--data", out + "/d", "--out", out + "/f",
+         "--window", "10", "--target-fs", "250"],
+        ["predict", "--data", data, "--checkpoint", ckpt, "--out", out + "/p.csv"],
+        ["score", "--truth", data, "--pred", preds, "--out", out + "/s"],
+        ["report", "--truth", data, "--pred", preds, "--out", out + "/r"]):
+    rc = dispatch(argv)
+    if rc != 0:
+        sys.exit(f"{argv[0]} exited {rc}")
+"""
+        done = self._python(code, data, ckpt, preds, tmp_path)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "f" / "features.npz").exists()
+        assert (tmp_path / "r" / "plot_data.csv").exists()
+
+    def test_cli_import_loads_no_scipy(self):
+        done = self._python(
+            "import sys, ecgdx.cli\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
 
 class TestPreprocessSpec:

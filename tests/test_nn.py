@@ -502,6 +502,7 @@ MALFORMED = {
     "zero-se-reduction": _edit_checkpoint(
         lambda h, p: ({**h, "config": {**h["config"], "se_reduction": 0}}, p)),
     "infinite-window": _with_spec(window_seconds=float("inf")),
+    "huge-decomposition-level": _with_spec(decomposition_level=20000),
     "huge-block-count": _edit_checkpoint(lambda h, p: (
         {**h, "config": {**h["config"], "blocks_per_stage": [10 ** 12, 1]}}, p)),
 }

@@ -5,8 +5,8 @@ import pytest
 
 from ecgdx import wavelet
 from ecgdx.errors import ConfigError, UnsupportedRatioError
-from ecgdx.preprocess import (PreprocessConfig, fix_length, make_example,
-                              resample, wavelet_denoise)
+from ecgdx.preprocess import (MAX_DECOMPOSITION_LEVEL, PreprocessConfig, fix_length,
+                              make_example, resample, wavelet_denoise)
 from ecgdx.synth import SynthSpec, generate
 
 
@@ -152,3 +152,6 @@ class TestPreprocessConfig:
             PreprocessConfig(target_fs=0)
         with pytest.raises(ConfigError):
             PreprocessConfig(decomposition_level=0)
+        with pytest.raises(ConfigError):
+            PreprocessConfig(decomposition_level=MAX_DECOMPOSITION_LEVEL + 1)
+        PreprocessConfig(decomposition_level=MAX_DECOMPOSITION_LEVEL)
