@@ -11,7 +11,9 @@ Layout (little endian):
 * remainder     for each entry of ``arrays`` in order, the C-order
   float64 little-endian payload (8 bytes per element)
 
-``preprocess`` holds the ``PreprocessConfig`` fields.  Without one (a
+``preprocess`` holds the ``PreprocessConfig`` fields; files written while
+the wavelet was a setting also list ``wavelet`` and ``decomposition_level``,
+and read only with the fixed ``bior2.6`` and 8.  Without a spec (a
 version-1 file, or a model saved with ``preprocess=None``) a checkpoint
 reads with the legacy inference spec: 500 Hz, ``window_seconds =
 input_length / 500``, no denoising.  The names, kinds and shapes of
@@ -30,7 +32,7 @@ import numpy as np
 
 from .model import SeResNet, SeResNetConfig, array_layout
 from ..errors import HeaderParseError
-from ..preprocess import PreprocessConfig
+from ..preprocess import LEVEL, WAVELET, PreprocessConfig
 
 MAGIC = b"ECGDXNN\x00"
 FORMAT_VERSION = 2
@@ -83,6 +85,11 @@ def _parse(blob: bytes) -> SeResNet:
     if spec_fields is None:   # the legacy inference spec
         spec_fields = dict(target_fs=500, window_seconds=config.input_length / 500,
                            denoise_enabled=False)
+    if isinstance(spec_fields, dict):
+        for key, fixed in (("wavelet", WAVELET), ("decomposition_level", LEVEL)):
+            value = spec_fields.pop(key, fixed)
+            if type(value) is not type(fixed) or value != fixed:
+                raise ValueError(f"preprocess {key} {value!r} is not {fixed!r}")
     spec = PreprocessConfig(**spec_fields)
     if int(round(spec.target_fs * spec.window_seconds)) != config.input_length:
         raise ValueError(

@@ -9,21 +9,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, wavelet
-from .errors import ConfigError, UnsupportedRatioError
-from .records import (ClassMap, EcgRecord, TRAINING_LEADS, labels_from_codes,
-                      select_training_leads)
+from .errors import ConfigError, RecordValidationError, UnsupportedRatioError
+from .records import ClassMap, EcgRecord, labels_from_codes, select_training_leads
 
-# deepest wavelet decomposition a spec may ask for (2**16 samples is over
-# two minutes at 500 Hz); a checkpoint's spec sets the level predict uses
-MAX_DECOMPOSITION_LEVEL = 16
+# the paper's denoiser: bior2.6 wavelet, 8 decomposition levels
+WAVELET = "bior2.6"
+LEVEL = 8
 
 
 @dataclass
 class PreprocessConfig:
     target_fs: int = 500
     window_seconds: float = 30
-    wavelet: str = "bior2.6"
-    decomposition_level: int = 8
     denoise_enabled: bool = True
 
     def __post_init__(self):
@@ -31,10 +28,6 @@ class PreprocessConfig:
             raise ConfigError(f"target_fs must be positive, got {self.target_fs}")
         if self.window_seconds <= 0:
             raise ConfigError(f"window_seconds must be positive, got {self.window_seconds}")
-        if not 1 <= self.decomposition_level <= MAX_DECOMPOSITION_LEVEL:
-            raise ConfigError(
-                f"decomposition_level must be in [1, {MAX_DECOMPOSITION_LEVEL}],"
-                f" got {self.decomposition_level}")
 
 
 def resample(signal, from_fs: int, to_fs: int) -> np.ndarray:
@@ -76,23 +69,19 @@ def fix_length(signals, fs: int, window_seconds) -> np.ndarray:
     return out
 
 
-def _universal_threshold(detail_finest: np.ndarray, n: int) -> float:
-    sigma = np.median(np.abs(detail_finest)) / 0.6745
-    return sigma * np.sqrt(2.0 * np.log(max(n, 2)))
+def wavelet_denoise(signal) -> np.ndarray:
+    """Soft-threshold detail coefficients and reconstruct, row by row.
 
-
-def wavelet_denoise(signal, config: PreprocessConfig | None = None) -> np.ndarray:
-    """Soft-threshold detail coefficients and reconstruct.
-
-    Noise level is estimated from the finest detail band (median absolute
-    deviation) and thresholded at ``sigma * sqrt(2 ln n)``.  Output length
-    always equals input length.  ``config.denoise_enabled`` is not read
-    here: :func:`make_example` decides whether to denoise.
+    ``signal`` is one lead or ``[leads, n]``; each row is denoised on its
+    own, with the same result as a call on that row alone.  Noise level
+    is estimated from the row's finest detail band (median absolute
+    deviation) and thresholded at ``sigma * sqrt(2 ln n)``.  Output shape
+    always equals input shape.
     """
-    config = config or PreprocessConfig()
     x = np.asarray(signal, dtype=np.float64)
-    coeffs = wavelet.wavedec(x, config.wavelet, config.decomposition_level)
-    thr = _universal_threshold(coeffs.details[0], len(x))
+    coeffs = wavelet.wavedec(x, WAVELET, LEVEL)
+    sigma = np.median(np.abs(coeffs.details[0]), axis=-1, keepdims=True) / 0.6745
+    thr = sigma * np.sqrt(2.0 * np.log(max(x.shape[-1], 2)))
     coeffs.details = [np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
                       for d in coeffs.details]
     return wavelet.waverec(coeffs)
@@ -103,15 +92,19 @@ def make_example(record: EcgRecord, config: PreprocessConfig | None = None,
     """Turn a record into a training pair (features [8 x fs*window], labels [27]).
 
     Steps: select the 8 training leads, resample to the target rate,
-    denoise per lead (when enabled), then truncate/pad to the window.
+    denoise the 8 leads in one call (when enabled), then truncate/pad to
+    the window.
     """
     cmap = cmap or ClassMap.default()
     config = config or PreprocessConfig()
     rec8 = select_training_leads(record)
-    rows = [resample(rec8.lead(name), rec8.fs, config.target_fs)
-            for name in TRAINING_LEADS]
+    x = np.vstack([resample(row, rec8.fs, config.target_fs) for row in rec8.signals])
+    if x.shape[1] == 0:
+        raise RecordValidationError(
+            f"record {record.record_id!r}: {rec8.signals.shape[1]} sample(s) at"
+            f" {rec8.fs} Hz resample to none at {config.target_fs} Hz")
     if config.denoise_enabled:
-        rows = [wavelet_denoise(r, config) for r in rows]
-    x = fix_length(np.vstack(rows), config.target_fs, config.window_seconds)
+        x = wavelet_denoise(x)
+    x = fix_length(x, config.target_fs, config.window_seconds)
     y = labels_from_codes(record.dx_codes, cmap)
     return x, y

@@ -6,17 +6,20 @@ and the analysis low-pass carries the complementary ``cos(w/2)^pt``
 times the binomial half-band polynomial, so the two-channel product is
 half-band and reconstruction is exact (not merely approximate).  The
 member named ``biorP.Q`` gives the analysis wavelet P vanishing moments
-and the synthesis wavelet Q.
+and the synthesis wavelet Q; the pipeline builds only ``bior2.6``.
 
-The forward transform extends the signal symmetrically, convolves in
-full, and keeps odd-phase samples; the inverse upsamples back onto those
-phases and trims the known group delay.  Because every coefficient of
-the (slightly redundant) extended convolution is kept, round trips are
-exact for any signal length and any extension mode.
+The forward transform extends the signal symmetrically and keeps the
+odd-phase samples of its full convolution, computing only those; the
+inverse adds each coefficient back onto its output phase and trims the
+known group delay.  Because no odd-phase coefficient of the (slightly
+redundant) extended convolution is dropped, round trips are exact for
+any signal length.  Both directions work on every row of a ``[rows, n]``
+array at once, and each row's result is the one a 1-D call gives.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -44,29 +47,21 @@ def _poly_pow(a: list[Fraction], n: int) -> list[Fraction]:
 
 
 def _spline_lowpass_pair(p: int, pt: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact (rec_lo, dec_lo) tap lists, sqrt(2) factored out."""
-    if p % 2 or pt % 2 or p < 2 or pt < 2:
-        raise ConfigError(f"spline orders must be even and >= 2, got ({p}, {pt})")
+    """Exact (rec_lo, dec_lo) tap lists for even orders, sqrt(2) factored out."""
     q = (p + pt) // 2
     cos2 = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]    # cos^2(w/2)
     sin2 = [Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 4)]  # sin^2(w/2)
     rec = _poly_pow(cos2, p // 2)
-    halfband = None
+    halfband = [Fraction(0)] * (2 * q - 1)   # sum of C(q-1+n, n) sin^2n(w/2)
     for n in range(q):
-        term = _poly_mul([Fraction(comb(q - 1 + n, n))], _poly_pow(sin2, n))
-        if halfband is None:
-            halfband = term
-        else:
-            pad = (len(term) - len(halfband)) // 2
-            halfband = [Fraction(0)] * pad + halfband + [Fraction(0)] * pad
-            halfband = [x + y for x, y in zip(halfband, term)]
+        for i, c in enumerate(_poly_pow(sin2, n)):
+            halfband[q - 1 - n + i] += comb(q - 1 + n, n) * c
     dec = _poly_mul(_poly_pow(cos2, pt // 2), halfband)
     return rec, dec
 
 
 @dataclass(frozen=True)
 class FilterBank:
-    name: str
     dec_lo: np.ndarray
     dec_hi: np.ndarray
     rec_lo: np.ndarray
@@ -74,7 +69,7 @@ class FilterBank:
     delay: int  # group delay of the analysis-synthesis cascade
 
 
-def _build(name: str, p: int, pt: int) -> FilterBank:
+def _build(p: int, pt: int) -> FilterBank:
     rec_f, dec_f = _spline_lowpass_pair(p, pt)
     rec_lo = np.array([float(x) for x in rec_f]) * _SQRT2
     dec_lo = np.array([float(x) for x in dec_f]) * _SQRT2
@@ -83,27 +78,18 @@ def _build(name: str, p: int, pt: int) -> FilterBank:
     m = np.arange(len(dec_lo))
     rec_hi = ((-1.0) ** m) * dec_lo
     delay = (len(rec_lo) - 1) // 2 + (len(dec_lo) - 1) // 2
-    return FilterBank(name, dec_lo, dec_hi, rec_lo, rec_hi, delay)
+    return FilterBank(dec_lo, dec_hi, rec_lo, rec_hi, delay)
 
 
-_FAMILY = {
-    "bior2.2": (2, 2),
-    "bior2.4": (2, 4),
-    "bior2.6": (2, 6),
-    "bior2.8": (2, 8),
-    "bior4.4": (4, 4),
-    "bior6.6": (6, 6),
-}
-_CACHE: dict[str, FilterBank] = {}
+_FAMILY = {"bior2.6": (2, 6)}
 
 
+@functools.cache
 def filter_bank(name: str) -> FilterBank:
     if name not in _FAMILY:
         raise ConfigError(
             f"unknown wavelet {name!r}; available: {sorted(_FAMILY)}")
-    if name not in _CACHE:
-        _CACHE[name] = _build(name, *_FAMILY[name])
-    return _CACHE[name]
+    return _build(*_FAMILY[name])
 
 
 @dataclass
@@ -118,45 +104,59 @@ class WaveletCoeffs:
     details: list[np.ndarray]
     lengths: list[int]
 
-    @property
-    def level(self) -> int:
-        return len(self.details)
-
 
 def _dwt_single(x: np.ndarray, fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
+    """One analysis level of every row of ``x``: the odd outputs of the full
+    convolution of the symmetric extension.  Output ``m`` of tap ``k`` reads
+    extension sample ``2m + 1 - k``: even taps read the odd phase, odd taps
+    the even one, both shifted by ``k // 2``."""
     pad = len(fb.dec_lo) - 1
-    ext = np.pad(x, pad, mode="symmetric")
-    lo = np.convolve(ext, fb.dec_lo, mode="full")
-    hi = np.convolve(ext, fb.dec_hi, mode="full")
-    return lo[1::2], hi[1::2]
+    ext = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="symmetric")
+    phases = (np.ascontiguousarray(ext[..., 0::2]),
+              np.ascontiguousarray(ext[..., 1::2]))
+    tmp = np.empty_like(phases[0])
+    bands = []
+    for taps in (fb.dec_lo, fb.dec_hi):
+        y = np.zeros(x.shape[:-1] + ((ext.shape[-1] + len(taps) - 1) // 2,))
+        for k, h in enumerate(taps):
+            src = phases[(k + 1) % 2]
+            width = src.shape[-1]
+            y[..., k // 2:k // 2 + width] += np.multiply(src, h, out=tmp[..., :width])
+        bands.append(y)
+    return bands[0], bands[1]
 
 
 def _idwt_single(ca: np.ndarray, cd: np.ndarray, fb: FilterBank, n: int) -> np.ndarray:
+    """Invert one level onto ``n`` samples per row, in polyphase form:
+    coefficient ``i`` times tap ``k`` adds into sample ``2i + 1 + k`` of the
+    full synthesis convolution, so each tap adds into one output phase."""
     pad = len(fb.dec_lo) - 1
-    n_ext = n + 2 * pad
-    ulo = np.zeros(n_ext + len(fb.dec_lo) - 1)
-    ulo[1::2] = ca
-    uhi = np.zeros(n_ext + len(fb.dec_hi) - 1)
-    uhi[1::2] = cd
-    a = np.convolve(ulo, fb.rec_lo, mode="full")
-    d = np.convolve(uhi, fb.rec_hi, mode="full")
-    out = np.zeros(max(len(a), len(d)))
-    out[:len(a)] += a
-    out[:len(d)] += d
+    size = n + 2 * pad + len(fb.dec_lo) + len(fb.rec_lo) - 2
+    phases = [np.zeros(ca.shape[:-1] + ((size + 1 - p) // 2,)) for p in (0, 1)]
+    tmp = np.empty(ca.shape[:-1] + (max(ca.shape[-1], cd.shape[-1]),))
+    for c, taps in ((ca, fb.rec_lo), (cd, fb.rec_hi)):
+        width = c.shape[-1]
+        for k, h in enumerate(taps):
+            dst = phases[(k + 1) % 2][..., (k + 1) // 2:(k + 1) // 2 + width]
+            dst += np.multiply(c, h, out=tmp[..., :width])
     start = fb.delay + pad
-    return out[start:start + n]
+    out = np.empty(ca.shape[:-1] + (n,))
+    for p in (0, 1):
+        first = (start + p) // 2
+        out[..., p::2] = phases[(start + p) % 2][..., first:first + (n - p + 1) // 2]
+    return out
 
 
 def wavedec(x, name: str, level: int) -> WaveletCoeffs:
+    """Decompose each row of ``x`` (one signal, or ``[rows, n]``)."""
     if level < 1:
         raise ConfigError(f"decomposition level must be >= 1, got {level}")
     fb = filter_bank(name)
-    x = np.asarray(x, dtype=np.float64)
-    approx = x
+    approx = np.asarray(x, dtype=np.float64)
     details: list[np.ndarray] = []
     lengths: list[int] = []
     for _ in range(level):
-        lengths.append(len(approx))
+        lengths.append(approx.shape[-1])
         approx, d = _dwt_single(approx, fb)
         details.append(d)
     return WaveletCoeffs(name=name, approx=approx, details=details, lengths=lengths)

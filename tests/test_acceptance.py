@@ -9,7 +9,7 @@ import numpy as np
 
 from ecgdx.nn import SeResNetConfig, exact_match_accuracy, train
 from ecgdx.nn import autodiff as ad
-from ecgdx.preprocess import PreprocessConfig, fix_length, wavelet_denoise
+from ecgdx.preprocess import fix_length, wavelet_denoise
 from ecgdx.records import ClassMap, TRAINING_LEADS
 from ecgdx.rpeaks import brady_rule, detect_rpeaks, final_brady
 from ecgdx.scoring import RewardMatrix, challenge_score
@@ -218,7 +218,6 @@ def test_criterion_5_wavelet():
         coeffs = wavelet.wavedec(x, "bior2.6", 8)
         worst_pr = max(worst_pr, float(np.max(np.abs(wavelet.waverec(coeffs) - x))))
 
-    cfg = PreprocessConfig()
     improved = 0
     for i in range(100):
         bpm = float(np.random.default_rng(i).uniform(50, 120))
@@ -226,7 +225,7 @@ def test_criterion_5_wavelet():
                                          noise_sigma=0.0, seed=5000 + i))
         noisy, _, _ = generate(SynthSpec(bpm=bpm, fs=500, duration=10.0,
                                          noise_sigma=0.1, seed=5000 + i))
-        den = wavelet_denoise(noisy.lead("II"), cfg)
+        den = wavelet_denoise(noisy.lead("II"))
         before = np.sqrt(np.mean((noisy.lead("II") - clean.lead("II")) ** 2))
         after = np.sqrt(np.mean((den - clean.lead("II")) ** 2))
         improved += int(after < before)

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on synthetic data."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -16,6 +17,8 @@ from hypothesis import strategies as st
 from ecgdx import cli
 from ecgdx.cli import dispatch
 from ecgdx.errors import EcgdxError
+from ecgdx.records import save_record
+from ecgdx.synth import SynthSpec, generate
 
 
 def run(capsys, *argv):
@@ -81,6 +84,29 @@ class TestPreprocessCommand:
         blob = np.load(out_dir / "features.npz")
         assert blob["x"].shape == (3, 8, 1280)
         assert blob["y"].shape == (3, 27)
+
+    @pytest.mark.parametrize("denoise", [[], ["--no-denoise"]],
+                             ids=["denoise", "no-denoise"])
+    @pytest.mark.parametrize("fs, rate", [(1000, []), (500, ["--target-fs", "250"])],
+                             ids=["1000-to-500", "500-to-250"])
+    def test_record_too_short_to_resample_exits_1(self, capsys, tmp_path, fs,
+                                                  rate, denoise):
+        data = tmp_path / "d"
+        _save_one_sample_record(data, fs)
+        out_dir = tmp_path / "o"
+        code, _, err = run(capsys, "preprocess", "--data", str(data),
+                           "--out", str(out_dir), *rate, *denoise)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'tiny'" in err and f"{fs} Hz" in err
+        assert not (out_dir / "features.npz").exists()
+
+
+def _save_one_sample_record(directory, fs):
+    rec, _, _ = generate(SynthSpec(bpm=70, fs=fs, duration=2.0, seed=3),
+                         record_id="tiny")
+    os.makedirs(directory)
+    save_record(dataclasses.replace(rec, signals=rec.signals[:, :1]), directory)
 
 
 @pytest.fixture(scope="module")
@@ -224,6 +250,19 @@ class TestTrainPredictScore:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert "stem.conv.w" in err
+        assert not out.exists()
+
+    def test_record_too_short_to_resample_exits_1(self, capsys, pipeline_dirs,
+                                                  tmp_path):
+        _, ckpt, _ = pipeline_dirs    # its spec resamples to 128 Hz
+        data = tmp_path / "d"
+        _save_one_sample_record(data, 256)
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--data", str(data),
+                           "--checkpoint", str(ckpt), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "'tiny'" in err and "128 Hz" in err
         assert not out.exists()
 
     def test_huge_decomposition_level_exits_1(self, capsys, pipeline_dirs, tmp_path):

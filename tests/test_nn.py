@@ -503,6 +503,9 @@ MALFORMED = {
         lambda h, p: ({**h, "config": {**h["config"], "se_reduction": 0}}, p)),
     "infinite-window": _with_spec(window_seconds=float("inf")),
     "huge-decomposition-level": _with_spec(decomposition_level=20000),
+    "other-decomposition-level": _with_spec(decomposition_level=6),
+    "float-decomposition-level": _with_spec(decomposition_level=8.0),
+    "other-wavelet": _with_spec(wavelet="bior2.4"),
     "huge-block-count": _edit_checkpoint(lambda h, p: (
         {**h, "config": {**h["config"], "blocks_per_stage": [10 ** 12, 1]}}, p)),
 }
@@ -536,11 +539,20 @@ class TestCheckpoint:
 
     def test_preprocess_spec_roundtrip(self, tmp_path):
         spec = PreprocessConfig(target_fs=250, window_seconds=10,
-                                wavelet="bior2.4", decomposition_level=6,
                                 denoise_enabled=False)
         config = dataclasses.replace(TestModelForward.CFG, input_length=2500)
         save_checkpoint(tmp_path / "m.ckpt", SeResNet(config, preprocess=spec))
         assert load_checkpoint(tmp_path / "m.ckpt").preprocess == spec
+
+    def test_spec_listing_the_fixed_wavelet_reads(self, tmp_path):
+        """Files from before the wavelet was fixed list it; its own values read."""
+        path = tmp_path / "m.ckpt"
+        spec = PreprocessConfig(target_fs=32, window_seconds=2)
+        save_checkpoint(path, SeResNet(TestModelForward.CFG, preprocess=spec))
+        blob = path.read_bytes()
+        assert b"wavelet" not in blob and b"decomposition_level" not in blob
+        path.write_bytes(_with_spec(wavelet="bior2.6", decomposition_level=8)(blob))
+        assert load_checkpoint(path).preprocess == spec
 
     def test_version1_file_reads_with_legacy_spec(self, tmp_path):
         model = SeResNet(TestModelForward.CFG)
@@ -649,7 +661,8 @@ class TestCheckpointProperties:
     @settings(max_examples=150, deadline=None)
     @given(st.dictionaries(st.sampled_from(sorted(TestModelForward.CFG.to_dict())),
                            JSON_VALUES, max_size=3),
-           st.dictionaries(st.sampled_from(sorted(dataclasses.asdict(SPEC))),
+           st.dictionaries(st.sampled_from(sorted(dataclasses.asdict(SPEC))
+                                           + ["decomposition_level", "wavelet"]),
                            JSON_VALUES, max_size=3))
     def test_any_config_and_spec_values(self, config_edits, spec_edits):
         self._load_edited(lambda h: {

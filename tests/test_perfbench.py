@@ -33,3 +33,25 @@ def test_traced_predict_builds_no_graph(monkeypatch):
     metrics = tracing.layer_metrics([tracer.report()])
     assert metrics["nn.autodiff.graph_nodes"] == 1
     assert metrics["nn.model.stem.fwd_ms"] > 0
+
+
+def test_traced_make_example_times_the_denoiser(monkeypatch):
+    """The batched denoiser still goes through the names the tracer patches."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from ecgdx import cli
+    from ecgdx.preprocess import PreprocessConfig
+    from ecgdx.synth import SynthSpec, generate
+
+    rec, _, _ = generate(SynthSpec(bpm=70, fs=500, duration=30.0,
+                                   noise_sigma=0.05, seed=7))
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    try:
+        cli.make_example(rec, PreprocessConfig(window_seconds=30))
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics([tracer.report()])
+    for key in ("preprocess.wavelet_denoise_ms", "wavelet.wavedec_ms",
+                "wavelet.waverec_ms"):
+        assert metrics[key] > 0, key

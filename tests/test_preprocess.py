@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from ecgdx import wavelet
+from ecgdx import preprocess, wavelet
 from ecgdx.errors import ConfigError, UnsupportedRatioError
-from ecgdx.preprocess import (MAX_DECOMPOSITION_LEVEL, PreprocessConfig, fix_length,
+from ecgdx.preprocess import (LEVEL, WAVELET, PreprocessConfig, fix_length,
                               make_example, resample, wavelet_denoise)
 from ecgdx.synth import SynthSpec, generate
 
@@ -74,43 +77,35 @@ class TestFixLength:
 
 class TestWavelet:
     def test_zero_signal_stays_zero(self):
-        out = wavelet_denoise(np.zeros(5000), PreprocessConfig())
+        out = wavelet_denoise(np.zeros(5000))
         np.testing.assert_array_equal(out, np.zeros(5000))
 
     @pytest.mark.parametrize("n", [4096, 5000, 15000])
     def test_roundtrip_without_thresholding(self, n):
         x = np.random.default_rng(n).normal(size=n)
-        cfg = PreprocessConfig()
-        out = wavelet.waverec(wavelet.wavedec(x, cfg.wavelet,
-                                              cfg.decomposition_level))
+        out = wavelet.waverec(wavelet.wavedec(x, WAVELET, LEVEL))
         assert len(out) == n
         assert np.max(np.abs(out - x)) < 1e-8
-
-    def test_multilevel_reconstruction_all_family_members(self):
-        rng = np.random.default_rng(5)
-        for name in ("bior2.2", "bior2.4", "bior2.6", "bior2.8", "bior4.4", "bior6.6"):
-            x = rng.normal(size=1234)
-            coeffs = wavelet.wavedec(x, name, 5)
-            assert np.max(np.abs(wavelet.waverec(coeffs) - x)) < 1e-10
 
     def test_denoising_reduces_rmse(self):
         clean, _, _ = generate(SynthSpec(bpm=75, fs=500, duration=10.0,
                                          noise_sigma=0.0, seed=3))
         noisy, _, _ = generate(SynthSpec(bpm=75, fs=500, duration=10.0,
                                          noise_sigma=0.1, seed=3))
-        den = wavelet_denoise(noisy.lead("II"), PreprocessConfig())
+        den = wavelet_denoise(noisy.lead("II"))
         before = np.sqrt(np.mean((noisy.lead("II") - clean.lead("II")) ** 2))
         after = np.sqrt(np.mean((den - clean.lead("II")) ** 2))
         assert after < before
 
     def test_unknown_wavelet_rejected(self):
-        with pytest.raises(ConfigError, match="unknown wavelet"):
-            wavelet_denoise(np.zeros(100), PreprocessConfig(wavelet="db4"))
+        # only the paper's wavelet is built; its former siblings are gone too
+        for name in ("db4", "bior2.4"):
+            with pytest.raises(ConfigError, match="unknown wavelet"):
+                wavelet.wavedec(np.zeros(100), name, LEVEL)
 
     def test_output_length_matches_input_for_odd_sizes(self):
-        cfg = PreprocessConfig()
         for n in (17, 100, 999, 5001):
-            out = wavelet_denoise(np.random.default_rng(n).normal(size=n), cfg)
+            out = wavelet_denoise(np.random.default_rng(n).normal(size=n))
             assert len(out) == n
 
     def test_filter_sums(self):
@@ -119,6 +114,100 @@ class TestWavelet:
         assert abs(fb.rec_lo.sum() - np.sqrt(2)) < 1e-12
         assert abs(fb.dec_hi.sum()) < 1e-12
         assert abs(fb.rec_hi.sum()) < 1e-12
+
+
+# Reference transform: per-lead full convolutions, odd-phase decimation and
+# a zero-upsampled inverse, the textbook form the decimated polyphase code
+# must reproduce up to summation order.
+
+def _ref_dwt(x, fb):
+    pad = len(fb.dec_lo) - 1
+    ext = np.pad(x, pad, mode="symmetric")
+    return (np.convolve(ext, fb.dec_lo, mode="full")[1::2],
+            np.convolve(ext, fb.dec_hi, mode="full")[1::2])
+
+
+def _ref_idwt(ca, cd, fb, n):
+    pad = len(fb.dec_lo) - 1
+    n_ext = n + 2 * pad
+    ulo = np.zeros(n_ext + len(fb.dec_lo) - 1)
+    ulo[1::2] = ca
+    uhi = np.zeros(n_ext + len(fb.dec_hi) - 1)
+    uhi[1::2] = cd
+    a = np.convolve(ulo, fb.rec_lo, mode="full")
+    d = np.convolve(uhi, fb.rec_hi, mode="full")
+    out = np.zeros(max(len(a), len(d)))
+    out[:len(a)] += a
+    out[:len(d)] += d
+    start = fb.delay + pad
+    return out[start:start + n]
+
+
+def _ref_wavedec(x, level=LEVEL):
+    fb = wavelet.filter_bank(WAVELET)
+    approx, details, lengths = x, [], []
+    for _ in range(level):
+        lengths.append(len(approx))
+        approx, d = _ref_dwt(approx, fb)
+        details.append(d)
+    return approx, details, lengths
+
+
+def _ref_waverec(approx, details, lengths):
+    fb = wavelet.filter_bank(WAVELET)
+    x = approx
+    for d, n in zip(reversed(details), reversed(lengths)):
+        x = _ref_idwt(x, d, fb, n)
+    return x
+
+
+def _ref_denoise(x):
+    approx, details, lengths = _ref_wavedec(x)
+    sigma = np.median(np.abs(details[0])) / 0.6745
+    thr = sigma * np.sqrt(2.0 * np.log(max(len(x), 2)))
+    details = [np.sign(d) * np.maximum(np.abs(d) - thr, 0.0) for d in details]
+    return _ref_waverec(approx, details, lengths)
+
+
+def _assert_matches_reference(x):
+    """Coefficients, round trip and denoising of every row of ``x``
+    within 1e-12 of the reference."""
+    coeffs = wavelet.wavedec(x, WAVELET, LEVEL)
+    back = wavelet.waverec(coeffs)
+    den = wavelet_denoise(x)
+    assert back.shape == den.shape == x.shape
+    for r, row in enumerate(x):
+        approx, details, lengths = _ref_wavedec(row)
+        assert coeffs.lengths == lengths
+        for got, want in zip([coeffs.approx] + coeffs.details, [approx] + details):
+            assert got[r].shape == want.shape
+            np.testing.assert_allclose(got[r], want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(back[r], _ref_waverec(approx, details, lengths),
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(den[r], _ref_denoise(row), rtol=0, atol=1e-12)
+
+
+class TestBatchedWavelet:
+    @pytest.mark.parametrize("n", [1, 2, 5, 17, 64, 999, 4096, 5000, 5001, 15000])
+    def test_matches_reference(self, n):
+        _assert_matches_reference(np.random.default_rng(n).normal(size=(3, n)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float64,
+                      st.tuples(st.integers(1, 8), st.integers(1, 700)),
+                      elements=st.floats(-10, 10)))
+    def test_matches_reference_on_any_leads(self, x):
+        _assert_matches_reference(x)
+
+    @pytest.mark.parametrize("n", [1, 17, 5001, 15000])
+    def test_rows_equal_one_dimensional_calls(self, n):
+        x = np.random.default_rng(n).normal(size=(8, n))
+        batched = wavelet_denoise(x)
+        back = wavelet.waverec(wavelet.wavedec(x, WAVELET, LEVEL))
+        for r, row in enumerate(x):
+            np.testing.assert_array_equal(batched[r], wavelet_denoise(row))
+            np.testing.assert_array_equal(
+                back[r], wavelet.waverec(wavelet.wavedec(row, WAVELET, LEVEL)))
 
 
 class TestMakeExample:
@@ -145,13 +234,23 @@ class TestMakeExample:
         x, _ = make_example(rec8, cfg)
         np.testing.assert_array_equal(x, rec8.signals)
 
+    def test_denoises_all_leads_in_one_call(self, monkeypatch):
+        calls = []
+        denoise = preprocess.wavelet_denoise
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return denoise(x)
+        monkeypatch.setattr(preprocess, "wavelet_denoise", counted)
+        for seed in (1, 2):
+            rec, _, _ = generate(SynthSpec(bpm=72, fs=1000, duration=12.0, seed=seed))
+            make_example(rec, PreprocessConfig(window_seconds=10))
+        assert calls == [(8, 6000), (8, 6000)]
+
 
 class TestPreprocessConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
             PreprocessConfig(target_fs=0)
         with pytest.raises(ConfigError):
-            PreprocessConfig(decomposition_level=0)
-        with pytest.raises(ConfigError):
-            PreprocessConfig(decomposition_level=MAX_DECOMPOSITION_LEVEL + 1)
-        PreprocessConfig(decomposition_level=MAX_DECOMPOSITION_LEVEL)
+            PreprocessConfig(window_seconds=0)
