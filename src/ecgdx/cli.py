@@ -56,11 +56,12 @@ def _record_stems(data_dir: str) -> list[str]:
 # ----------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
+    specs = [SynthSpec(bpm=args.bpm, fs=args.fs, duration=args.duration,
+                       noise_sigma=args.noise_sigma,
+                       ectopic_rate=args.ectopic_rate, seed=args.seed + i)
+             for i in range(args.count)]
     os.makedirs(args.out, exist_ok=True)
-    for i in range(args.count):
-        spec = SynthSpec(bpm=args.bpm, fs=args.fs, duration=args.duration,
-                         noise_sigma=args.noise_sigma,
-                         ectopic_rate=args.ectopic_rate, seed=args.seed + i)
+    for i, spec in enumerate(specs):
         rec, beats, _ = generate(spec, record_id=f"rec{i:03d}")
         save_record(rec, args.out)
         with open(os.path.join(args.out, f"rec{i:03d}.beats.csv"), "w",
@@ -78,12 +79,12 @@ def _preprocess_config(args) -> PreprocessConfig:
                             denoise_enabled=not args.no_denoise)
 
 
-def _features(args, cfg: PreprocessConfig, cmap: ClassMap):
+def _features(args, cfg: PreprocessConfig):
     """Stacked features and labels, and the ids, of the ``--data`` records."""
     xs, ys, ids = [], [], []
     for stem in _record_stems(args.data):
         rec = load_record(stem)
-        x, y = make_example(rec, cfg, cmap)
+        x, y = make_example(rec, cfg)
         xs.append(x)
         ys.append(y)
         ids.append(rec.record_id)
@@ -92,7 +93,7 @@ def _features(args, cfg: PreprocessConfig, cmap: ClassMap):
 
 def _cmd_preprocess(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    x, y, ids = _features(args, _preprocess_config(args), ClassMap.default())
+    x, y, ids = _features(args, _preprocess_config(args))
     np.savez(os.path.join(args.out, "features.npz"),
              x=x, y=y, record_ids=np.array(ids))
     _write_manifest(os.path.join(args.out, "manifest.txt"), "preprocess",
@@ -119,7 +120,7 @@ def _model_config(args, input_length: int) -> SeResNetConfig:
 
 def _cmd_train(args) -> int:
     cfg = _preprocess_config(args)
-    x, y, _ = _features(args, cfg, ClassMap.default())
+    x, y, _ = _features(args, cfg)
     config = _model_config(args, input_length=x.shape[2])
     result = train(x, y, config, epochs=args.epochs, batch_size=args.batch_size)
     result.model.preprocess = cfg
@@ -134,7 +135,7 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _ensemble_probs(args, cmap: ClassMap):
+def _ensemble_probs(args):
     """Records and their short/long-window probabilities; each distinct
     checkpoint runs once, on features built with the spec it carries."""
     long_path = args.checkpoint_long or args.checkpoint
@@ -146,32 +147,27 @@ def _ensemble_probs(args, cmap: ClassMap):
     probs = {}
     for path in dict.fromkeys((long_path, short_path)):
         model = load_checkpoint(path)
-        x = np.stack([make_example(rec, model.preprocess, cmap)[0]
-                      for rec in records])
+        x = np.stack([make_example(rec, model.preprocess)[0] for rec in records])
         probs[path] = np.concatenate([model.predict_probs(x[i:i + 32])
                                       for i in range(0, len(x), 32)])
     return records, probs[short_path], probs[long_path]
 
 
 def _cmd_predict(args) -> int:
-    cmap = ClassMap.default()
-    records, p_short, p_long = _ensemble_probs(args, cmap)
-    pred_sets = [postprocess(p_short[i], p_long[i], rec,
-                             threshold=args.threshold, cmap=cmap)
+    records, p_short, p_long = _ensemble_probs(args)
+    pred_sets = [postprocess(p_short[i], p_long[i], rec, threshold=args.threshold)
                  for i, rec in enumerate(records)]
     with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(write_predictions(pred_sets, cmap))
+        fh.write(write_predictions(pred_sets))
     _write_manifest(args.out + ".manifest.txt", "predict", _manifest_options(args))
     return 0
 
 
 def _cmd_relabel(args) -> int:
-    cmap = ClassMap.default()
-    records, p_short, p_long = _ensemble_probs(args, cmap)
+    records, p_short, p_long = _ensemble_probs(args)
     fused = dict(zip((rec.record_id for rec in records), fuse(p_short, p_long)))
     original = {c.strip() for c in args.original_codes.split(",") if c.strip()}
-    report = relabel_pseudo(lambda rec: fused[rec.record_id], records,
-                            original, cmap)
+    report = relabel_pseudo(lambda rec: fused[rec.record_id], records, original)
     with open(args.out, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_id", "code", "abbreviation", "prob", "needs_review"])
@@ -182,17 +178,17 @@ def _cmd_relabel(args) -> int:
     return 0
 
 
-def _load_truth(truth_dir: str, cmap: ClassMap) -> dict[str, np.ndarray]:
+def _load_truth(truth_dir: str) -> dict[str, np.ndarray]:
     out = {}
     for stem in _record_stems(truth_dir):
         rec = load_record(stem)
-        out[rec.record_id] = labels_from_codes(rec.dx_codes, cmap)
+        out[rec.record_id] = labels_from_codes(rec.dx_codes)
     return out
 
 
-def _aligned_arrays(pred_file: str, truth_dir: str, cmap: ClassMap):
-    preds = read_predictions(read_text(pred_file), cmap)
-    truth_by_id = _load_truth(truth_dir, cmap)
+def _aligned_arrays(pred_file: str, truth_dir: str):
+    preds = read_predictions(read_text(pred_file))
+    truth_by_id = _load_truth(truth_dir)
     missing = [p.record_id for p in preds if p.record_id not in truth_by_id]
     if missing:
         raise EcgdxError(f"predictions reference unknown records: {missing}")
@@ -208,24 +204,23 @@ def _default_weights() -> RewardMatrix:
     return RewardMatrix.from_csv(text)
 
 
-def _write_per_class(path: str, cmap: ClassMap, aucs, f1s) -> None:
+def _write_per_class(path: str, aucs, f1s) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["abbreviation", "auc", "f1"])
-        for abbr, auc, f1 in zip(cmap.abbreviations, aucs, f1s):
+        for abbr, auc, f1 in zip(ClassMap.default().abbreviations, aucs, f1s):
             writer.writerow([abbr, "" if np.isnan(auc) else repr(float(auc)),
                              repr(float(f1))])
 
 
 def _cmd_score(args) -> int:
-    cmap = ClassMap.default()
-    labels, probs, truths = _aligned_arrays(args.pred, args.truth, cmap)
+    labels, probs, truths = _aligned_arrays(args.pred, args.truth)
     weights = RewardMatrix.load(args.weights) if args.weights else _default_weights()
-    report = challenge_score(labels, truths, weights, probs27=probs, cmap=cmap)
+    report = challenge_score(labels, truths, weights, probs27=probs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json(cmap.abbreviations) + "\n")
-    _write_per_class(os.path.join(args.out, "per_class.csv"), cmap,
+        fh.write(report.to_json(ClassMap.default().abbreviations) + "\n")
+    _write_per_class(os.path.join(args.out, "per_class.csv"),
                      report.per_class_auc, report.per_class_f1)
     _write_manifest(os.path.join(args.out, "manifest.txt"), "score",
                     _manifest_options(args))
@@ -234,20 +229,19 @@ def _cmd_score(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    cmap = ClassMap.default()
-    labels, probs, truths = _aligned_arrays(args.pred, args.truth, cmap)
+    labels, probs, truths = _aligned_arrays(args.pred, args.truth)
     metrics = per_class_metrics(probs, truths, labels=labels)
     os.makedirs(args.out, exist_ok=True)
-    _write_per_class(os.path.join(args.out, "per_class.csv"), cmap,
-                     metrics.auc, metrics.f1)
+    _write_per_class(os.path.join(args.out, "per_class.csv"), metrics.auc, metrics.f1)
+    abbrs = ClassMap.default().abbreviations
     # long-format file ready for bar-chart tooling
     with open(os.path.join(args.out, "plot_data.csv"), "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["abbreviation", "metric", "value"])
-        for abbr, auc in zip(cmap.abbreviations, metrics.auc):
+        for abbr, auc in zip(abbrs, metrics.auc):
             if not np.isnan(auc):
                 writer.writerow([abbr, "auc", repr(float(auc))])
-        for abbr, f1 in zip(cmap.abbreviations, metrics.f1):
+        for abbr, f1 in zip(abbrs, metrics.f1):
             writer.writerow([abbr, "f1", repr(float(f1))])
     _write_manifest(os.path.join(args.out, "manifest.txt"), "report",
                     _manifest_options(args))

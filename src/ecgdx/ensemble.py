@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
+from itertools import zip_longest
 
 import numpy as np
 
@@ -61,25 +62,22 @@ def binarize(probs, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     return (np.asarray(probs, dtype=np.float64) >= threshold).astype(np.uint8)
 
 
-def snr_postprocess(labels, cmap: ClassMap | None = None) -> np.ndarray:
+def snr_postprocess(labels) -> np.ndarray:
     """All-negative predictions are revised to the default sinus-rhythm class."""
-    cmap = cmap or ClassMap.default()
     out = np.asarray(labels, dtype=np.uint8).copy()
     if out.sum() == 0:
-        out[cmap.sinus_rhythm_index] = 1
+        out[ClassMap.default().sinus_rhythm_index] = 1
     return out
 
 
-def apply_brady_veto(labels, record: EcgRecord,
-                     cmap: ClassMap | None = None) -> np.ndarray:
+def apply_brady_veto(labels, record: EcgRecord) -> np.ndarray:
     """Let the R-R interval rule veto a positive slow-rhythm prediction.
 
     The rule can only clear the bit, never set it; a negative prediction
     skips peak detection entirely.
     """
-    cmap = cmap or ClassMap.default()
     out = np.asarray(labels, dtype=np.uint8).copy()
-    idx = cmap.bradycardia_index
+    idx = ClassMap.default().bradycardia_index
     if out[idx] == 0:
         return out
     result = detect_rpeaks(record.lead("I"), record.fs)
@@ -89,14 +87,12 @@ def apply_brady_veto(labels, record: EcgRecord,
 
 
 def postprocess(p_short, p_long, record: EcgRecord,
-                threshold: float = DEFAULT_THRESHOLD,
-                cmap: ClassMap | None = None) -> PredictionSet:
+                threshold: float = DEFAULT_THRESHOLD) -> PredictionSet:
     """Full pipeline: fuse -> binarize -> slow-rhythm veto -> sinus fallback."""
-    cmap = cmap or ClassMap.default()
     probs = fuse(p_short, p_long)
     labels = binarize(probs, threshold)
-    labels = apply_brady_veto(labels, record, cmap)
-    labels = snr_postprocess(labels, cmap)
+    labels = apply_brady_veto(labels, record)
+    labels = snr_postprocess(labels)
     return PredictionSet(record_id=record.record_id, probs=probs, labels=labels)
 
 
@@ -110,7 +106,6 @@ class PseudoLabel:
 
 
 def relabel_pseudo(predict, records, original_label_space,
-                   cmap: ClassMap | None = None,
                    threshold: float = PSEUDO_LABEL_THRESHOLD,
                    review_threshold: float = REVIEW_THRESHOLD) -> list[PseudoLabel]:
     """Propose additional labels from high-confidence model output.
@@ -122,7 +117,7 @@ def relabel_pseudo(predict, records, original_label_space,
     vector).  Existing labels are never removed.  Proposals above
     ``review_threshold`` are flagged for manual review.
     """
-    cmap = cmap or ClassMap.default()
+    cmap = ClassMap.default()
     original = frozenset(original_label_space)
     report: list[PseudoLabel] = []
     for rec in records:
@@ -157,17 +152,23 @@ def write_predictions(pred_sets, cmap: ClassMap | None = None) -> str:
     return buf.getvalue()
 
 
-def read_predictions(text: str, cmap: ClassMap | None = None) -> list[PredictionSet]:
-    """Parse a predictions file; any malformed cell raises RecordValidationError."""
-    cmap = cmap or ClassMap.default()
-    n = cmap.n_scored
+def read_predictions(text: str) -> list[PredictionSet]:
+    """Parse a predictions file; a header other than ``write_predictions``'s
+    or any malformed cell raises RecordValidationError."""
+    abbrs = ClassMap.default().abbreviations
+    n = len(abbrs)
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
         raise RecordValidationError(f"prediction file is not valid CSV: {exc}") from None
-    if not rows or len(rows[0]) != 1 + 2 * n:
-        raise RecordValidationError(
-            f"prediction file must have 1 + {2 * n} columns")
+    header = rows[0] if rows else []
+    # None marks a column the file lacks, or one it should not have
+    for column, (got, want) in enumerate(
+            zip_longest(header, ["record_id", *abbrs, *abbrs]), start=1):
+        if got != want:
+            raise RecordValidationError(
+                f"prediction file header column {column} is {got!r},"
+                f" expected {want!r}")
     out = []
     for number, row in enumerate(rows[1:], start=2):
         try:

@@ -18,7 +18,7 @@ import contextlib
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..errors import ConfigError, RecordValidationError
+from ..errors import RecordValidationError
 
 _grad_enabled = True
 
@@ -225,17 +225,13 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     return Var(out, (x, gamma, beta), vjp)
 
 
-def se_block(x: Var, params: dict, reduction: int) -> Var:
+def se_block(x: Var, params: dict) -> Var:
     """Channel recalibration: squeeze (global mean over time), a two-layer
     gate with a sigmoid, then per-channel scaling of the input.
 
     ``params`` must hold Vars ``fc1_w [C, C/r]``, ``fc1_b``, ``fc2_w
-    [C/r, C]``, ``fc2_b``.
+    [C/r, C]``, ``fc2_b``; their shapes set the bottleneck width.
     """
-    c = x.value.shape[1]
-    if c % reduction != 0:
-        raise ConfigError(
-            f"se reduction {reduction} does not divide channel count {c}")
     squeezed = mean_last(x)
     h = relu(dense(squeezed, params["fc1_w"], params["fc1_b"]))
     weights = sigmoid(dense(h, params["fc2_w"], params["fc2_b"]))

@@ -11,14 +11,14 @@ Layout (little endian):
 * remainder     for each entry of ``arrays`` in order, the C-order
   float64 little-endian payload (8 bytes per element)
 
-``preprocess`` holds the ``PreprocessConfig`` fields; files written while
-the wavelet was a setting also list ``wavelet`` and ``decomposition_level``,
-and read only with the fixed ``bior2.6`` and 8.  Without a spec (a
-version-1 file, or a model saved with ``preprocess=None``) a checkpoint
-reads with the legacy inference spec: 500 Hz, ``window_seconds =
-input_length / 500``, no denoising.  The names, kinds and shapes of
-``arrays`` must be exactly those ``config`` implies.  Only version 2 is
-written; any malformed file raises ``HeaderParseError``.
+``config`` and ``preprocess`` hold the ``SeResNetConfig`` and
+``PreprocessConfig`` fields; files written while more values were settings
+also list the keys of ``_FIXED_KEYS``, and read only with exactly those
+fixed values.  Without a spec (a version-1 file, or a model saved with
+``preprocess=None``) a checkpoint reads with the legacy inference spec:
+500 Hz, ``window_seconds = input_length / 500``, no denoising.  The names,
+kinds and shapes of ``arrays`` must be exactly those ``config`` implies.
+Only version 2 is written; any malformed file raises ``HeaderParseError``.
 """
 
 from __future__ import annotations
@@ -30,12 +30,19 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .model import SeResNet, SeResNetConfig, array_layout
+from .model import (BLOCK_KERNEL, INPUT_LEADS, N_CLASSES, SE_REDUCTION,
+                    SeResNet, SeResNetConfig, array_layout)
 from ..errors import HeaderParseError
 from ..preprocess import LEVEL, WAVELET, PreprocessConfig
 
 MAGIC = b"ECGDXNN\x00"
 FORMAT_VERSION = 2
+# keys that older files list for values now fixed, per header section
+_FIXED_KEYS = {
+    "config": {"input_leads": INPUT_LEADS, "n_classes": N_CLASSES,
+               "se_reduction": SE_REDUCTION, "block_kernel": BLOCK_KERNEL},
+    "preprocess": {"wavelet": WAVELET, "decomposition_level": LEVEL},
+}
 
 
 def save_checkpoint(path, model: SeResNet) -> None:
@@ -73,6 +80,18 @@ def load_checkpoint(path) -> SeResNet:
             f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
 
 
+def _without_fixed(fields, section: str):
+    """``fields`` without the section's ``_FIXED_KEYS``, each of which may
+    be listed only with exactly its fixed value."""
+    if not isinstance(fields, dict):
+        return fields
+    for key, fixed in _FIXED_KEYS[section].items():
+        value = fields.pop(key, fixed)
+        if type(value) is not type(fixed) or value != fixed:
+            raise ValueError(f"{section} {key} {value!r} is not {fixed!r}")
+    return fields
+
+
 def _parse(blob: bytes) -> SeResNet:
     (header_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + header_len].decode("utf-8"))
@@ -80,17 +99,12 @@ def _parse(blob: bytes) -> SeResNet:
         raise ValueError("JSON header is not an object")
     if header.get("format_version") not in (1, 2):
         raise ValueError(f"unsupported version {header.get('format_version')}")
-    config = SeResNetConfig.from_dict(header["config"])
+    config = SeResNetConfig.from_dict(_without_fixed(header["config"], "config"))
     spec_fields = header.get("preprocess")
     if spec_fields is None:   # the legacy inference spec
         spec_fields = dict(target_fs=500, window_seconds=config.input_length / 500,
                            denoise_enabled=False)
-    if isinstance(spec_fields, dict):
-        for key, fixed in (("wavelet", WAVELET), ("decomposition_level", LEVEL)):
-            value = spec_fields.pop(key, fixed)
-            if type(value) is not type(fixed) or value != fixed:
-                raise ValueError(f"preprocess {key} {value!r} is not {fixed!r}")
-    spec = PreprocessConfig(**spec_fields)
+    spec = PreprocessConfig(**_without_fixed(spec_fields, "preprocess"))
     if int(round(spec.target_fs * spec.window_seconds)) != config.input_length:
         raise ValueError(
             f"preprocess spec ({spec.target_fs} Hz x {spec.window_seconds} s)"

@@ -1,11 +1,10 @@
 """Channel-attention residual network over 1-D multi-lead signals.
 
-Architecture (desk scale, fully parameterized): a strided stem
-convolution, then stages of pre-activation residual blocks, each ending
-in a squeeze/excitation gate; entry to every stage downsamples by 2.  A
-global average pool absorbs the time axis, so the parameter count does
-not depend on the input length, and a single dense head emits one logit
-per class.
+Architecture (desk scale): a strided stem convolution over the 8 training
+leads, then stages of pre-activation residual blocks, each ending in a
+squeeze/excitation gate; entry to every stage downsamples by 2.  A global
+average pool absorbs the time axis, so the parameter count does not
+depend on the input length, and a dense head emits one logit per class.
 """
 
 from __future__ import annotations
@@ -16,20 +15,23 @@ import numpy as np
 
 from . import autodiff as ad
 from ..errors import ConfigError, RecordValidationError
+from ..records import TRAINING_LEADS, ClassMap
+
+# fixed widths: leads in, scored classes out, SE ratio, block kernel
+INPUT_LEADS = len(TRAINING_LEADS)
+N_CLASSES = ClassMap.n_scored
+SE_REDUCTION = 4
+BLOCK_KERNEL = 7
 
 
 @dataclass(frozen=True)
 class SeResNetConfig:
-    input_leads: int = 8
     input_length: int = 15000
     stem_channels: int = 32
     blocks_per_stage: tuple[int, ...] = (2, 2, 2, 2)
     channels_per_stage: tuple[int, ...] = (32, 64, 128, 256)
-    se_reduction: int = 4
-    n_classes: int = 27
     seed: int = 0
     stem_kernel: int = 15
-    block_kernel: int = 7
 
     def __post_init__(self):
         object.__setattr__(self, "blocks_per_stage", tuple(self.blocks_per_stage))
@@ -38,22 +40,21 @@ class SeResNetConfig:
             raise ConfigError("blocks_per_stage and channels_per_stage lengths differ")
         if not self.blocks_per_stage:
             raise ConfigError("need at least one stage")
-        if min(self.input_leads, self.input_length, self.stem_channels,
-               self.n_classes, self.se_reduction, self.stem_kernel,
-               self.block_kernel, *self.channels_per_stage) <= 0:
+        if min(self.input_length, self.stem_channels, self.stem_kernel,
+               *self.channels_per_stage) <= 0:
             raise ConfigError("all dimensions must be positive")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be non-negative, got {self.seed}")
         for c in self.channels_per_stage:
-            if c % self.se_reduction != 0:
+            if c % SE_REDUCTION != 0:
                 raise ConfigError(
-                    f"se_reduction {self.se_reduction} does not divide channels {c}")
+                    f"se reduction {SE_REDUCTION} does not divide channels {c}")
 
     @classmethod
     def small(cls, **overrides) -> "SeResNetConfig":
         """A laptop-friendly preset used by the fast training tests."""
-        base = dict(input_leads=8, input_length=512, stem_channels=16,
-                    blocks_per_stage=(1, 1), channels_per_stage=(16, 32),
-                    se_reduction=4, n_classes=27, seed=0,
-                    stem_kernel=7, block_kernel=7)
+        base = dict(input_length=512, stem_channels=16, blocks_per_stage=(1, 1),
+                    channels_per_stage=(16, 32), seed=0, stem_kernel=7)
         base.update(overrides)
         return cls(**base)
 
@@ -96,9 +97,9 @@ def array_layout(config: SeResNetConfig) -> list[tuple[str, str, tuple[int, ...]
                        (name + ".running_var", "buffer", (c,))])
 
     c = config.stem_channels
-    conv("stem.conv", config.input_leads, c, config.stem_kernel)
+    conv("stem.conv", INPUT_LEADS, c, config.stem_kernel)
     bn("stem.bn", c)
-    in_c, k, r = c, config.block_kernel, config.se_reduction
+    in_c, k, r = c, BLOCK_KERNEL, SE_REDUCTION
     for s, (n_blocks, out_c) in enumerate(zip(config.blocks_per_stage,
                                               config.channels_per_stage)):
         for b in range(n_blocks):
@@ -113,7 +114,7 @@ def array_layout(config: SeResNetConfig) -> list[tuple[str, str, tuple[int, ...]
                 conv(prefix + ".short", in_c, out_c, 1)
             in_c = out_c
     bn("head.bn", in_c)
-    dense("head.fc", in_c, config.n_classes)
+    dense("head.fc", in_c, N_CLASSES)
     return layout
 
 
@@ -157,7 +158,7 @@ class SeResNet:
                             self.buffers[name + ".running_var"], training)
 
     def _block(self, x, prefix, pvars, training, stride, in_c, out_c):
-        k = self.config.block_kernel
+        k = BLOCK_KERNEL
         pre = ad.relu(self._bn(x, prefix + ".bn1", pvars, training))
         if stride != 1 or in_c != out_c:
             short = ad.conv1d(pre, pvars[prefix + ".short.w"],
@@ -173,7 +174,7 @@ class SeResNet:
                      "fc1_b": pvars[prefix + ".se.fc1.b"],
                      "fc2_w": pvars[prefix + ".se.fc2.w"],
                      "fc2_b": pvars[prefix + ".se.fc2.b"]}
-        h = ad.se_block(h, se_params, self.config.se_reduction)
+        h = ad.se_block(h, se_params)
         return ad.add(h, short)
 
     def forward(self, x, training: bool = False) -> tuple[ad.Var, dict]:
@@ -183,9 +184,9 @@ class SeResNet:
         Vars whose ``.grad`` fields are populated by ``backward``.
         """
         x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 3 or x.shape[1] != self.config.input_leads:
+        if x.ndim != 3 or x.shape[1] != INPUT_LEADS:
             raise RecordValidationError(
-                f"expected input [B, {self.config.input_leads}, T], got {x.shape}")
+                f"expected input [B, {INPUT_LEADS}, T], got {x.shape}")
         pvars = {name: ad.Var(value) for name, value in self.params.items()}
         h = ad.conv1d(ad.Var(x), pvars["stem.conv.w"], pvars["stem.conv.b"],
                       stride=2, padding=self.config.stem_kernel // 2)

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import SeResNet, SeResNetConfig
 from .optim import Adam, lr_for_epoch
-from ..errors import TrainingDivergedError
+from ..errors import ConfigError, TrainingDivergedError
 from ..signloss import LossBatch, sign_loss, sign_loss_grad
 
 logger = logging.getLogger(__name__)
@@ -47,6 +47,9 @@ def train(x, y, config: SeResNetConfig, epochs: int = 19,
     non-finite.  The history records the per-epoch mean loss and the
     learning rate actually applied.
     """
+    if batch_size < 1 or epochs < 1:
+        raise ConfigError(f"batch size ({batch_size}) and epochs ({epochs})"
+                          " must be at least 1")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import dsp, wavelet
 from .errors import ConfigError, RecordValidationError, UnsupportedRatioError
-from .records import ClassMap, EcgRecord, labels_from_codes, select_training_leads
+from .records import EcgRecord, labels_from_codes, select_training_leads
 
 # the paper's denoiser: bior2.6 wavelet, 8 decomposition levels
 WAVELET = "bior2.6"
@@ -24,6 +24,11 @@ class PreprocessConfig:
     denoise_enabled: bool = True
 
     def __post_init__(self):
+        # exact types: a bool is no rate or length, and only a bool is a flag
+        if (type(self.target_fs) is not int or type(self.denoise_enabled) is not bool
+                or type(self.window_seconds) not in (int, float)):
+            raise ConfigError("need an int target_fs, a numeric window_seconds and"
+                              f" a bool denoise_enabled, got {self}")
         if self.target_fs <= 0:
             raise ConfigError(f"target_fs must be positive, got {self.target_fs}")
         if self.window_seconds <= 0:
@@ -87,15 +92,14 @@ def wavelet_denoise(signal) -> np.ndarray:
     return wavelet.waverec(coeffs)
 
 
-def make_example(record: EcgRecord, config: PreprocessConfig | None = None,
-                 cmap: ClassMap | None = None) -> tuple[np.ndarray, np.ndarray]:
+def make_example(record: EcgRecord,
+                 config: PreprocessConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Turn a record into a training pair (features [8 x fs*window], labels [27]).
 
     Steps: select the 8 training leads, resample to the target rate,
     denoise the 8 leads in one call (when enabled), then truncate/pad to
     the window.
     """
-    cmap = cmap or ClassMap.default()
     config = config or PreprocessConfig()
     rec8 = select_training_leads(record)
     x = np.vstack([resample(row, rec8.fs, config.target_fs) for row in rec8.signals])
@@ -106,5 +110,5 @@ def make_example(record: EcgRecord, config: PreprocessConfig | None = None,
     if config.denoise_enabled:
         x = wavelet_denoise(x)
     x = fix_length(x, config.target_fs, config.window_seconds)
-    y = labels_from_codes(record.dx_codes, cmap)
+    y = labels_from_codes(record.dx_codes)
     return x, y

@@ -216,14 +216,14 @@ class ClassMap:
         return cls._default
 
 
-def labels_from_codes(dx_codes: Iterable[str], cmap: Optional[ClassMap] = None) -> np.ndarray:
+def labels_from_codes(dx_codes: Iterable[str]) -> np.ndarray:
     """Binary label vector over the 27 scored classes.
 
     Codes outside the scored set are silently dropped; repeated codes set
     a bit once.  Equivalence pairs are NOT merged here (merging belongs
     to scoring).
     """
-    cmap = cmap or ClassMap.default()
+    cmap = ClassMap.default()
     out = np.zeros(cmap.n_scored, dtype=np.uint8)
     for code in dx_codes:
         idx = cmap._code_to_index.get(code)

@@ -90,12 +90,12 @@ class RewardMatrix:
         return buf.getvalue()
 
 
-def merge_pairs(labels27, cmap: ClassMap | None = None) -> np.ndarray:
+def merge_pairs(labels27) -> np.ndarray:
     """Collapse 27-class label vectors to the 24 merged categories (OR).
 
     Accepts a single vector or a [n, 27] matrix.
     """
-    cmap = cmap or ClassMap.default()
+    cmap = ClassMap.default()
     lab = np.atleast_2d(np.asarray(labels27))
     out = np.zeros((lab.shape[0], cmap.n_merged), dtype=np.uint8)
     for class_idx, merged_idx in enumerate(cmap.merged_index):
@@ -169,8 +169,8 @@ def challenge_score(pred_labels27, truth_labels27, w: RewardMatrix,
     if pred.shape != truth.shape:
         raise RecordValidationError(
             f"predictions {pred.shape} do not align with truths {truth.shape}")
-    pred_m = merge_pairs(pred, cmap)
-    truth_m = merge_pairs(truth, cmap)
+    pred_m = merge_pairs(pred)
+    truth_m = merge_pairs(truth)
 
     unnormalized = _weighted(confusion(pred_m, truth_m), w)
     correct = _weighted(confusion(truth_m, truth_m), w)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .records import EcgRecord, derive_limb_leads, labels_from_codes, ClassMap
+from .records import EcgRecord, derive_limb_leads, labels_from_codes
 
 # per-lead template amplitude multipliers for (I, II, V1..V6)
 _LEAD_SCALE = {
@@ -59,14 +59,15 @@ class SynthSpec:
             raise ConfigError(f"ectopic_rate {self.ectopic_rate} outside [0, 1]")
         if self.noise_sigma < 0:
             raise ConfigError(f"negative noise_sigma {self.noise_sigma}")
+        if self.seed < 0:
+            raise ConfigError(f"negative seed {self.seed}")
 
 
 def _bump(t: np.ndarray, center: float, sigma: float, amp: float) -> np.ndarray:
     return amp * np.exp(-0.5 * ((t - center) / sigma) ** 2)
 
 
-def generate(spec: SynthSpec, record_id: str = "synth0",
-             cmap: ClassMap | None = None):
+def generate(spec: SynthSpec, record_id: str = "synth0"):
     """Build one 12-lead record.
 
     Returns ``(record, true_beat_indices, label_vector)`` where
@@ -125,5 +126,5 @@ def generate(spec: SynthSpec, record_id: str = "synth0",
                     age=age, sex=sex, dx_codes=frozenset(dx))
     rec = derive_limb_leads(rec)
     true_beats = np.array([int(round(bt * spec.fs)) for bt in final_times])
-    labels = labels_from_codes(dx, cmap or ClassMap.default())
+    labels = labels_from_codes(dx)
     return rec, true_beats, labels

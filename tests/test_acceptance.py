@@ -135,7 +135,7 @@ def test_criterion_2_gradient_fidelity():
         "batchnorm": (lambda v: ad.batchnorm(v[0], v[1], v[2], np.zeros(3),
                                              np.ones(3), True), [x, g3, b3]),
         "se_block": (lambda v: ad.se_block(
-            v[0], {"fc1_w": v[1], "fc1_b": v[2], "fc2_w": v[3], "fc2_b": v[4]}, 2),
+            v[0], {"fc1_w": v[1], "fc1_b": v[2], "fc2_w": v[3], "fc2_b": v[4]}),
             [xs] + sep),
     }
     worst_layer = {name: _layer_fd_worst(build, arrays, None)
@@ -340,13 +340,13 @@ def test_criterion_8_pipeline_invariants():
         rec = slow if i % 2 == 0 else fast
         probs = fuse(rng.uniform(size=27), rng.uniform(size=27))
         labels = binarize(probs)
-        vetoed = apply_brady_veto(labels, rec, CMAP)
+        vetoed = apply_brady_veto(labels, rec)
         if np.any(vetoed > labels):
             veto_never_sets = False
-        final = snr_postprocess(vetoed, CMAP)
+        final = snr_postprocess(vetoed)
         if final.sum() < 1:
             all_positive = False
-        if not np.array_equal(snr_postprocess(final, CMAP), final):
+        if not np.array_equal(snr_postprocess(final), final):
             snr_idempotent = False
     ok = all_positive and veto_never_sets and snr_idempotent
     _report(8, ok, f"1000 vectors: >=1 label {all_positive}, veto never sets "

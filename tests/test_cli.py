@@ -102,6 +102,30 @@ class TestPreprocessCommand:
         assert not (out_dir / "features.npz").exists()
 
 
+class TestValuesThatCannotWork:
+    @pytest.mark.parametrize("argv", [
+        ["train", "--batch-size", "0"], ["train", "--batch-size", "-1"],
+        ["train", "--epochs", "0"], ["train", "--seed", "-1"],
+        ["synth", "--seed", "-1"]],
+        ids=["batch-size-0", "batch-size-negative", "epochs-0",
+             "train-seed-negative", "synth-seed-negative"])
+    def test_exits_1(self, capsys, tmp_path, argv):
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "2", "--duration", "4",
+                         "--fs", "128", "--out", str(data)]) == 0
+        out = tmp_path / "out"
+        if argv[0] == "train":
+            argv = argv + ["--data", str(data), "--out", str(out),
+                           "--window", "10", "--target-fs", "128",
+                           "--preset", "small", "--no-denoise"]
+        else:
+            argv = argv + ["--out", str(out)]
+        code, _, err = run(capsys, *argv)
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out.exists()
+
+
 def _save_one_sample_record(directory, fs):
     rec, _, _ = generate(SynthSpec(bpm=70, fs=fs, duration=2.0, seed=3),
                          record_id="tiny")
@@ -265,24 +289,57 @@ class TestTrainPredictScore:
         assert "'tiny'" in err and "128 Hz" in err
         assert not out.exists()
 
-    def test_huge_decomposition_level_exits_1(self, capsys, pipeline_dirs, tmp_path):
+    def _predict_with_header_value(self, capsys, pipeline_dirs, tmp_path,
+                                   section, key, value):
+        """Exit 1 with one ``error:`` line naming ``key`` after setting it in
+        one section of the checkpoint's JSON header."""
         import struct
         from ecgdx.nn.checkpoint import MAGIC
         data, ckpt, _ = pipeline_dirs
         blob = ckpt.read_bytes()
         (n,) = struct.unpack("<I", blob[8:12])
         header = json.loads(blob[12:12 + n])
-        header["preprocess"]["decomposition_level"] = 20000
+        header[section][key] = value
         text = json.dumps(header).encode("utf-8")
-        bad = tmp_path / "deep.ckpt"
+        bad = tmp_path / "edited.ckpt"
         bad.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + blob[12 + n:])
         out = tmp_path / "p.csv"
         code, _, err = run(capsys, "predict", "--data", str(data),
                            "--checkpoint", str(bad), "--out", str(out))
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
-        assert "decomposition_level" in err
+        assert key in err
         assert not out.exists()
+
+    def test_huge_decomposition_level_exits_1(self, capsys, pipeline_dirs, tmp_path):
+        self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
+                                        "preprocess", "decomposition_level", 20000)
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_classes", 5), ("input_leads", 12), ("se_reduction", 2),
+        ("block_kernel", 5)])
+    def test_checkpoint_listing_other_fixed_widths_exits_1(
+            self, capsys, pipeline_dirs, tmp_path, key, value):
+        self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
+                                        "config", key, value)
+
+    @pytest.mark.parametrize("first, second", [(1, 2), (28, 29)],
+                             ids=["labels", "probabilities"])
+    def test_predictions_with_swapped_columns_exit_1(self, capsys, pipeline_dirs,
+                                                     tmp_path, first, second):
+        """A column permutation would score as the real file does."""
+        data, _, preds = pipeline_dirs
+        rows = [line.split(",") for line in preds.read_text().splitlines()]
+        for row in rows:
+            row[first], row[second] = row[second], row[first]
+        bad = tmp_path / "swapped.csv"
+        bad.write_text("".join(",".join(row) + "\n" for row in rows))
+        code, _, err = run(capsys, "score", "--truth", str(data),
+                           "--pred", str(bad), "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"column {first + 1} is {rows[0][first]!r}" in err
+        assert not (tmp_path / "s" / "report.json").exists()
 
     @pytest.mark.parametrize("column, cell", [(1, "x"), (1, "7"), (28, "nan")],
                              ids=["label-x", "label-7", "prob-nan"])
@@ -414,8 +471,8 @@ class TestPreprocessSpec:
             "--noise-sigma", "0.05", "--out", str(data))
         features = {}
         real = cli.make_example
-        def recording(rec, config, cmap):
-            x, y = real(rec, config, cmap)
+        def recording(rec, config):
+            x, y = real(rec, config)
             features[rec.record_id] = x
             return x, y
         monkeypatch.setattr(cli, "make_example", recording)

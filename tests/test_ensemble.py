@@ -55,18 +55,18 @@ class TestBinarize:
 
 class TestSnrPostprocess:
     def test_all_negative_revised_to_sinus(self):
-        out = snr_postprocess(np.zeros(27, dtype=np.uint8), CMAP)
+        out = snr_postprocess(np.zeros(27, dtype=np.uint8))
         assert out[SNR] == 1 and out.sum() == 1
 
     def test_any_positive_left_alone(self):
         labels = np.zeros(27, dtype=np.uint8)
         labels[CMAP.index_of_abbr("AF")] = 1
-        out = snr_postprocess(labels, CMAP)
+        out = snr_postprocess(labels)
         np.testing.assert_array_equal(out, labels)
 
     def test_idempotent(self):
-        once = snr_postprocess(np.zeros(27, dtype=np.uint8), CMAP)
-        np.testing.assert_array_equal(snr_postprocess(once, CMAP), once)
+        once = snr_postprocess(np.zeros(27, dtype=np.uint8))
+        np.testing.assert_array_equal(snr_postprocess(once), once)
 
 
 @pytest.fixture(scope="module")
@@ -86,18 +86,18 @@ class TestBradyVeto:
     def test_rule_false_clears_positive(self, fast_record):
         labels = np.zeros(27, dtype=np.uint8)
         labels[BRADY] = 1
-        out = apply_brady_veto(labels, fast_record, CMAP)
+        out = apply_brady_veto(labels, fast_record)
         assert out[BRADY] == 0
 
     def test_rule_true_keeps_positive(self, slow_record):
         labels = np.zeros(27, dtype=np.uint8)
         labels[BRADY] = 1
-        out = apply_brady_veto(labels, slow_record, CMAP)
+        out = apply_brady_veto(labels, slow_record)
         assert out[BRADY] == 1
 
     def test_negative_stays_negative(self, slow_record):
         labels = np.zeros(27, dtype=np.uint8)
-        out = apply_brady_veto(labels, slow_record, CMAP)
+        out = apply_brady_veto(labels, slow_record)
         assert out[BRADY] == 0
 
     def test_veto_never_sets_any_bit(self, slow_record, fast_record):
@@ -105,7 +105,7 @@ class TestBradyVeto:
         for rec in (slow_record, fast_record):
             for _ in range(20):
                 labels = rng.integers(0, 2, size=27).astype(np.uint8)
-                out = apply_brady_veto(labels, rec, CMAP)
+                out = apply_brady_veto(labels, rec)
                 assert np.all(out <= labels)
 
 
@@ -138,7 +138,7 @@ class TestPredictionSet:
                               rng.integers(0, 2, size=27).astype(np.uint8))
                 for i in range(3)]
         text = write_predictions(sets, CMAP)
-        back = read_predictions(text, CMAP)
+        back = read_predictions(text)
         assert [b.record_id for b in back] == ["r0", "r1", "r2"]
         for a, b in zip(sets, back):
             np.testing.assert_array_equal(a.labels, b.labels)
@@ -152,17 +152,28 @@ class TestPredictionSet:
         row[column] = cell
         text = write_predictions([], CMAP) + ",".join(row) + "\n"
         with pytest.raises(RecordValidationError, match="row 2"):
-            read_predictions(text, CMAP)
+            read_predictions(text)
+
+    @pytest.mark.parametrize("header, column", [
+        (["id"] + [f"X{i}" for i in range(54)], 1),
+        (["record_id"] + list(CMAP.abbreviations) * 2 + ["extra"], 56),
+        ((["record_id"] + list(CMAP.abbreviations) * 2)[:-1], 55)],
+        ids=["renamed", "extra-column", "missing-column"])
+    def test_header_names_checked(self, header, column):
+        row = ["r0"] + ["0"] * 27 + ["0.5"] * 27
+        text = ",".join(header) + "\n" + ",".join(row) + "\n"
+        with pytest.raises(RecordValidationError, match=f"header column {column} "):
+            read_predictions(text)
 
     def test_short_row_rejected(self):
         text = write_predictions([], CMAP) + "r0,1,0.5\n"
         with pytest.raises(RecordValidationError, match="3 columns"):
-            read_predictions(text, CMAP)
+            read_predictions(text)
 
 
 def _parses_or_package_error(text):
     try:
-        out = read_predictions(text, CMAP)
+        out = read_predictions(text)
     except EcgdxError:
         return
     assert isinstance(out, list)
@@ -203,14 +214,14 @@ class TestRelabel:
         probs[sb] = 0.90       # inside original space -> not added
         probs[CMAP.index_of_abbr("AFL")] = 0.75  # below threshold -> not added
         original = {CMAP.entries[sb].code}
-        report = relabel_pseudo(lambda rec: probs, records, original, CMAP)
+        report = relabel_pseudo(lambda rec: probs, records, original)
         assert [(r.abbreviation, r.needs_review) for r in report] == [("AF", False)]
 
     def test_review_flag_above_095(self):
         records = self._records(1)
         probs = np.zeros(27)
         probs[CMAP.index_of_abbr("AF")] = 0.97
-        report = relabel_pseudo(lambda rec: probs, records, set(), CMAP)
+        report = relabel_pseudo(lambda rec: probs, records, set())
         assert report[0].needs_review is True
 
     def test_monotone_in_threshold(self):
@@ -218,8 +229,8 @@ class TestRelabel:
         rng = np.random.default_rng(5)
         tables = {rec.record_id: rng.uniform(size=27) for rec in records}
         predict = lambda rec: tables[rec.record_id]
-        strict = relabel_pseudo(predict, records, set(), CMAP, threshold=0.8)
-        loose = relabel_pseudo(predict, records, set(), CMAP, threshold=0.6)
+        strict = relabel_pseudo(predict, records, set(), threshold=0.8)
+        loose = relabel_pseudo(predict, records, set(), threshold=0.6)
         strict_keys = {(r.record_id, r.code) for r in strict}
         loose_keys = {(r.record_id, r.code) for r in loose}
         assert strict_keys <= loose_keys

@@ -133,7 +133,7 @@ class TestLayerGradients:
 
         def build(v):
             params = {"fc1_w": v[1], "fc1_b": v[2], "fc2_w": v[3], "fc2_b": v[4]}
-            return ad.se_block(v[0], params, 2)
+            return ad.se_block(v[0], params)
 
         check_op(build, [x, fw1, fb1, fw2, fb2])
 
@@ -188,14 +188,14 @@ class TestSeBlockBehaviour:
 
     def test_zero_parameters_halve_activations(self):
         x = RNG.normal(size=(2, 4, 6))
-        out = ad.se_block(ad.Var(x), self._zero_params(4, 2), 2)
+        out = ad.se_block(ad.Var(x), self._zero_params(4, 2))
         np.testing.assert_allclose(out.value, 0.5 * x)
 
     def test_gate_output_strictly_inside_unit_interval(self):
         x = RNG.normal(size=(3, 4, 6))
         params = self._zero_params(4, 2)
         params["fc2_w"] = ad.Var(RNG.normal(size=(2, 4)))
-        out = ad.se_block(ad.Var(x), params, 2)
+        out = ad.se_block(ad.Var(x), params)
         assert out.value.shape == x.shape
         nonzero = x != 0
         gate = out.value[nonzero] / x[nonzero]
@@ -212,30 +212,24 @@ class TestSeBlockBehaviour:
         x = RNG.normal(size=(2, 4, 6))
         params = self._zero_params(4, 2)
         params["fc2_b"] = ad.Var(np.full(4, 20.0))  # sigmoid(20) ~ 1 - 2e-9
-        out = ad.se_block(ad.Var(x), params, 2)
+        out = ad.se_block(ad.Var(x), params)
         assert np.max(np.abs(out.value - x)) < 1e-6
-
-    def test_reduction_must_divide_channels(self):
-        x = ad.Var(RNG.normal(size=(1, 4, 6)))
-        with pytest.raises(ConfigError):
-            ad.se_block(x, self._zero_params(4, 2), 3)
 
 
 class TestModelForward:
-    CFG = SeResNetConfig(input_leads=4, input_length=64, stem_channels=8,
+    CFG = SeResNetConfig(input_length=64, stem_channels=8,
                          blocks_per_stage=(1, 1), channels_per_stage=(8, 8),
-                         se_reduction=4, n_classes=27, seed=3,
-                         stem_kernel=7, block_kernel=5)
+                         seed=3, stem_kernel=7)
 
     def test_logits_shape_and_finiteness(self):
         model = SeResNet(self.CFG)
-        logits = model.predict_logits(RNG.normal(size=(2, 4, 64)))
+        logits = model.predict_logits(RNG.normal(size=(2, 8, 64)))
         assert logits.shape == (2, 27)
         assert np.all(np.isfinite(logits))
 
     def test_zero_input_constant_logits(self):
         model = SeResNet(self.CFG)
-        logits, _ = model.forward(np.zeros((3, 4, 64)), training=True)
+        logits, _ = model.forward(np.zeros((3, 8, 64)), training=True)
         np.testing.assert_allclose(logits.value[0], logits.value[1], atol=1e-12)
         np.testing.assert_allclose(logits.value[0], logits.value[2], atol=1e-12)
 
@@ -251,7 +245,7 @@ class TestModelForward:
 
     def test_batch_permutation_equivariance(self):
         model = SeResNet(self.CFG)
-        x = RNG.normal(size=(5, 4, 64))
+        x = RNG.normal(size=(5, 8, 64))
         perm = np.array([3, 0, 4, 1, 2])
         a = model.predict_logits(x)
         b = model.predict_logits(x[perm])
@@ -259,11 +253,11 @@ class TestModelForward:
 
     def test_forward_deterministic(self):
         model = SeResNet(self.CFG)
-        x = RNG.normal(size=(2, 4, 64))
+        x = RNG.normal(size=(2, 8, 64))
         np.testing.assert_array_equal(model.predict_logits(x),
                                       model.predict_logits(x))
 
-    @pytest.mark.parametrize("cfg, shape", [(CFG, (2, 4, 64)),
+    @pytest.mark.parametrize("cfg, shape", [(CFG, (2, 8, 64)),
                                             (SeResNetConfig(), (2, 8, 256))],
                              ids=["tiny", "default"])
     def test_predict_logits_equal_graph_forward(self, cfg, shape):
@@ -318,7 +312,7 @@ class TestNoGrad:
 
     def test_predict_peak_memory_below_half_of_graph_forward(self):
         model = SeResNet(TestModelForward.CFG)
-        x = np.random.default_rng(6).normal(size=(4, 4, 2048))
+        x = np.random.default_rng(6).normal(size=(4, 8, 2048))
         peaks = []
         for run in (lambda: model.forward(x, training=False),
                     lambda: model.predict_logits(x)):
@@ -336,7 +330,7 @@ class TestNoGrad:
 class TestBackwardThroughModel:
     def test_zero_cotangent_gives_zero_gradients(self):
         model = SeResNet(TestModelForward.CFG)
-        logits, pvars = model.forward(RNG.normal(size=(2, 4, 64)), training=True)
+        logits, pvars = model.forward(RNG.normal(size=(2, 8, 64)), training=True)
         ad.backward(logits, seed=np.zeros_like(logits.value))
         for name, var in pvars.items():
             assert var.grad is not None, name
@@ -359,13 +353,12 @@ class TestBackwardThroughModel:
         np.testing.assert_allclose(bv.grad, (p - y).mean(axis=0), atol=1e-12)
 
     def test_full_tiny_model_finite_differences(self):
-        cfg = SeResNetConfig(input_leads=2, input_length=64, stem_channels=8,
+        cfg = SeResNetConfig(input_length=64, stem_channels=8,
                              blocks_per_stage=(1, 1), channels_per_stage=(8, 8),
-                             se_reduction=4, n_classes=3, seed=7,
-                             stem_kernel=7, block_kernel=5)
+                             seed=7, stem_kernel=7)
         model = SeResNet(cfg)
-        x = np.random.default_rng(2).normal(size=(2, 2, 64))
-        seed = np.random.default_rng(3).normal(size=(2, 3))
+        x = np.random.default_rng(2).normal(size=(2, 8, 64))
+        seed = np.random.default_rng(3).normal(size=(2, 27))
         logits, pvars = model.forward(x, training=True)
         ad.backward(logits, seed=seed)
 
@@ -439,6 +432,16 @@ def _with_spec(**fields):
         lambda h, p: ({**h, "preprocess": {**h["preprocess"], **fields}}, p))
 
 
+def _with_config(**fields):
+    return _edit_checkpoint(
+        lambda h, p: ({**h, "config": {**h["config"], **fields}}, p))
+
+
+# the values files written while these were settings list for them
+FIXED_CONFIG = {"input_leads": 8, "n_classes": 27, "se_reduction": 4,
+                "block_kernel": 7}
+
+
 def _first_shape(shape):
     return _edit_checkpoint(lambda h, p: (
         {**h, "arrays": [{**h["arrays"][0], "shape": shape}] + h["arrays"][1:]},
@@ -499,8 +502,16 @@ MALFORMED = {
     "param-listed-as-buffer": _edit_arrays(lambda pairs: [
         ({**e, "kind": "buffer"} if e["name"] == "head.fc.w" else e, d)
         for e, d in pairs]),
-    "zero-se-reduction": _edit_checkpoint(
-        lambda h, p: ({**h, "config": {**h["config"], "se_reduction": 0}}, p)),
+    "zero-se-reduction": _with_config(se_reduction=0),
+    "other-n-classes": _with_config(n_classes=5),
+    "other-input-leads": _with_config(input_leads=12),
+    "other-se-reduction": _with_config(se_reduction=2),
+    "other-block-kernel": _with_config(block_kernel=5),
+    "float-n-classes": _with_config(n_classes=27.0),
+    "negative-seed": _with_config(seed=-1),
+    "float-target-fs": _with_spec(target_fs=32.0),
+    "string-denoise-flag": _with_spec(denoise_enabled="false"),
+    "bool-window": _with_spec(target_fs=64, window_seconds=True),
     "infinite-window": _with_spec(window_seconds=float("inf")),
     "huge-decomposition-level": _with_spec(decomposition_level=20000),
     "other-decomposition-level": _with_spec(decomposition_level=6),
@@ -514,7 +525,7 @@ MALFORMED = {
 class TestCheckpoint:
     def test_roundtrip(self, tmp_path):
         model = SeResNet(TestModelForward.CFG)
-        x = RNG.normal(size=(2, 4, 64))
+        x = RNG.normal(size=(2, 8, 64))
         model.forward(x, training=True)   # move running stats off init values
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, model)
@@ -553,6 +564,20 @@ class TestCheckpoint:
         assert b"wavelet" not in blob and b"decomposition_level" not in blob
         path.write_bytes(_with_spec(wavelet="bior2.6", decomposition_level=8)(blob))
         assert load_checkpoint(path).preprocess == spec
+
+    def test_config_listing_the_fixed_widths_reads(self, tmp_path):
+        """Files from before the widths were fixed list them; their own
+        values read, and the model is the one saved."""
+        path = tmp_path / "m.ckpt"
+        model = SeResNet(TestModelForward.CFG)
+        save_checkpoint(path, model)
+        blob = path.read_bytes()
+        assert not any(key.encode() in blob for key in FIXED_CONFIG)
+        path.write_bytes(_with_config(**FIXED_CONFIG)(blob))
+        back = load_checkpoint(path)
+        assert back.config == model.config
+        for name in model.params:
+            np.testing.assert_array_equal(back.params[name], model.params[name])
 
     def test_version1_file_reads_with_legacy_spec(self, tmp_path):
         model = SeResNet(TestModelForward.CFG)
@@ -659,7 +684,8 @@ class TestCheckpointProperties:
         self._load_edited(edit)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.dictionaries(st.sampled_from(sorted(TestModelForward.CFG.to_dict())),
+    @given(st.dictionaries(st.sampled_from(sorted(TestModelForward.CFG.to_dict())
+                                           + sorted(FIXED_CONFIG)),
                            JSON_VALUES, max_size=3),
            st.dictionaries(st.sampled_from(sorted(dataclasses.asdict(SPEC))
                                            + ["decomposition_level", "wavelet"]),

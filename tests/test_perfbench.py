@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from ecgdx.nn import SeResNet, SeResNetConfig
+from ecgdx.nn.model import INPUT_LEADS
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -17,13 +18,33 @@ def test_harness_selftest_passes():
     assert done.returncode == 0, done.stderr
 
 
+def test_workload_setups_run(monkeypatch, tmp_path):
+    """Each workload builds its inputs through the package's own calls
+    (``write_predictions(pred_sets, cmap)``, ``SeResNetConfig(input_length=,
+    seed=)``, ...), outside the tracer; a few records each keep it fast."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import workloads
+
+    for cls, count in ((workloads.TrainDefault10s, "n_records"),
+                       (workloads.PredictEnsemble, "n_records"),
+                       (workloads.IngestScore, "n_ingest")):
+        monkeypatch.setattr(cls, count, 2)
+    monkeypatch.setattr(workloads.IngestScore, "n_truth", 20)
+    assert len(workloads.WORKLOADS) == 3
+    for name, cls in workloads.WORKLOADS.items():
+        workload = cls(7, tmp_path / name / "inputs", tmp_path / name / "outputs")
+        workload.setup()
+        assert len(list((tmp_path / name / "inputs").rglob("*.hea"))) >= 2, name
+    ingest = tmp_path / "ingest_score" / "inputs"
+    assert len((ingest / "predictions.csv").read_text().splitlines()) == 21
+
+
 def test_traced_predict_builds_no_graph(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import tracing
 
     model = SeResNet(SeResNetConfig.small())
-    x = np.random.default_rng(0).normal(
-        size=(2, model.config.input_leads, 256))
+    x = np.random.default_rng(0).normal(size=(2, INPUT_LEADS, 256))
     tracer = tracing.Tracer("test")
     tracing.install(tracer)
     try:

@@ -65,7 +65,7 @@ class TestMergePairs:
     def test_single_pair_member_sets_merged_bit(self):
         labels = np.zeros(27, dtype=np.uint8)
         labels[CMAP.index_of_abbr("CRBBB")] = 1
-        merged = merge_pairs(labels, CMAP)
+        merged = merge_pairs(labels)
         group = int(CMAP.merged_index[CMAP.index_of_abbr("RBBB")])
         assert merged[group] == 1
         assert merged.sum() == 1
@@ -74,14 +74,14 @@ class TestMergePairs:
         labels = np.zeros(27, dtype=np.uint8)
         labels[CMAP.index_of_abbr("PAC")] = 1
         labels[CMAP.index_of_abbr("SVPB")] = 1
-        merged = merge_pairs(labels, CMAP)
+        merged = merge_pairs(labels)
         assert merged.sum() == 1
 
     def test_singletons_pass_through(self):
         labels = np.zeros(27, dtype=np.uint8)
         labels[CMAP.index_of_abbr("AF")] = 1
         labels[CMAP.index_of_abbr("LBBB")] = 1
-        merged = merge_pairs(labels, CMAP)
+        merged = merge_pairs(labels)
         assert merged.sum() == 2
 
     def test_surjective_onto_merged_space(self):
@@ -94,7 +94,7 @@ class TestMergePairs:
             expanded = np.zeros(27, dtype=np.uint8)
             for m, idx in first_member.items():
                 expanded[idx] = target[m]
-            np.testing.assert_array_equal(merge_pairs(expanded, CMAP), target)
+            np.testing.assert_array_equal(merge_pairs(expanded), target)
 
 
 class TestConfusion:
@@ -215,8 +215,8 @@ class TestChallengeScore:
             preds, truths = random_dataset(rng, n)
             w = self._synthetic_weights(rng)
             got = challenge_score(preds, truths, w, cmap=CMAP).normalized
-            want = oracle_score(merge_pairs(preds, CMAP).tolist(),
-                                merge_pairs(truths, CMAP).tolist(),
+            want = oracle_score(merge_pairs(preds).tolist(),
+                                merge_pairs(truths).tolist(),
                                 w.values.tolist())
             assert abs(got - want) < 1e-10
 
