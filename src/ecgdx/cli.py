@@ -27,7 +27,8 @@ from .synth import SynthSpec, generate
 from .ensemble import (DEFAULT_THRESHOLD, fuse, postprocess, read_predictions,
                        relabel_pseudo, write_predictions)
 from .scoring import RewardMatrix, challenge_score, per_class_metrics
-from .nn import SeResNetConfig, load_checkpoint, save_checkpoint, train
+from .nn import (SeResNetConfig, check_schedule, load_checkpoint, save_checkpoint,
+                 train)
 
 
 def _write_manifest(path: str, command: str, options: dict) -> None:
@@ -120,8 +121,10 @@ def _model_config(args, input_length: int) -> SeResNetConfig:
 
 def _cmd_train(args) -> int:
     cfg = _preprocess_config(args)
+    # every value that cannot work exits before the feature pass
+    config = _model_config(args, input_length=cfg.window_samples)
+    check_schedule(args.epochs, args.batch_size)
     x, y, _ = _features(args, cfg)
-    config = _model_config(args, input_length=x.shape[2])
     result = train(x, y, config, epochs=args.epochs, batch_size=args.batch_size)
     result.model.preprocess = cfg
     save_checkpoint(args.out, result.model)

@@ -153,8 +153,8 @@ def write_predictions(pred_sets, cmap: ClassMap | None = None) -> str:
 
 
 def read_predictions(text: str) -> list[PredictionSet]:
-    """Parse a predictions file; a header other than ``write_predictions``'s
-    or any malformed cell raises RecordValidationError."""
+    """Parse a predictions file; a header other than ``write_predictions``'s,
+    a record listed twice or any malformed cell raises RecordValidationError."""
     abbrs = ClassMap.default().abbreviations
     n = len(abbrs)
     try:
@@ -170,11 +170,17 @@ def read_predictions(text: str) -> list[PredictionSet]:
                 f"prediction file header column {column} is {got!r},"
                 f" expected {want!r}")
     out = []
+    first_row: dict[str, int] = {}
     for number, row in enumerate(rows[1:], start=2):
         try:
             if len(row) != 1 + 2 * n:
                 raise RecordValidationError(
                     f"{len(row)} columns, expected {1 + 2 * n}")
+            if row[0] in first_row:
+                raise RecordValidationError(
+                    f"record {row[0]!r} is listed again"
+                    f" (first on row {first_row[row[0]]})")
+            first_row[row[0]] = number
             labels = np.array([int(v) for v in row[1:1 + n]])
             probs = np.array([float(v) for v in row[1 + n:]])
             out.append(PredictionSet(record_id=row[0], probs=probs, labels=labels))

@@ -123,16 +123,30 @@ def dense(x: Var, w: Var, b: Var) -> Var:
 
 
 def _im2col(xp: np.ndarray, k: int, stride: int, t_out: int) -> np.ndarray:
+    """The contiguous im2col matrix ``[C_in*k, B*T']`` of a padded input.
+
+    Row ``c*k + j`` holds tap ``j`` of channel ``c``; column ``b*T' + t``
+    holds output position ``t`` of batch item ``b``.  It is copied from a
+    strided view in ``(C_in, k, B, T')`` order, so both the forward GEMM
+    and the weight gradient read it as it is.
+    """
+    batch, c_in = xp.shape[:2]
     bs, cs, ts = xp.strides
-    cols = as_strided(xp, shape=(xp.shape[0], xp.shape[1], k, t_out),
-                      strides=(bs, cs, ts, stride * ts))
-    return cols
+    view = as_strided(xp, shape=(c_in, k, batch, t_out),
+                      strides=(cs, ts, bs, stride * ts))
+    return view.reshape(c_in * k, batch * t_out)
 
 
 def conv1d(x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
     """Cross-correlation of x [B, C_in, T] with w [C_out, C_in, k] plus bias.
 
-    Output length is ``(T + 2*padding - k) // stride + 1``.
+    Output length is ``(T + 2*padding - k) // stride + 1``.  The forward
+    is one GEMM, ``w [C_out, C_in*k] @ cols [C_in*k, B*T']``.  The vjp
+    keeps only the padded input and rebuilds ``cols`` for the weight
+    gradient rather than holding them between forward and backward.  It
+    transposes the cotangent once, to ``g2 [C_out, B*T']``, for both
+    ``dW = g2 @ cols.T`` and ``dcols = w.T @ g2``; col2im then adds each
+    tap's ``dcols`` rows back onto the input.
     """
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
     batch, c_in, t_in = x.value.shape
@@ -146,14 +160,15 @@ def conv1d(x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
             f"kernel {k} longer than padded input {t_pad}")
     t_out = (t_pad - k) // stride + 1
     xp = np.pad(x.value, ((0, 0), (0, 0), (padding, padding))) if padding else x.value
-    cols = _im2col(xp, k, stride, t_out)
-    out = np.tensordot(w.value, cols, axes=([1, 2], [1, 2]))  # [C_out, B, T']
+    w2 = w.value.reshape(c_out, c_in * k)
+    out = (w2 @ _im2col(xp, k, stride, t_out)).reshape(c_out, batch, t_out)
     out = out.transpose(1, 0, 2) + b.value[None, :, None]
 
     def vjp(g):
-        dw = np.tensordot(g, cols, axes=([0, 2], [0, 3]))       # [C_out, C_in, k]
+        g2 = g.transpose(1, 0, 2).reshape(c_out, batch * t_out)
+        dw = (g2 @ _im2col(xp, k, stride, t_out).T).reshape(c_out, c_in, k)
         db = g.sum(axis=(0, 2))
-        dcols = np.tensordot(w.value, g, axes=([0], [1]))       # [C_in, k, B, T']
+        dcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
         dxp = np.zeros((batch, c_in, t_pad))
         for j in range(k):   # col2im: scatter-add each tap back onto the input
             dxp[:, :, j:j + stride * t_out:stride] += dcols[:, j].transpose(1, 0, 2)
@@ -191,35 +206,44 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     """Per-channel batch normalization over (batch, time).
 
     Training mode normalizes with (biased) batch statistics and updates
-    the running buffers in place; eval mode uses the buffers.
+    the running buffers in place; eval mode uses the buffers.  Both
+    compute ``((x - mu) * inv_std) * gamma + beta`` in that order.
+
+    The training backward is the closed form over the ``N = B*T``
+    values of a channel: with ``dbeta = sum(g)`` and ``dgamma =
+    sum(g * xhat)``, ``dx = gamma * inv_std * (g - dbeta/N - xhat *
+    dgamma/N)``, since ``mean(dxhat) = gamma*dbeta/N`` and ``mean(dxhat
+    * xhat) = gamma*dgamma/N`` for ``dxhat = g * gamma``.
     """
     x, gamma, beta = _as_var(x), _as_var(gamma), _as_var(beta)
     v = x.value
     if training:
         mu = v.mean(axis=(0, 2))
-        var = v.var(axis=(0, 2))
+        xhat = v - mu[None, :, None]
+        var = np.square(xhat).mean(axis=(0, 2))   # == v.var(axis=(0, 2))
         running_mean *= (1.0 - momentum)
         running_mean += momentum * mu
         running_var *= (1.0 - momentum)
         running_var += momentum * var
     else:
         mu, var = running_mean, running_var
+        xhat = v - mu[None, :, None]
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (v - mu[None, :, None]) * inv_std[None, :, None]
-    out = gamma.value[None, :, None] * xhat + beta.value[None, :, None]
+    xhat *= inv_std[None, :, None]
+    out = xhat * gamma.value[None, :, None]
+    out += beta.value[None, :, None]
 
     def vjp(g):
         dgamma = (g * xhat).sum(axis=(0, 2))
         dbeta = g.sum(axis=(0, 2))
-        dxhat = g * gamma.value[None, :, None]
-        if training:
-            mean_dxhat = dxhat.mean(axis=(0, 2))
-            mean_dxhat_xhat = (dxhat * xhat).mean(axis=(0, 2))
-            dx = inv_std[None, :, None] * (
-                dxhat - mean_dxhat[None, :, None]
-                - xhat * mean_dxhat_xhat[None, :, None])
-        else:
-            dx = dxhat * inv_std[None, :, None]
+        scale = (gamma.value * inv_std)[None, :, None]
+        if not training:
+            return g * scale, dgamma, dbeta
+        n = g.shape[0] * g.shape[2]
+        dx = xhat * (dgamma / -n)[None, :, None]
+        dx += g
+        dx -= (dbeta / n)[None, :, None]
+        dx *= scale
         return dx, dgamma, dbeta
 
     return Var(out, (x, gamma, beta), vjp)

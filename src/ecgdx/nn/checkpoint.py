@@ -105,7 +105,7 @@ def _parse(blob: bytes) -> SeResNet:
         spec_fields = dict(target_fs=500, window_seconds=config.input_length / 500,
                            denoise_enabled=False)
     spec = PreprocessConfig(**_without_fixed(spec_fields, "preprocess"))
-    if int(round(spec.target_fs * spec.window_seconds)) != config.input_length:
+    if spec.window_samples != config.input_length:
         raise ValueError(
             f"preprocess spec ({spec.target_fs} Hz x {spec.window_seconds} s)"
             f" does not match model input length {config.input_length}")

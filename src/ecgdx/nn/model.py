@@ -36,6 +36,12 @@ class SeResNetConfig:
     def __post_init__(self):
         object.__setattr__(self, "blocks_per_stage", tuple(self.blocks_per_stage))
         object.__setattr__(self, "channels_per_stage", tuple(self.channels_per_stage))
+        # exact types: a float or a bool is no width, length or seed
+        fields = (self.input_length, self.stem_channels, self.stem_kernel, self.seed,
+                  *self.blocks_per_stage, *self.channels_per_stage)
+        if any(type(n) is not int for n in fields):
+            raise ConfigError(f"lengths, widths, block counts and seed must be ints,"
+                              f" got {self}")
         if len(self.blocks_per_stage) != len(self.channels_per_stage):
             raise ConfigError("blocks_per_stage and channels_per_stage lengths differ")
         if not self.blocks_per_stage:

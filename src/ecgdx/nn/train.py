@@ -39,6 +39,13 @@ class TrainResult:
         return [row["loss"] for row in self.history]
 
 
+def check_schedule(epochs: int, batch_size: int) -> None:
+    """Raise ConfigError unless ``epochs`` and ``batch_size`` are at least 1."""
+    if batch_size < 1 or epochs < 1:
+        raise ConfigError(f"batch size ({batch_size}) and epochs ({epochs})"
+                          " must be at least 1")
+
+
 def train(x, y, config: SeResNetConfig, epochs: int = 19,
           batch_size: int = 16) -> TrainResult:
     """Train a model on (x [N, leads, T], y [N, n_classes]).
@@ -47,9 +54,7 @@ def train(x, y, config: SeResNetConfig, epochs: int = 19,
     non-finite.  The history records the per-epoch mean loss and the
     learning rate actually applied.
     """
-    if batch_size < 1 or epochs < 1:
-        raise ConfigError(f"batch size ({batch_size}) and epochs ({epochs})"
-                          " must be at least 1")
+    check_schedule(epochs, batch_size)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:

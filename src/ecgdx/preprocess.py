@@ -34,6 +34,11 @@ class PreprocessConfig:
         if self.window_seconds <= 0:
             raise ConfigError(f"window_seconds must be positive, got {self.window_seconds}")
 
+    @property
+    def window_samples(self) -> int:
+        """Samples per lead of every example built with this spec."""
+        return int(round(self.target_fs * self.window_seconds))
+
 
 def resample(signal, from_fs: int, to_fs: int) -> np.ndarray:
     """Anti-aliased integer-factor decimation.

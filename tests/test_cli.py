@@ -125,6 +125,23 @@ class TestValuesThatCannotWork:
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_train_checks_its_values_before_building_features(
+            self, capsys, tmp_path, monkeypatch):
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "2", "--duration", "4",
+                         "--fs", "128", "--out", str(data)]) == 0
+
+        def no_features(*args, **kwargs):
+            raise AssertionError("features built before the values were checked")
+        monkeypatch.setattr(cli, "make_example", no_features)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "train", "--batch-size", "0", "--data", str(data),
+                           "--out", str(out), "--window", "10", "--target-fs", "128",
+                           "--preset", "small", "--no-denoise")
+        assert code == 1
+        assert err == ("error: batch size (0) and epochs (19) must be at least 1\n")
+        assert not out.exists()
+
 
 def _save_one_sample_record(directory, fs):
     rec, _, _ = generate(SynthSpec(bpm=70, fs=fs, duration=2.0, seed=3),
@@ -311,6 +328,12 @@ class TestTrainPredictScore:
         assert key in err
         assert not out.exists()
 
+    def test_checkpoint_with_a_float_stem_kernel_exits_1(self, capsys, pipeline_dirs,
+                                                         tmp_path):
+        """It loaded before, and predict then died in np.pad."""
+        self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
+                                        "config", "stem_kernel", 7.0)
+
     def test_huge_decomposition_level_exits_1(self, capsys, pipeline_dirs, tmp_path):
         self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
                                         "preprocess", "decomposition_level", 20000)
@@ -355,6 +378,21 @@ class TestTrainPredictScore:
                            "--pred", str(bad), "--out", str(tmp_path / "s"))
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_predictions_listing_a_record_twice_exit_1(self, capsys, pipeline_dirs,
+                                                       tmp_path):
+        """A repeated row would weigh its record twice in the score."""
+        data, _, preds = pipeline_dirs
+        lines = preds.read_text().splitlines()
+        bad = tmp_path / "repeated.csv"
+        bad.write_text("\n".join(lines + [lines[1]]) + "\n")
+        code, _, err = run(capsys, "score", "--truth", str(data),
+                           "--pred", str(bad), "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        record_id = lines[1].split(",")[0]
+        assert f"row {len(lines) + 1}: record {record_id!r} is listed again" in err
+        assert not (tmp_path / "s" / "report.json").exists()
 
     def _score(self, capsys, pipeline_dirs, tmp_path, *extra):
         data, _, preds = pipeline_dirs

@@ -170,6 +170,14 @@ class TestPredictionSet:
         with pytest.raises(RecordValidationError, match="3 columns"):
             read_predictions(text)
 
+    def test_repeated_record_rejected(self):
+        """A record listed twice would weigh twice in the score."""
+        sets = [PredictionSet(rid, np.full(27, 0.5), np.zeros(27, dtype=np.uint8))
+                for rid in ("r0", "r1", "r0")]
+        with pytest.raises(RecordValidationError,
+                           match=r"row 4: record 'r0' is listed again \(first on row 2\)"):
+            read_predictions(write_predictions(sets, CMAP))
+
 
 def _parses_or_package_error(text):
     try:

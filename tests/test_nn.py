@@ -179,6 +179,105 @@ class TestConvValues:
                       ad.Var(np.zeros(1)), 1, 1)
 
 
+def _conv_windows(xp, k, stride, t_out):
+    """windows[b, c, j, t] = xp[b, c, j + stride*t], by fancy indexing."""
+    taps = np.arange(k)[:, None] + stride * np.arange(t_out)[None, :]
+    return xp[:, :, taps], taps
+
+
+class TestOpsAgainstReferences:
+    """conv1d and batchnorm against formulas written independently of them.
+
+    Summation order differs from the reference, so a value that cancels to
+    near zero is held to ``atol`` (1e-12 of values of order one)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(batch=st.integers(1, 3), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
+           k=st.integers(1, 9), stride=st.integers(1, 3), padding=st.integers(0, 4),
+           extra=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+    def test_conv1d_matches_einsum(self, batch, c_in, c_out, k, stride, padding,
+                                   extra, seed):
+        rng = np.random.default_rng(seed)
+        t_in = k + extra
+        x = ad.Var(rng.normal(size=(batch, c_in, t_in)))
+        w = ad.Var(rng.normal(size=(c_out, c_in, k)))
+        b = ad.Var(rng.normal(size=c_out))
+        out = ad.conv1d(x, w, b, stride, padding)
+        t_out = (t_in + 2 * padding - k) // stride + 1
+        xp = np.pad(x.value, ((0, 0), (0, 0), (padding, padding)))
+        windows, taps = _conv_windows(xp, k, stride, t_out)
+        ref = np.einsum("oik,bikt->bot", w.value, windows) + b.value[None, :, None]
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(out.value, ref, **tol)
+        g = rng.normal(size=out.shape)
+        ad.backward(out, seed=g)
+        np.testing.assert_allclose(w.grad, np.einsum("bot,bikt->oik", g, windows), **tol)
+        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2)), **tol)
+        dxp = np.zeros_like(xp)
+        np.add.at(dxp, (slice(None), slice(None), taps),
+                  np.einsum("bot,oik->bikt", g, w.value))
+        np.testing.assert_allclose(x.grad, dxp[:, :, padding:padding + t_in], **tol)
+
+    def test_conv1d_vjp_holds_nothing_larger_than_the_padded_input(self):
+        """The vjp rebuilds the im2col matrix (k times the input) for dW
+        rather than keeping it from the forward."""
+        rng = np.random.default_rng(8)
+        batch, c_in, t_in, k, padding = 4, 3, 50, 7, 3
+        out = ad.conv1d(ad.Var(rng.normal(size=(batch, c_in, t_in))),
+                        ad.Var(rng.normal(size=(5, c_in, k))),
+                        ad.Var(np.zeros(5)), 1, padding)
+        padded_bytes = 8 * batch * c_in * (t_in + 2 * padding)
+        captured = [cell.cell_contents for cell in out.vjp.__closure__]
+        arrays = [a for a in captured if isinstance(a, np.ndarray)]
+        assert any(a.nbytes == padded_bytes for a in arrays)
+        assert max(a.nbytes for a in arrays) <= padded_bytes
+
+    @pytest.mark.parametrize("shape", [(2, 3, 8), (4, 5, 33), (1, 2, 16)])
+    def test_batchnorm_train_gradients_match_textbook(self, shape):
+        """The chain rule through mean and variance (Ioffe & Szegedy, 2015)."""
+        rng = np.random.default_rng(sum(shape))
+        c, eps = shape[1], 1e-5
+        x = ad.Var(rng.normal(size=shape) * 2 + 1)
+        gamma = ad.Var(rng.uniform(0.5, 1.5, size=c))
+        beta = ad.Var(rng.normal(size=c))
+        out = ad.batchnorm(x, gamma, beta, np.zeros(c), np.ones(c), True, eps=eps)
+        g = rng.normal(size=shape)
+        ad.backward(out, seed=g)
+        n = shape[0] * shape[2]
+        v, axes = x.value, (0, 2)
+        mu = v.mean(axis=axes, keepdims=True)
+        var = v.var(axis=axes, keepdims=True)
+        xhat = (v - mu) / np.sqrt(var + eps)
+        dxhat = g * gamma.value[None, :, None]
+        dvar = (dxhat * (v - mu) * -0.5 * (var + eps) ** -1.5).sum(axis=axes,
+                                                                   keepdims=True)
+        dmu = ((-dxhat / np.sqrt(var + eps)).sum(axis=axes, keepdims=True)
+               + dvar * (-2 * (v - mu)).sum(axis=axes, keepdims=True) / n)
+        dx = dxhat / np.sqrt(var + eps) + dvar * 2 * (v - mu) / n + dmu / n
+        tol = dict(rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(x.grad, dx, **tol)
+        np.testing.assert_allclose(gamma.grad, (g * xhat).sum(axis=axes), **tol)
+        np.testing.assert_allclose(beta.grad, g.sum(axis=axes), **tol)
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_batchnorm_value_is_bit_for_bit_the_plain_formula(self, training):
+        """Inference (and the training forward) keep this elementwise order."""
+        rng = np.random.default_rng(12)
+        v = rng.normal(size=(3, 4, 21)) * 3 - 1
+        gamma, beta = rng.uniform(0.5, 1.5, size=4), rng.normal(size=4)
+        running_mean, running_var = rng.normal(size=4), rng.uniform(0.5, 2, size=4)
+        if training:
+            mu, var = v.mean(axis=(0, 2)), v.var(axis=(0, 2))
+        else:
+            mu, var = running_mean.copy(), running_var.copy()
+        inv_std = 1.0 / np.sqrt(var + 1e-5)
+        ref = (gamma[None, :, None] * ((v - mu[None, :, None]) * inv_std[None, :, None])
+               + beta[None, :, None])
+        out = ad.batchnorm(ad.Var(v), ad.Var(gamma), ad.Var(beta), running_mean,
+                           running_var, training)
+        np.testing.assert_array_equal(out.value, ref)
+
+
 class TestSeBlockBehaviour:
     def _zero_params(self, c, r):
         return {"fc1_w": ad.Var(np.zeros((c, c // r))),
@@ -280,6 +379,16 @@ class TestModelForward:
     def test_se_reduction_must_divide_stage_channels(self):
         with pytest.raises(ConfigError):
             SeResNetConfig(channels_per_stage=(30, 64, 128, 256))
+
+    @pytest.mark.parametrize("field, value", [
+        ("stem_kernel", 7.0), ("input_length", 512.0), ("stem_channels", True),
+        ("seed", 1.0), ("blocks_per_stage", (1, 1.0)),
+        ("channels_per_stage", (16, 32.0))],
+        ids=["float-stem-kernel", "float-input-length", "bool-stem-channels",
+             "float-seed", "float-block-count", "float-stage-width"])
+    def test_widths_must_be_ints(self, field, value):
+        with pytest.raises(ConfigError, match="must be ints"):
+            SeResNetConfig.small(**{field: value})
 
 
 class TestNoGrad:
@@ -508,6 +617,8 @@ MALFORMED = {
     "other-se-reduction": _with_config(se_reduction=2),
     "other-block-kernel": _with_config(block_kernel=5),
     "float-n-classes": _with_config(n_classes=27.0),
+    "float-stem-kernel": _with_config(stem_kernel=7.0),
+    "float-input-length": _with_config(input_length=64.0),
     "negative-seed": _with_config(seed=-1),
     "float-target-fs": _with_spec(target_fs=32.0),
     "string-denoise-flag": _with_spec(denoise_enabled="false"),

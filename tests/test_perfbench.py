@@ -76,3 +76,26 @@ def test_traced_make_example_times_the_denoiser(monkeypatch):
     for key in ("preprocess.wavelet_denoise_ms", "wavelet.wavedec_ms",
                 "wavelet.waverec_ms"):
         assert metrics[key] > 0, key
+
+
+def test_traced_train_step_times_conv_and_bn(monkeypatch):
+    """A training step's conv1d and batchnorm still report through the tracer:
+    their bodies and vjps run under the wrappers ``--trace 1`` installs."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from ecgdx.nn import autodiff as ad
+
+    model = SeResNet(SeResNetConfig.small())
+    x = np.random.default_rng(0).normal(size=(2, INPUT_LEADS, 256))
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    try:
+        logits, _ = model.forward(x, training=True)
+        ad.backward(logits)
+    finally:
+        tracer.uninstall()
+    metrics = tracing.layer_metrics([tracer.report()])
+    for key in ("nn.autodiff.conv1d.fwd_ms", "nn.autodiff.conv1d.bwd_ms",
+                "nn.autodiff.batchnorm.fwd_ms", "nn.autodiff.batchnorm.bwd_ms",
+                "nn.autodiff.conv1d.gflop"):
+        assert metrics[key] > 0, key
