@@ -1,10 +1,12 @@
 """Command-line interface composing the library into batch workflows.
 
-Every subcommand writes a ``manifest`` next to its outputs echoing the
-exact configuration (including the seed and package version), so two
-runs with the same inputs produce byte-identical artifacts.  Options can
-be preloaded from a flat ``key=value`` config file via ``--config``;
-explicit flags win over file values.
+After a subcommand with an ``--out`` succeeds, ``dispatch`` writes a
+manifest echoing the exact configuration (including the seed and package
+version): ``<out>/manifest.txt`` when ``--out`` is a directory, else
+``<out>.manifest.txt``.  Two runs with the same inputs produce
+byte-identical artifacts.  Options can be preloaded from a flat
+``key=value`` config file via ``--config``; explicit flags win over file
+values.
 """
 
 from __future__ import annotations
@@ -31,17 +33,14 @@ from .nn import (SeResNetConfig, check_schedule, load_checkpoint, save_checkpoin
                  train)
 
 
-def _write_manifest(path: str, command: str, options: dict) -> None:
-    lines = [f"command={command}", f"version={__version__}"]
-    for key in sorted(options):
-        lines.append(f"{key}={options[key]}")
+def _write_manifest(args: argparse.Namespace) -> None:
+    lines = [f"command={args.command}", f"version={__version__}"]
+    lines += [f"{key}={value}" for key, value in sorted(vars(args).items())
+              if key not in ("func", "config", "command")]
+    path = (os.path.join(args.out, "manifest.txt") if os.path.isdir(args.out)
+            else args.out + ".manifest.txt")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _manifest_options(args: argparse.Namespace) -> dict:
-    skip = {"func", "config", "command"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 def _record_stems(data_dir: str) -> list[str]:
@@ -69,8 +68,6 @@ def _cmd_synth(args) -> int:
                   encoding="utf-8") as fh:
             fh.write("beat_sample_index\n")
             fh.writelines(f"{b}\n" for b in beats)
-    _write_manifest(os.path.join(args.out, "manifest.txt"), "synth",
-                    _manifest_options(args))
     return 0
 
 
@@ -97,19 +94,17 @@ def _cmd_preprocess(args) -> int:
     x, y, ids = _features(args, _preprocess_config(args))
     np.savez(os.path.join(args.out, "features.npz"),
              x=x, y=y, record_ids=np.array(ids))
-    _write_manifest(os.path.join(args.out, "manifest.txt"), "preprocess",
-                    _manifest_options(args))
     return 0
 
 
 def _cmd_rpeaks(args) -> int:
     rec = load_record(args.record)
-    result = detect_rpeaks(rec.lead("I"), rec.fs)
+    peaks = detect_rpeaks(rec.lead("I"), rec.fs)
+    rr = np.diff(peaks) / rec.fs
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["sample_index", "rr_seconds"])
-    for k, idx in enumerate(result.peak_indices):
-        rr = "" if k == 0 else repr(float(result.rr_intervals[k - 1]))
-        writer.writerow([int(idx), rr])
+    for k, idx in enumerate(peaks):
+        writer.writerow([int(idx), "" if k == 0 else repr(float(rr[k - 1]))])
     return 0
 
 
@@ -134,7 +129,6 @@ def _cmd_train(args) -> int:
         writer.writerow(["epoch", "lr", "loss"])
         for row in result.history:
             writer.writerow([row["epoch"], repr(row["lr"]), repr(row["loss"])])
-    _write_manifest(args.out + ".manifest.txt", "train", _manifest_options(args))
     return 0
 
 
@@ -162,22 +156,20 @@ def _cmd_predict(args) -> int:
                  for i, rec in enumerate(records)]
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(write_predictions(pred_sets))
-    _write_manifest(args.out + ".manifest.txt", "predict", _manifest_options(args))
     return 0
 
 
 def _cmd_relabel(args) -> int:
     records, p_short, p_long = _ensemble_probs(args)
-    fused = dict(zip((rec.record_id for rec in records), fuse(p_short, p_long)))
     original = {c.strip() for c in args.original_codes.split(",") if c.strip()}
-    report = relabel_pseudo(lambda rec: fused[rec.record_id], records, original)
+    report = relabel_pseudo([rec.record_id for rec in records],
+                            fuse(p_short, p_long), original)
     with open(args.out, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_id", "code", "abbreviation", "prob", "needs_review"])
         for item in report:
             writer.writerow([item.record_id, item.code, item.abbreviation,
                              repr(item.prob), int(item.needs_review)])
-    _write_manifest(args.out + ".manifest.txt", "relabel", _manifest_options(args))
     return 0
 
 
@@ -191,6 +183,8 @@ def _load_truth(truth_dir: str) -> dict[str, np.ndarray]:
 
 def _aligned_arrays(pred_file: str, truth_dir: str):
     preds = read_predictions(read_text(pred_file))
+    if not preds:
+        raise EcgdxError(f"{pred_file}: no prediction rows")
     truth_by_id = _load_truth(truth_dir)
     missing = [p.record_id for p in preds if p.record_id not in truth_by_id]
     if missing:
@@ -225,8 +219,6 @@ def _cmd_score(args) -> int:
         fh.write(report.to_json(ClassMap.default().abbreviations) + "\n")
     _write_per_class(os.path.join(args.out, "per_class.csv"),
                      report.per_class_auc, report.per_class_f1)
-    _write_manifest(os.path.join(args.out, "manifest.txt"), "score",
-                    _manifest_options(args))
     print(f"normalized_score={report.normalized}")
     return 0
 
@@ -246,8 +238,6 @@ def _cmd_report(args) -> int:
                 writer.writerow([abbr, "auc", repr(float(auc))])
         for abbr, f1 in zip(abbrs, metrics.f1):
             writer.writerow([abbr, "f1", repr(float(f1))])
-    _write_manifest(os.path.join(args.out, "manifest.txt"), "report",
-                    _manifest_options(args))
     return 0
 
 
@@ -359,7 +349,10 @@ def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config_file(list(argv)))
-        return args.func(args)
+        code = args.func(args)
+        if code == 0 and "out" in args:   # rpeaks prints and takes no --out
+            _write_manifest(args)
+        return code
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
     except (EcgdxError, OSError) as exc:

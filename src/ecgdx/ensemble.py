@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import RecordValidationError
 from .records import ClassMap, EcgRecord
-from .rpeaks import brady_rule, detect_rpeaks, final_brady
+from .rpeaks import brady_rule, detect_rpeaks
 
 DEFAULT_THRESHOLD = 0.36
 PSEUDO_LABEL_THRESHOLD = 0.8
@@ -80,9 +80,8 @@ def apply_brady_veto(labels, record: EcgRecord) -> np.ndarray:
     idx = ClassMap.default().bradycardia_index
     if out[idx] == 0:
         return out
-    result = detect_rpeaks(record.lead("I"), record.fs)
-    rule = brady_rule(result.rr_intervals)
-    out[idx] = 1 if final_brady(True, rule) else 0
+    peaks = detect_rpeaks(record.lead("I"), record.fs)
+    out[idx] = brady_rule(np.diff(peaks) / record.fs)
     return out
 
 
@@ -105,32 +104,26 @@ class PseudoLabel:
     needs_review: bool  # flagged for manual inspection at high confidence
 
 
-def relabel_pseudo(predict, records, original_label_space,
-                   threshold: float = PSEUDO_LABEL_THRESHOLD,
-                   review_threshold: float = REVIEW_THRESHOLD) -> list[PseudoLabel]:
+def relabel_pseudo(record_ids, probs, original_label_space) -> list[PseudoLabel]:
     """Propose additional labels from high-confidence model output.
 
-    ``predict`` maps a record to a probability vector over the scored
-    classes.  A label is proposed iff its probability exceeds
-    ``threshold``, its code is not in ``original_label_space``, and it is
-    one of the scored classes (guaranteed by construction of the output
-    vector).  Existing labels are never removed.  Proposals above
-    ``review_threshold`` are flagged for manual review.
+    ``probs`` is the fused ``[n, 27]`` matrix whose row ``i`` belongs to
+    ``record_ids[i]``.  A label is proposed iff its probability exceeds
+    ``PSEUDO_LABEL_THRESHOLD``, its code is not in
+    ``original_label_space``, and it is one of the scored classes
+    (guaranteed by the columns).  Existing labels are never removed.
+    Proposals above ``REVIEW_THRESHOLD`` are flagged for manual review.
     """
-    cmap = ClassMap.default()
+    entries = ClassMap.default().entries
     original = frozenset(original_label_space)
     report: list[PseudoLabel] = []
-    for rec in records:
-        probs = np.asarray(predict(rec), dtype=np.float64)
-        if probs.shape != (cmap.n_scored,):
-            raise RecordValidationError(
-                f"predict() must return {cmap.n_scored} probabilities")
-        for i, entry in enumerate(cmap.entries):
-            if probs[i] > threshold and entry.code not in original:
+    for record_id, row in zip(record_ids, np.asarray(probs, dtype=np.float64)):
+        for entry, prob in zip(entries, row):
+            if prob > PSEUDO_LABEL_THRESHOLD and entry.code not in original:
                 report.append(PseudoLabel(
-                    record_id=rec.record_id, code=entry.code,
-                    abbreviation=entry.abbreviation, prob=float(probs[i]),
-                    needs_review=bool(probs[i] > review_threshold)))
+                    record_id=record_id, code=entry.code,
+                    abbreviation=entry.abbreviation, prob=float(prob),
+                    needs_review=bool(prob > REVIEW_THRESHOLD)))
     return report
 
 

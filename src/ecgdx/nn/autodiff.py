@@ -20,6 +20,9 @@ from numpy.lib.stride_tricks import as_strided
 
 from ..errors import RecordValidationError
 
+BN_MOMENTUM = 0.1   # weight of a batch's statistics in the running buffers
+BN_EPS = 1e-5       # added to the variance before its square root
+
 _grad_enabled = True
 
 
@@ -201,8 +204,7 @@ def channel_scale(x: Var, s: Var) -> Var:
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
-              running_var: np.ndarray, training: bool,
-              momentum: float = 0.1, eps: float = 1e-5) -> Var:
+              running_var: np.ndarray, training: bool) -> Var:
     """Per-channel batch normalization over (batch, time).
 
     Training mode normalizes with (biased) batch statistics and updates
@@ -221,14 +223,14 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         mu = v.mean(axis=(0, 2))
         xhat = v - mu[None, :, None]
         var = np.square(xhat).mean(axis=(0, 2))   # == v.var(axis=(0, 2))
-        running_mean *= (1.0 - momentum)
-        running_mean += momentum * mu
-        running_var *= (1.0 - momentum)
-        running_var += momentum * var
+        running_mean *= (1.0 - BN_MOMENTUM)
+        running_mean += BN_MOMENTUM * mu
+        running_var *= (1.0 - BN_MOMENTUM)
+        running_var += BN_MOMENTUM * var
     else:
         mu, var = running_mean, running_var
         xhat = v - mu[None, :, None]
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
     out = xhat * gamma.value[None, :, None]
     out += beta.value[None, :, None]

@@ -12,8 +12,9 @@ from . import dsp, wavelet
 from .errors import ConfigError, RecordValidationError, UnsupportedRatioError
 from .records import EcgRecord, labels_from_codes, select_training_leads
 
-# the paper's denoiser: bior2.6 wavelet, 8 decomposition levels
-WAVELET = "bior2.6"
+# the paper's denoiser: bior2.6 wavelet, 8 decomposition levels; older
+# checkpoints' ``wavelet`` key is checked against WAVELET
+WAVELET = wavelet.NAME
 LEVEL = 8
 
 
@@ -89,7 +90,7 @@ def wavelet_denoise(signal) -> np.ndarray:
     always equals input shape.
     """
     x = np.asarray(signal, dtype=np.float64)
-    coeffs = wavelet.wavedec(x, WAVELET, LEVEL)
+    coeffs = wavelet.wavedec(x, LEVEL)
     sigma = np.median(np.abs(coeffs.details[0]), axis=-1, keepdims=True) / 0.6745
     thr = sigma * np.sqrt(2.0 * np.log(max(x.shape[-1], 2)))
     coeffs.details = [np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)

@@ -9,8 +9,6 @@ below (Pan & Tompkins, 1985).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import dsp
@@ -29,31 +27,6 @@ SEARCHBACK_FACTOR = 1.66      # RR gap triggering a search-back
 SEARCHBACK_THRESHOLD = 0.5    # fraction of THR used during search-back
 
 
-@dataclass(frozen=True)
-class RPeakResult:
-    peak_indices: np.ndarray   # ascending sample indices
-    rr_intervals: np.ndarray   # seconds, length = len(peaks) - 1
-    fs: int
-
-    def __post_init__(self):
-        idx = np.asarray(self.peak_indices, dtype=np.int64)
-        rr = np.asarray(self.rr_intervals, dtype=np.float64)
-        if idx.size and np.any(np.diff(idx) <= 0):
-            raise RecordValidationError("peak indices must be strictly increasing")
-        if rr.size != max(idx.size - 1, 0):
-            raise RecordValidationError("rr_intervals length must be len(peaks)-1")
-        if rr.size and np.any(rr <= 0):
-            raise RecordValidationError("rr intervals must be positive")
-        object.__setattr__(self, "peak_indices", idx)
-        object.__setattr__(self, "rr_intervals", rr)
-
-    @classmethod
-    def from_indices(cls, indices, fs: int) -> "RPeakResult":
-        idx = np.asarray(sorted(indices), dtype=np.int64)
-        rr = np.diff(idx) / float(fs)
-        return cls(peak_indices=idx, rr_intervals=rr, fs=fs)
-
-
 def _moving_integration(x: np.ndarray, width: int) -> np.ndarray:
     c = np.concatenate([[0.0], np.cumsum(x)])
     out = np.empty_like(x)
@@ -62,8 +35,8 @@ def _moving_integration(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def detect_rpeaks(lead_i, fs: int) -> RPeakResult:
-    """Locate R peaks on a single lead.
+def detect_rpeaks(lead_i, fs: int) -> np.ndarray:
+    """Ascending int64 sample indices of the R peaks on a single lead.
 
     Requires at least two seconds of signal at 100-1000 Hz.  A constant
     signal yields an empty peak list rather than an error.
@@ -75,7 +48,7 @@ def detect_rpeaks(lead_i, fs: int) -> RPeakResult:
         raise SignalTooShortError(
             f"need at least 2 s of signal ({2 * fs} samples), got {x.size}")
     if np.ptp(x) == 0.0:
-        return RPeakResult.from_indices([], fs)
+        return np.array([], dtype=np.int64)
 
     nyq = fs / 2.0
     b, a = dsp.butter_bandpass(FILTER_ORDER, BAND_LOW_HZ / nyq, BAND_HIGH_HZ / nyq)
@@ -87,8 +60,6 @@ def detect_rpeaks(lead_i, fs: int) -> RPeakResult:
 
     refractory = int(round(REFRACTORY_S * fs))
     cand = dsp.find_peaks(mwi, distance=max(refractory, 1))
-    if cand.size == 0:
-        return RPeakResult.from_indices([], fs)
 
     # adaptive thresholds seeded from the first two seconds
     spki = float(np.max(mwi[:2 * fs])) * 0.5
@@ -120,7 +91,7 @@ def detect_rpeaks(lead_i, fs: int) -> RPeakResult:
                     spki = SIGNAL_UPDATE * value + (1 - SIGNAL_UPDATE) * spki
 
     if not qrs:
-        return RPeakResult.from_indices([], fs)
+        return np.array([], dtype=np.int64)
 
     # snap each integrated-signal peak back to the R wave: the integration
     # window delays the energy peak, so search |band| in the trailing window
@@ -136,7 +107,7 @@ def detect_rpeaks(lead_i, fs: int) -> RPeakResult:
     for r in refined[1:]:
         if r - final[-1] >= refractory:
             final.append(r)
-    return RPeakResult.from_indices(final, fs)
+    return np.array(final, dtype=np.int64)
 
 
 def brady_rule(rr_intervals) -> bool:
@@ -153,10 +124,3 @@ def brady_rule(rr_intervals) -> bool:
         raise RecordValidationError("rr intervals must be non-negative")
     in_band = np.count_nonzero((rr >= 1.0) & (rr <= 1.6))
     return bool(in_band / rr.size >= 0.5)
-
-
-def final_brady(ensemble_brady: bool, rule_brady: bool) -> bool:
-    """Combine network and rule predictions; the rule vetoes positives."""
-    if not rule_brady:
-        return False
-    return bool(ensemble_brady)

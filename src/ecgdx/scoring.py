@@ -18,7 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ensemble import DEFAULT_THRESHOLD
 from .errors import DegenerateDatasetError, RecordValidationError
 from .records import ClassMap, read_text
 
@@ -215,20 +214,15 @@ class PerClassMetrics:
     f1_zero_denominator: np.ndarray  # True where F1 was reported as 0 by convention
 
 
-def per_class_metrics(probs, truths, labels=None,
-                      threshold: float = DEFAULT_THRESHOLD) -> PerClassMetrics:
+def per_class_metrics(probs, truths, labels) -> PerClassMetrics:
     """Columnwise ranking AUC (midranks for ties) and F1.
 
-    F1 is computed at the supplied binarized ``labels`` (defaulting to
-    thresholding the probabilities); classes with an empty precision or
-    recall denominator report 0 and are flagged.
+    F1 is computed at the binarized ``labels``; classes with an empty
+    precision or recall denominator report 0 and are flagged.
     """
     p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     t = np.atleast_2d(np.asarray(truths)).astype(bool)
-    if labels is None:
-        lab = p >= threshold
-    else:
-        lab = np.atleast_2d(np.asarray(labels)).astype(bool)
+    lab = np.atleast_2d(np.asarray(labels)).astype(bool)
     n_classes = p.shape[1]
     auc = np.empty(n_classes)
     f1 = np.empty(n_classes)

@@ -8,6 +8,7 @@ bit-identical records on any platform.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,10 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        # a NaN or infinite duration would pass the length check below
+        for name, value in (("bpm", self.bpm), ("duration", self.duration)):
+            if not math.isfinite(value):
+                raise ConfigError(f"{name} {value} is not finite")
         if not (20 <= self.bpm <= 250):
             raise ConfigError(f"bpm {self.bpm} outside [20, 250]")
         if self.fs <= 0:

@@ -6,7 +6,8 @@ and the analysis low-pass carries the complementary ``cos(w/2)^pt``
 times the binomial half-band polynomial, so the two-channel product is
 half-band and reconstruction is exact (not merely approximate).  The
 member named ``biorP.Q`` gives the analysis wavelet P vanishing moments
-and the synthesis wavelet Q; the pipeline builds only ``bior2.6``.
+and the synthesis wavelet Q; the module builds one bank, ``BANK``, for
+the paper's ``bior2.6``.
 
 The forward transform extends the signal symmetrically and keeps the
 odd-phase samples of its full convolution, computing only those; the
@@ -19,7 +20,6 @@ array at once, and each row's result is the one a 1-D call gives.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
@@ -81,15 +81,8 @@ def _build(p: int, pt: int) -> FilterBank:
     return FilterBank(dec_lo, dec_hi, rec_lo, rec_hi, delay)
 
 
-_FAMILY = {"bior2.6": (2, 6)}
-
-
-@functools.cache
-def filter_bank(name: str) -> FilterBank:
-    if name not in _FAMILY:
-        raise ConfigError(
-            f"unknown wavelet {name!r}; available: {sorted(_FAMILY)}")
-    return _build(*_FAMILY[name])
+NAME = "bior2.6"
+BANK = _build(2, 6)
 
 
 @dataclass
@@ -99,24 +92,23 @@ class WaveletCoeffs:
     ``details[0]`` is the finest level.  ``lengths[k]`` records the input
     length consumed at level ``k`` so the inverse can trim exactly.
     """
-    name: str
     approx: np.ndarray
     details: list[np.ndarray]
     lengths: list[int]
 
 
-def _dwt_single(x: np.ndarray, fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
+def _dwt_single(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One analysis level of every row of ``x``: the odd outputs of the full
     convolution of the symmetric extension.  Output ``m`` of tap ``k`` reads
     extension sample ``2m + 1 - k``: even taps read the odd phase, odd taps
     the even one, both shifted by ``k // 2``."""
-    pad = len(fb.dec_lo) - 1
+    pad = len(BANK.dec_lo) - 1
     ext = np.pad(x, [(0, 0)] * (x.ndim - 1) + [(pad, pad)], mode="symmetric")
     phases = (np.ascontiguousarray(ext[..., 0::2]),
               np.ascontiguousarray(ext[..., 1::2]))
     tmp = np.empty_like(phases[0])
     bands = []
-    for taps in (fb.dec_lo, fb.dec_hi):
+    for taps in (BANK.dec_lo, BANK.dec_hi):
         y = np.zeros(x.shape[:-1] + ((ext.shape[-1] + len(taps) - 1) // 2,))
         for k, h in enumerate(taps):
             src = phases[(k + 1) % 2]
@@ -126,20 +118,20 @@ def _dwt_single(x: np.ndarray, fb: FilterBank) -> tuple[np.ndarray, np.ndarray]:
     return bands[0], bands[1]
 
 
-def _idwt_single(ca: np.ndarray, cd: np.ndarray, fb: FilterBank, n: int) -> np.ndarray:
+def _idwt_single(ca: np.ndarray, cd: np.ndarray, n: int) -> np.ndarray:
     """Invert one level onto ``n`` samples per row, in polyphase form:
     coefficient ``i`` times tap ``k`` adds into sample ``2i + 1 + k`` of the
     full synthesis convolution, so each tap adds into one output phase."""
-    pad = len(fb.dec_lo) - 1
-    size = n + 2 * pad + len(fb.dec_lo) + len(fb.rec_lo) - 2
+    pad = len(BANK.dec_lo) - 1
+    size = n + 2 * pad + len(BANK.dec_lo) + len(BANK.rec_lo) - 2
     phases = [np.zeros(ca.shape[:-1] + ((size + 1 - p) // 2,)) for p in (0, 1)]
     tmp = np.empty(ca.shape[:-1] + (max(ca.shape[-1], cd.shape[-1]),))
-    for c, taps in ((ca, fb.rec_lo), (cd, fb.rec_hi)):
+    for c, taps in ((ca, BANK.rec_lo), (cd, BANK.rec_hi)):
         width = c.shape[-1]
         for k, h in enumerate(taps):
             dst = phases[(k + 1) % 2][..., (k + 1) // 2:(k + 1) // 2 + width]
             dst += np.multiply(c, h, out=tmp[..., :width])
-    start = fb.delay + pad
+    start = BANK.delay + pad
     out = np.empty(ca.shape[:-1] + (n,))
     for p in (0, 1):
         first = (start + p) // 2
@@ -147,24 +139,22 @@ def _idwt_single(ca: np.ndarray, cd: np.ndarray, fb: FilterBank, n: int) -> np.n
     return out
 
 
-def wavedec(x, name: str, level: int) -> WaveletCoeffs:
+def wavedec(x, level: int) -> WaveletCoeffs:
     """Decompose each row of ``x`` (one signal, or ``[rows, n]``)."""
     if level < 1:
         raise ConfigError(f"decomposition level must be >= 1, got {level}")
-    fb = filter_bank(name)
     approx = np.asarray(x, dtype=np.float64)
     details: list[np.ndarray] = []
     lengths: list[int] = []
     for _ in range(level):
         lengths.append(approx.shape[-1])
-        approx, d = _dwt_single(approx, fb)
+        approx, d = _dwt_single(approx)
         details.append(d)
-    return WaveletCoeffs(name=name, approx=approx, details=details, lengths=lengths)
+    return WaveletCoeffs(approx=approx, details=details, lengths=lengths)
 
 
 def waverec(coeffs: WaveletCoeffs) -> np.ndarray:
-    fb = filter_bank(coeffs.name)
     x = coeffs.approx
     for d, n in zip(reversed(coeffs.details), reversed(coeffs.lengths)):
-        x = _idwt_single(x, d, fb, n)
+        x = _idwt_single(x, d, n)
     return x

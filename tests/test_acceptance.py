@@ -11,7 +11,7 @@ from ecgdx.nn import SeResNetConfig, exact_match_accuracy, train
 from ecgdx.nn import autodiff as ad
 from ecgdx.preprocess import fix_length, wavelet_denoise
 from ecgdx.records import ClassMap, TRAINING_LEADS
-from ecgdx.rpeaks import brady_rule, detect_rpeaks, final_brady
+from ecgdx.rpeaks import brady_rule, detect_rpeaks
 from ecgdx.scoring import RewardMatrix, challenge_score
 from ecgdx.signloss import LossBatch, sign_loss, sign_loss_grad
 from ecgdx.synth import SynthSpec, generate
@@ -165,15 +165,23 @@ def test_criterion_3_rule_model_equivalence():
         if brady_rule(rr) != expected:
             mismatches += 1
 
-    truth_table_ok = all(final_brady(a, b) == (a and b)
-                         for a in (False, True) for b in (False, True))
+    # the veto through the real path: network bit AND the rule on detected
+    # peaks, on a slow record (rule true) and a fast one (rule false)
+    veto_is_and = True
+    for bpm, rule in ((50, True), (110, False)):
+        rec, _, _ = generate(SynthSpec(bpm=bpm, fs=500, duration=20.0, seed=bpm))
+        for bit in (0, 1):
+            labels = np.zeros(27, dtype=np.uint8)
+            labels[CMAP.bradycardia_index] = bit
+            out = apply_brady_veto(labels, rec)
+            veto_is_and &= bool(out[CMAP.bradycardia_index] == (bit and rule))
     worked = (brady_rule([1.2] * 8) is True
               and brady_rule([0.8] * 10) is False
               and brady_rule([1.2] * 4 + [0.8] * 6) is False
               and brady_rule([2.0] * 5) is False)
-    ok = mismatches == 0 and truth_table_ok and worked
+    ok = mismatches == 0 and veto_is_and and worked
     _report(3, ok, f"10000 oracle lists, {mismatches} mismatches; "
-                   f"veto==AND {truth_table_ok}; worked examples {worked}")
+                   f"veto==AND {veto_is_and}; worked examples {worked}")
 
 
 # ----------------------------------------------------------------------
@@ -191,11 +199,11 @@ def test_criterion_4_rpeak_detection():
         sigma = float(rng.uniform(0.0, 0.05))
         rec, beats, _ = generate(SynthSpec(bpm=bpm, fs=500, duration=10.0,
                                            noise_sigma=sigma, seed=4000 + i))
-        res = detect_rpeaks(rec.lead("I"), 500)
+        peaks = detect_rpeaks(rec.lead("I"), 500)
         for beat in beats:
             total += 1
-            if len(res.peak_indices):
-                d = int(np.min(np.abs(res.peak_indices - beat)))
+            if len(peaks):
+                d = int(np.min(np.abs(peaks - beat)))
                 if d <= tol:
                     matched += 1
                     worst_offset = max(worst_offset, d / 500.0)
@@ -215,7 +223,7 @@ def test_criterion_5_wavelet():
     worst_pr = 0.0
     for n in (4096, 5000, 15000):
         x = rng.normal(size=n)
-        coeffs = wavelet.wavedec(x, "bior2.6", 8)
+        coeffs = wavelet.wavedec(x, 8)
         worst_pr = max(worst_pr, float(np.max(np.abs(wavelet.waverec(coeffs) - x))))
 
     improved = 0

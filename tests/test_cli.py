@@ -106,9 +106,11 @@ class TestValuesThatCannotWork:
     @pytest.mark.parametrize("argv", [
         ["train", "--batch-size", "0"], ["train", "--batch-size", "-1"],
         ["train", "--epochs", "0"], ["train", "--seed", "-1"],
-        ["synth", "--seed", "-1"]],
+        ["synth", "--seed", "-1"], ["synth", "--duration", "nan"],
+        ["synth", "--duration", "inf"]],
         ids=["batch-size-0", "batch-size-negative", "epochs-0",
-             "train-seed-negative", "synth-seed-negative"])
+             "train-seed-negative", "synth-seed-negative", "synth-duration-nan",
+             "synth-duration-inf"])
     def test_exits_1(self, capsys, tmp_path, argv):
         data = tmp_path / "d"
         assert dispatch(["synth", "--count", "2", "--duration", "4",
@@ -394,6 +396,139 @@ class TestTrainPredictScore:
         assert f"row {len(lines) + 1}: record {record_id!r} is listed again" in err
         assert not (tmp_path / "s" / "report.json").exists()
 
+    @pytest.mark.parametrize("command, written", [("score", "report.json"),
+                                                  ("report", "plot_data.csv")])
+    def test_predictions_without_rows_exit_1(self, capsys, pipeline_dirs, tmp_path,
+                                             command, written):
+        data, _, preds = pipeline_dirs
+        empty = tmp_path / "empty.csv"
+        empty.write_text(preds.read_text().splitlines()[0] + "\n")
+        code, _, err = run(capsys, command, "--truth", str(data),
+                           "--pred", str(empty), "--out", str(tmp_path / "s"))
+        assert code == 1
+        assert err == f"error: {empty}: no prediction rows\n"
+        assert not (tmp_path / "s" / written).exists()
+
+    def _checkpoint_with_head(self, pipeline_dirs, tmp_path, weight, bias):
+        """The pipeline's checkpoint with its head weight scaled by ``weight``
+        and ``bias(b)`` as its head bias."""
+        from ecgdx.nn import load_checkpoint, save_checkpoint
+        _, ckpt, _ = pipeline_dirs
+        model = load_checkpoint(ckpt)
+        model.params["head.fc.w"] *= weight
+        model.params["head.fc.b"] = bias(model.params["head.fc.b"])
+        path = tmp_path / "head.ckpt"
+        save_checkpoint(path, model)
+        return path
+
+    def test_relabel_rows_pinned(self, capsys, pipeline_dirs, tmp_path):
+        """A zero head weight makes every record's probabilities the sigmoid
+        of the head bias, whatever the features and the BLAS."""
+        data, _, _ = pipeline_dirs
+        bias = np.full(27, -4.0)
+        bias[[1, 20, 21, 22]] = [4.0, 2.0, 5.0, 1.0]   # AF, SB, NSR, STach
+        path = self._checkpoint_with_head(pipeline_dirs, tmp_path, 0.0,
+                                          lambda b: bias)
+        out = tmp_path / "relabel.csv"
+        code, _, _ = run(capsys, "relabel", "--data", str(data),
+                         "--checkpoint", str(path),
+                         "--original-codes", "426783006", "--out", str(out))
+        assert code == 0
+        rows = [f"{record_id},{row}"
+                for record_id in ("rec000", "rec001", "rec002", "rec003",
+                                  "slow0", "slow1", "slow2", "slow3")
+                for row in ("164889003,AF,0.9820137900379085,1",
+                            "426177001,SB,0.8807970779778823,0")]
+        assert out.read_text().splitlines() == [
+            "record_id,code,abbreviation,prob,needs_review", *rows]
+
+    def test_relabel_rows_are_predict_probabilities(self, capsys, pipeline_dirs,
+                                                    tmp_path):
+        """Each proposal carries its own record's fused probability."""
+        from ecgdx.ensemble import (PSEUDO_LABEL_THRESHOLD, REVIEW_THRESHOLD,
+                                    read_predictions)
+        from ecgdx.records import ClassMap
+        data, _, _ = pipeline_dirs
+        path = self._checkpoint_with_head(pipeline_dirs, tmp_path, 1.0,
+                                          lambda b: b + np.linspace(-1.0, 4.0, 27))
+        preds = tmp_path / "p.csv"
+        out = tmp_path / "relabel.csv"
+        assert dispatch(["predict", "--data", str(data), "--checkpoint", str(path),
+                         "--out", str(preds)]) == 0
+        assert dispatch(["relabel", "--data", str(data), "--checkpoint", str(path),
+                         "--original-codes", "426783006", "--out", str(out)]) == 0
+        entries = ClassMap.default().entries
+        want = [[ps.record_id, entry.code, entry.abbreviation, repr(float(prob)),
+                 str(int(prob > REVIEW_THRESHOLD))]
+                for ps in read_predictions(preds.read_text())
+                for entry, prob in zip(entries, ps.probs)
+                if prob > PSEUDO_LABEL_THRESHOLD and entry.code != "426783006"]
+        got = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert got == want
+        assert {row[0] for row in got} == {"rec000", "rec001", "rec002", "rec003",
+                                           "slow0", "slow1", "slow2", "slow3"}
+        assert {row[4] for row in got} == {"0", "1"}
+
+    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "predict",
+                                         "relabel", "score", "report"])
+    def test_manifest_path_and_command_line(self, pipeline_dirs, tmp_path, command):
+        """A directory output gets ``manifest.txt`` inside it; a file output
+        gets ``<out>.manifest.txt`` beside it."""
+        data, ckpt, preds = pipeline_dirs
+        out = tmp_path / "out"
+        argv = {
+            "synth": ["--duration", "4", "--fs", "128"],
+            "preprocess": ["--data", str(data), "--window", "10",
+                           "--target-fs", "128", "--no-denoise"],
+            "train": ["--data", str(data), "--window", "10", "--target-fs", "128",
+                      "--preset", "small", "--epochs", "1", "--batch-size", "4",
+                      "--no-denoise"],
+            "predict": ["--data", str(data), "--checkpoint", str(ckpt)],
+            "relabel": ["--data", str(data), "--checkpoint", str(ckpt),
+                        "--original-codes", "426783006"],
+            "score": ["--truth", str(data), "--pred", str(preds)],
+            "report": ["--truth", str(data), "--pred", str(preds)],
+        }[command]
+        assert dispatch([command, *argv, "--out", str(out)]) == 0
+        if command in ("synth", "preprocess", "score", "report"):
+            manifest = out / "manifest.txt"
+        else:
+            manifest = tmp_path / "out.manifest.txt"
+        lines = manifest.read_text().splitlines()
+        assert lines[0] == f"command={command}"
+        assert f"out={out}" in lines
+        assert sorted(p.name for p in tmp_path.rglob("*manifest*")) == [manifest.name]
+
+    def test_rpeaks_writes_no_manifest(self, capsys, pipeline_dirs, tmp_path,
+                                       monkeypatch):
+        data, _, _ = pipeline_dirs
+        copy = tmp_path / "d"
+        shutil.copytree(data, copy)
+        before = sorted(copy.iterdir())
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "rpeaks", str(copy / "slow0"))
+        assert code == 0 and out.startswith("sample_index,rr_seconds\n")
+        assert sorted(copy.iterdir()) == before
+        assert sorted(tmp_path.iterdir()) == [copy]
+
+    @pytest.mark.parametrize("command", ["preprocess", "predict"])
+    def test_failing_command_writes_no_manifest(self, capsys, pipeline_dirs,
+                                                tmp_path, command):
+        data, ckpt, _ = pipeline_dirs
+        if command == "preprocess":   # fails after making its output directory
+            tiny = tmp_path / "tiny"
+            _save_one_sample_record(tiny, 1000)
+            argv = ["preprocess", "--data", str(tiny)]
+        else:
+            bad = tmp_path / "cut.ckpt"
+            bad.write_bytes(ckpt.read_bytes()[:-8])
+            argv = ["predict", "--data", str(data), "--checkpoint", str(bad)]
+        out = tmp_path / "out"
+        code, _, _ = run(capsys, *argv, "--out", str(out))
+        assert code == 1
+        assert out.is_dir() == (command == "preprocess")
+        assert list(tmp_path.rglob("*manifest*")) == []
+
     def _score(self, capsys, pipeline_dirs, tmp_path, *extra):
         data, _, preds = pipeline_dirs
         return run(capsys, "score", "--truth", str(data),
@@ -491,6 +626,14 @@ for argv in (
         assert done.returncode == 0, done.stderr
         assert (tmp_path / "f" / "features.npz").exists()
         assert (tmp_path / "r" / "plot_data.csv").exists()
+
+    def test_scoring_import_loads_no_ensemble_or_rpeaks(self):
+        done = self._python(
+            "import sys, ecgdx.scoring\n"
+            "print(sorted(m for m in sys.modules"
+            " if m in ('ecgdx.ensemble', 'ecgdx.rpeaks', 'ecgdx.dsp')))")
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "[]"
 
     def test_cli_import_loads_no_scipy(self):
         done = self._python(

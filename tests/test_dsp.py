@@ -126,8 +126,8 @@ class _ScipyDsp:
 def test_detect_rpeaks_matches_scipy_reference(monkeypatch, fs):
     leads = [_noisy_lead(fs, seed=seed, bpm=bpm, duration=30.0)
              for seed, bpm in ((1, 45.0), (2, 72.0), (3, 130.0))]
-    ours = [rpeaks.detect_rpeaks(x, fs).peak_indices for x in leads]
+    ours = [rpeaks.detect_rpeaks(x, fs) for x in leads]
     monkeypatch.setattr(rpeaks, "dsp", _ScipyDsp)
     for x, got in zip(leads, ours):
         assert got.size >= 10
-        np.testing.assert_array_equal(got, rpeaks.detect_rpeaks(x, fs).peak_indices)
+        np.testing.assert_array_equal(got, rpeaks.detect_rpeaks(x, fs))

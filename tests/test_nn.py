@@ -236,11 +236,11 @@ class TestOpsAgainstReferences:
     def test_batchnorm_train_gradients_match_textbook(self, shape):
         """The chain rule through mean and variance (Ioffe & Szegedy, 2015)."""
         rng = np.random.default_rng(sum(shape))
-        c, eps = shape[1], 1e-5
+        c, eps = shape[1], ad.BN_EPS
         x = ad.Var(rng.normal(size=shape) * 2 + 1)
         gamma = ad.Var(rng.uniform(0.5, 1.5, size=c))
         beta = ad.Var(rng.normal(size=c))
-        out = ad.batchnorm(x, gamma, beta, np.zeros(c), np.ones(c), True, eps=eps)
+        out = ad.batchnorm(x, gamma, beta, np.zeros(c), np.ones(c), True)
         g = rng.normal(size=shape)
         ad.backward(out, seed=g)
         n = shape[0] * shape[2]

@@ -8,7 +8,7 @@ from hypothesis.extra import numpy as hnp
 
 from ecgdx import preprocess, wavelet
 from ecgdx.errors import ConfigError, UnsupportedRatioError
-from ecgdx.preprocess import (LEVEL, WAVELET, PreprocessConfig, fix_length,
+from ecgdx.preprocess import (LEVEL, PreprocessConfig, fix_length,
                               make_example, resample, wavelet_denoise)
 from ecgdx.synth import SynthSpec, generate
 
@@ -83,7 +83,7 @@ class TestWavelet:
     @pytest.mark.parametrize("n", [4096, 5000, 15000])
     def test_roundtrip_without_thresholding(self, n):
         x = np.random.default_rng(n).normal(size=n)
-        out = wavelet.waverec(wavelet.wavedec(x, WAVELET, LEVEL))
+        out = wavelet.waverec(wavelet.wavedec(x, LEVEL))
         assert len(out) == n
         assert np.max(np.abs(out - x)) < 1e-8
 
@@ -97,19 +97,13 @@ class TestWavelet:
         after = np.sqrt(np.mean((den - clean.lead("II")) ** 2))
         assert after < before
 
-    def test_unknown_wavelet_rejected(self):
-        # only the paper's wavelet is built; its former siblings are gone too
-        for name in ("db4", "bior2.4"):
-            with pytest.raises(ConfigError, match="unknown wavelet"):
-                wavelet.wavedec(np.zeros(100), name, LEVEL)
-
     def test_output_length_matches_input_for_odd_sizes(self):
         for n in (17, 100, 999, 5001):
             out = wavelet_denoise(np.random.default_rng(n).normal(size=n))
             assert len(out) == n
 
     def test_filter_sums(self):
-        fb = wavelet.filter_bank("bior2.6")
+        fb = wavelet.BANK
         assert abs(fb.dec_lo.sum() - np.sqrt(2)) < 1e-12
         assert abs(fb.rec_lo.sum() - np.sqrt(2)) < 1e-12
         assert abs(fb.dec_hi.sum()) < 1e-12
@@ -144,7 +138,7 @@ def _ref_idwt(ca, cd, fb, n):
 
 
 def _ref_wavedec(x, level=LEVEL):
-    fb = wavelet.filter_bank(WAVELET)
+    fb = wavelet.BANK
     approx, details, lengths = x, [], []
     for _ in range(level):
         lengths.append(len(approx))
@@ -154,7 +148,7 @@ def _ref_wavedec(x, level=LEVEL):
 
 
 def _ref_waverec(approx, details, lengths):
-    fb = wavelet.filter_bank(WAVELET)
+    fb = wavelet.BANK
     x = approx
     for d, n in zip(reversed(details), reversed(lengths)):
         x = _ref_idwt(x, d, fb, n)
@@ -172,7 +166,7 @@ def _ref_denoise(x):
 def _assert_matches_reference(x):
     """Coefficients, round trip and denoising of every row of ``x``
     within 1e-12 of the reference."""
-    coeffs = wavelet.wavedec(x, WAVELET, LEVEL)
+    coeffs = wavelet.wavedec(x, LEVEL)
     back = wavelet.waverec(coeffs)
     den = wavelet_denoise(x)
     assert back.shape == den.shape == x.shape
@@ -203,11 +197,11 @@ class TestBatchedWavelet:
     def test_rows_equal_one_dimensional_calls(self, n):
         x = np.random.default_rng(n).normal(size=(8, n))
         batched = wavelet_denoise(x)
-        back = wavelet.waverec(wavelet.wavedec(x, WAVELET, LEVEL))
+        back = wavelet.waverec(wavelet.wavedec(x, LEVEL))
         for r, row in enumerate(x):
             np.testing.assert_array_equal(batched[r], wavelet_denoise(row))
             np.testing.assert_array_equal(
-                back[r], wavelet.waverec(wavelet.wavedec(row, WAVELET, LEVEL)))
+                back[r], wavelet.waverec(wavelet.wavedec(row, LEVEL)))
 
 
 class TestMakeExample:

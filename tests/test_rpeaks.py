@@ -4,29 +4,29 @@ import numpy as np
 import pytest
 
 from ecgdx.errors import RecordValidationError, SignalTooShortError
-from ecgdx.rpeaks import RPeakResult, brady_rule, detect_rpeaks, final_brady
+from ecgdx.rpeaks import brady_rule, detect_rpeaks
 from ecgdx.synth import SynthSpec, generate
 
 
 class TestDetect:
     def test_60bpm_clean(self):
         rec, beats, _ = generate(SynthSpec(bpm=60, fs=500, duration=10.0))
-        res = detect_rpeaks(rec.lead("I"), 500)
-        assert len(res.peak_indices) == 10
+        peaks = detect_rpeaks(rec.lead("I"), 500)
+        assert len(peaks) == 10
         tol = int(0.05 * 500)
         for b in beats:
-            assert np.min(np.abs(res.peak_indices - b)) <= tol
-        assert abs(res.rr_intervals.mean() - 1.0) <= 0.02
+            assert np.min(np.abs(peaks - b)) <= tol
+        assert abs((np.diff(peaks) / 500).mean() - 1.0) <= 0.02
 
     def test_120bpm_rr(self):
         rec, _, _ = generate(SynthSpec(bpm=120, fs=500, duration=10.0))
-        res = detect_rpeaks(rec.lead("I"), 500)
-        assert abs(res.rr_intervals.mean() - 0.5) <= 0.02
+        peaks = detect_rpeaks(rec.lead("I"), 500)
+        assert abs((np.diff(peaks) / 500).mean() - 0.5) <= 0.02
 
     def test_all_zero_signal_gives_no_peaks(self):
-        res = detect_rpeaks(np.zeros(5000), 500)
-        assert len(res.peak_indices) == 0
-        assert len(res.rr_intervals) == 0
+        peaks = detect_rpeaks(np.zeros(5000), 500)
+        assert len(peaks) == 0
+        assert peaks.dtype == np.int64
 
     def test_too_short_rejected(self):
         with pytest.raises(SignalTooShortError):
@@ -41,28 +41,15 @@ class TestDetect:
     def test_peak_count_invariant_to_amplitude_scale(self):
         rec, beats, _ = generate(SynthSpec(bpm=80, fs=500, duration=10.0,
                                            noise_sigma=0.02, seed=5))
-        counts = {len(detect_rpeaks(s * rec.lead("I"), 500).peak_indices)
+        counts = {len(detect_rpeaks(s * rec.lead("I"), 500))
                   for s in (0.5, 1.0, 2.0, 3.5, 5.0)}
         assert counts == {len(beats)}
 
     def test_result_invariants(self):
         rec, _, _ = generate(SynthSpec(bpm=70, fs=500, duration=10.0))
-        res = detect_rpeaks(rec.lead("I"), 500)
-        assert np.all(np.diff(res.peak_indices) > 0)
-        np.testing.assert_allclose(res.rr_intervals,
-                                   np.diff(res.peak_indices) / 500.0)
-
-
-class TestRPeakResult:
-    def test_rejects_unsorted(self):
-        with pytest.raises(RecordValidationError):
-            RPeakResult(peak_indices=np.array([10, 5]),
-                        rr_intervals=np.array([1.0]), fs=500)
-
-    def test_rejects_wrong_rr_length(self):
-        with pytest.raises(RecordValidationError):
-            RPeakResult(peak_indices=np.array([5, 10]),
-                        rr_intervals=np.array([]), fs=500)
+        peaks = detect_rpeaks(rec.lead("I"), 500)
+        assert np.all(np.diff(peaks) > 0)
+        assert peaks.dtype == np.int64
 
 
 class TestBradyRule:
@@ -103,19 +90,3 @@ class TestBradyRule:
             count = sum(1 for v in rr if 1.0 <= v <= 1.6)
             expected = n > 0 and count / n >= 0.5
             assert brady_rule(rr) == expected
-
-
-class TestFinalBrady:
-    def test_rule_vetoes_positive(self):
-        assert final_brady(True, False) is False
-
-    def test_agreeing_positive_kept(self):
-        assert final_brady(True, True) is True
-
-    def test_both_negative(self):
-        assert final_brady(False, False) is False
-
-    def test_equals_logical_and(self):
-        for a in (False, True):
-            for b in (False, True):
-                assert final_brady(a, b) == (a and b)

@@ -332,32 +332,32 @@ class TestPerClassMetrics:
     def test_perfect_separation(self):
         probs = np.array([[0.9], [0.8], [0.2], [0.1]])
         truths = np.array([[1], [1], [0], [0]])
-        m = per_class_metrics(probs, truths)
+        m = per_class_metrics(probs, truths, probs >= 0.36)
         assert m.auc[0] == 1.0
 
     def test_identical_scores_give_half(self):
         probs = np.full((6, 1), 0.4)
         truths = np.array([[1], [0], [1], [0], [1], [0]])
-        m = per_class_metrics(probs, truths)
+        m = per_class_metrics(probs, truths, probs >= 0.36)
         assert m.auc[0] == 0.5
 
     def test_hand_example(self):
         probs = np.array([[0.9], [0.8], [0.3]])
         truths = np.array([[1], [0], [1]])
-        m = per_class_metrics(probs, truths, threshold=0.36)
+        m = per_class_metrics(probs, truths, probs >= 0.36)
         assert m.auc[0] == 0.5
         assert abs(m.f1[0] - 0.5) < 1e-12
 
     def test_undefined_auc_marked(self):
         probs = np.array([[0.9], [0.8]])
         truths = np.array([[1], [1]])   # no negatives
-        m = per_class_metrics(probs, truths)
+        m = per_class_metrics(probs, truths, probs >= 0.36)
         assert np.isnan(m.auc[0])
 
     def test_zero_denominator_f1_flagged(self):
         probs = np.array([[0.1], [0.2]])
         truths = np.array([[0], [0]])
-        m = per_class_metrics(probs, truths)
+        m = per_class_metrics(probs, truths, probs >= 0.36)
         assert m.f1[0] == 0.0
         assert bool(m.f1_zero_denominator[0]) is True
         assert isinstance(m, PerClassMetrics)

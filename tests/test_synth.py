@@ -83,6 +83,12 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             SynthSpec(bpm=60, ectopic_rate=1.5)
 
+    @pytest.mark.parametrize("field", ["bpm", "duration"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=f"{field} {value} is not finite"):
+            SynthSpec(**{"bpm": 60.0, field: value})
+
 
 def test_record_is_12_lead_and_consistent():
     rec, _, _ = generate(SynthSpec(bpm=80, duration=10.0))
