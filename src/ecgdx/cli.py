@@ -43,12 +43,25 @@ def _write_manifest(args: argparse.Namespace) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _record_stems(data_dir: str) -> list[str]:
+def _load_records(data_dir: str):
+    """Yield the records of ``data_dir`` one at a time, in file-stem order.
+
+    Every command keys records by the id in the header, so a second file
+    carrying an id already read raises an error naming both files.
+    """
     stems = sorted(os.path.splitext(name)[0]
                    for name in os.listdir(data_dir) if name.endswith(".hea"))
     if not stems:
         raise EcgdxError(f"no .hea records found in {data_dir}")
-    return [os.path.join(data_dir, s) for s in stems]
+    file_of: dict[str, str] = {}
+    for stem in stems:
+        path = os.path.join(data_dir, stem)
+        rec = load_record(path)
+        first = file_of.setdefault(rec.record_id, path)
+        if first != path:
+            raise EcgdxError(f"{first}.hea and {path}.hea both carry record id"
+                             f" {rec.record_id!r}")
+        yield rec
 
 
 # ----------------------------------------------------------------------
@@ -80,8 +93,7 @@ def _preprocess_config(args) -> PreprocessConfig:
 def _features(args, cfg: PreprocessConfig):
     """Stacked features and labels, and the ids, of the ``--data`` records."""
     xs, ys, ids = [], [], []
-    for stem in _record_stems(args.data):
-        rec = load_record(stem)
+    for rec in _load_records(args.data):
         x, y = make_example(rec, cfg)
         xs.append(x)
         ys.append(y)
@@ -140,7 +152,7 @@ def _ensemble_probs(args):
     if not long_path or not short_path:
         raise EcgdxError("provide --checkpoint or both --checkpoint-long and "
                          "--checkpoint-short")
-    records = [load_record(stem) for stem in _record_stems(args.data)]
+    records = list(_load_records(args.data))
     probs = {}
     for path in dict.fromkeys((long_path, short_path)):
         model = load_checkpoint(path)
@@ -174,11 +186,8 @@ def _cmd_relabel(args) -> int:
 
 
 def _load_truth(truth_dir: str) -> dict[str, np.ndarray]:
-    out = {}
-    for stem in _record_stems(truth_dir):
-        rec = load_record(stem)
-        out[rec.record_id] = labels_from_codes(rec.dx_codes)
-    return out
+    return {rec.record_id: labels_from_codes(rec.dx_codes)
+            for rec in _load_records(truth_dir)}
 
 
 def _aligned_arrays(pred_file: str, truth_dir: str):

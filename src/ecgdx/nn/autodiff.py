@@ -2,7 +2,8 @@
 
 Every op returns a :class:`Var` holding the forward value plus a closure
 that maps the output cotangent to input cotangents.  :func:`backward`
-topologically sorts the graph from the root and accumulates gradients.
+topologically sorts the graph from the root, accumulates gradients into
+the leaves and frees each interior node once it has been used.
 Gradients are exact reverse-mode derivatives; unit tests hold each op to
 central finite differences.
 
@@ -59,9 +60,15 @@ class Var:
 
 
 def backward(root: Var, seed=None) -> None:
-    """Accumulate gradients of ``root`` into every reachable ``Var.grad``.
+    """Accumulate gradients of ``root`` into every reachable leaf's ``.grad``.
 
     ``seed`` defaults to ones of the root's shape (i.e. sum of outputs).
+    The pass consumes the graph: once a node's vjp has pushed its
+    cotangent to its parents, the node drops its ``grad``, ``vjp`` and
+    ``parents``, so each activation and closure is freed as soon as
+    nothing later in the pass needs it.  Leaves (Vars without a vjp, such
+    as parameters and inputs) and the root keep their ``.grad``; a second
+    ``backward`` through the same graph reaches nothing.
     """
     order: list[Var] = []
     seen: set[int] = set()
@@ -81,13 +88,18 @@ def backward(root: Var, seed=None) -> None:
 
     root.grad = np.ones_like(root.value) if seed is None else \
         np.asarray(seed, dtype=np.float64)
-    for node in reversed(order):
-        if node.vjp is None or node.grad is None:
+    while order:   # reverse topological order: the root comes off first
+        node = order.pop()
+        if node.vjp is None:
             continue
-        for parent, g in zip(node.parents, node.vjp(node.grad)):
-            if g is None:
-                continue
-            parent.grad = g if parent.grad is None else parent.grad + g
+        if node.grad is not None:
+            for parent, g in zip(node.parents, node.vjp(node.grad)):
+                if g is None:
+                    continue
+                parent.grad = g if parent.grad is None else parent.grad + g
+        node.vjp, node.parents = None, ()
+        if node is not root:
+            node.grad = None
 
 
 def _as_var(x) -> Var:
@@ -125,19 +137,41 @@ def dense(x: Var, w: Var, b: Var) -> Var:
     return Var(y, (x, w, b), vjp)
 
 
-def _im2col(xp: np.ndarray, k: int, stride: int, t_out: int) -> np.ndarray:
-    """The contiguous im2col matrix ``[C_in*k, B*T']`` of a padded input.
+def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
+            t_out: int) -> np.ndarray:
+    """The contiguous im2col matrix ``[C_in*k, B*T']`` of x [B, C_in, T]
+    zero-padded by ``padding`` on both ends.
 
     Row ``c*k + j`` holds tap ``j`` of channel ``c``; column ``b*T' + t``
-    holds output position ``t`` of batch item ``b``.  It is copied from a
-    strided view in ``(C_in, k, B, T')`` order, so both the forward GEMM
-    and the weight gradient read it as it is.
+    holds output position ``t`` of batch item ``b``, which reads input
+    position ``j - padding + stride*t``.  It is filled in ``(C_in, k, B,
+    T')`` order, so both the forward GEMM and the weight gradient read it
+    as it is, and no padded copy of x is made: the output positions whose
+    every tap lies inside x are copied from one strided view of x, and
+    the few at either end, where some taps fall in the padding, tap by
+    tap with zeros written in.
     """
-    batch, c_in = xp.shape[:2]
-    bs, cs, ts = xp.strides
-    view = as_strided(xp, shape=(c_in, k, batch, t_out),
-                      strides=(cs, ts, bs, stride * ts))
-    return view.reshape(c_in * k, batch * t_out)
+    batch, c_in, t_in = x.shape
+    cols = np.empty((c_in, k, batch, t_out))
+    lo = min(t_out, -(-padding // stride))
+    hi = max(lo, min(t_out, (t_in + padding - k) // stride + 1))
+    if hi > lo:
+        bs, cs, ts = x.strides
+        cols[..., lo:hi] = as_strided(x[:, :, stride * lo - padding:],
+                                      shape=(c_in, k, batch, hi - lo),
+                                      strides=(cs, ts, bs, stride * ts))
+    src = x.transpose(1, 0, 2)
+    for j in range(k):
+        first = j - padding   # input position of output 0
+        for a, b in ((0, lo), (hi, t_out)):
+            v0 = min(b, max(a, -(first // stride)))   # tap j's in-input span
+            v1 = max(v0, min(b, (t_in - 1 - first) // stride + 1))
+            cols[:, j, :, a:v0] = 0.0
+            cols[:, j, :, v1:b] = 0.0
+            if v1 > v0:
+                start = first + stride * v0
+                cols[:, j, :, v0:v1] = src[:, :, start:start + stride * (v1 - v0):stride]
+    return cols.reshape(c_in * k, batch * t_out)
 
 
 def conv1d(x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
@@ -145,14 +179,16 @@ def conv1d(x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
 
     Output length is ``(T + 2*padding - k) // stride + 1``.  The forward
     is one GEMM, ``w [C_out, C_in*k] @ cols [C_in*k, B*T']``.  The vjp
-    keeps only the padded input and rebuilds ``cols`` for the weight
+    keeps only the unpadded input and rebuilds ``cols`` for the weight
     gradient rather than holding them between forward and backward.  It
     transposes the cotangent once, to ``g2 [C_out, B*T']``, for both
     ``dW = g2 @ cols.T`` and ``dcols = w.T @ g2``; col2im then adds each
-    tap's ``dcols`` rows back onto the input.
+    tap's ``dcols`` rows onto a padded accumulator and returns its
+    interior.
     """
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
-    batch, c_in, t_in = x.value.shape
+    xv = x.value
+    batch, c_in, t_in = xv.shape
     c_out, c_in_w, k = w.value.shape
     if c_in_w != c_in:
         raise RecordValidationError(
@@ -162,14 +198,13 @@ def conv1d(x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
         raise RecordValidationError(
             f"kernel {k} longer than padded input {t_pad}")
     t_out = (t_pad - k) // stride + 1
-    xp = np.pad(x.value, ((0, 0), (0, 0), (padding, padding))) if padding else x.value
     w2 = w.value.reshape(c_out, c_in * k)
-    out = (w2 @ _im2col(xp, k, stride, t_out)).reshape(c_out, batch, t_out)
+    out = (w2 @ _im2col(xv, k, stride, padding, t_out)).reshape(c_out, batch, t_out)
     out = out.transpose(1, 0, 2) + b.value[None, :, None]
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, batch * t_out)
-        dw = (g2 @ _im2col(xp, k, stride, t_out).T).reshape(c_out, c_in, k)
+        dw = (g2 @ _im2col(xv, k, stride, padding, t_out).T).reshape(c_out, c_in, k)
         db = g.sum(axis=(0, 2))
         dcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
         dxp = np.zeros((batch, c_in, t_pad))
@@ -205,13 +240,19 @@ def channel_scale(x: Var, s: Var) -> Var:
 
 def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
               running_var: np.ndarray, training: bool) -> Var:
-    """Per-channel batch normalization over (batch, time).
+    """Per-channel batch normalization over (batch, time), then a ReLU.
 
     Training mode normalizes with (biased) batch statistics and updates
     the running buffers in place; eval mode uses the buffers.  Both
-    compute ``((x - mu) * inv_std) * gamma + beta`` in that order.
+    compute ``((x - mu) * inv_std) * gamma + beta`` in that order, then
+    apply the ReLU in place as ``out *= out > 0`` (the arithmetic of
+    :func:`relu`, so a negative value becomes ``-0.0``).  Every batch
+    normalization of the network feeds a ReLU, and fusing the two
+    (Rota Bulò, Porzi & Kontschieder, 2018) keeps no pre-activation
+    array alive for the backward.
 
-    The training backward is the closed form over the ``N = B*T``
+    The vjp first masks the cotangent, ``g = g * (out > 0)``.  The
+    training backward is then the closed form over the ``N = B*T``
     values of a channel: with ``dbeta = sum(g)`` and ``dgamma =
     sum(g * xhat)``, ``dx = gamma * inv_std * (g - dbeta/N - xhat *
     dgamma/N)``, since ``mean(dxhat) = gamma*dbeta/N`` and ``mean(dxhat
@@ -234,8 +275,10 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     xhat *= inv_std[None, :, None]
     out = xhat * gamma.value[None, :, None]
     out += beta.value[None, :, None]
+    out *= out > 0
 
     def vjp(g):
+        g = g * (out > 0)
         dgamma = (g * xhat).sum(axis=(0, 2))
         dbeta = g.sum(axis=(0, 2))
         scale = (gamma.value * inv_std)[None, :, None]

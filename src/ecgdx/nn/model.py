@@ -158,14 +158,14 @@ class SeResNet:
 
     # -- forward ------------------------------------------------------------
 
-    def _bn(self, x, name, pvars, training):
+    def _bn_relu(self, x, name, pvars, training):
         return ad.batchnorm(x, pvars[name + ".gamma"], pvars[name + ".beta"],
                             self.buffers[name + ".running_mean"],
                             self.buffers[name + ".running_var"], training)
 
     def _block(self, x, prefix, pvars, training, stride, in_c, out_c):
         k = BLOCK_KERNEL
-        pre = ad.relu(self._bn(x, prefix + ".bn1", pvars, training))
+        pre = self._bn_relu(x, prefix + ".bn1", pvars, training)
         if stride != 1 or in_c != out_c:
             short = ad.conv1d(pre, pvars[prefix + ".short.w"],
                               pvars[prefix + ".short.b"], stride=stride, padding=0)
@@ -173,7 +173,7 @@ class SeResNet:
             short = x
         h = ad.conv1d(pre, pvars[prefix + ".conv1.w"], pvars[prefix + ".conv1.b"],
                       stride=stride, padding=k // 2)
-        h = ad.relu(self._bn(h, prefix + ".bn2", pvars, training))
+        h = self._bn_relu(h, prefix + ".bn2", pvars, training)
         h = ad.conv1d(h, pvars[prefix + ".conv2.w"], pvars[prefix + ".conv2.b"],
                       stride=1, padding=k // 2)
         se_params = {"fc1_w": pvars[prefix + ".se.fc1.w"],
@@ -196,7 +196,7 @@ class SeResNet:
         pvars = {name: ad.Var(value) for name, value in self.params.items()}
         h = ad.conv1d(ad.Var(x), pvars["stem.conv.w"], pvars["stem.conv.b"],
                       stride=2, padding=self.config.stem_kernel // 2)
-        h = ad.relu(self._bn(h, "stem.bn", pvars, training))
+        h = self._bn_relu(h, "stem.bn", pvars, training)
         in_c = self.config.stem_channels
         for s, (n_blocks, out_c) in enumerate(zip(self.config.blocks_per_stage,
                                                   self.config.channels_per_stage)):
@@ -204,7 +204,7 @@ class SeResNet:
                 h = self._block(h, f"stage{s}.block{b}", pvars, training,
                                 stride=2 if b == 0 else 1, in_c=in_c, out_c=out_c)
                 in_c = out_c
-        h = ad.relu(self._bn(h, "head.bn", pvars, training))
+        h = self._bn_relu(h, "head.bn", pvars, training)
         pooled = ad.mean_last(h)
         logits = ad.dense(pooled, pvars["head.fc.w"], pvars["head.fc.b"])
         return logits, pvars

@@ -593,6 +593,49 @@ class TestTrainPredictScore:
         assert err == f"error: {target}: not valid UTF-8 text\n"
 
 
+class TestRepeatedRecordIds:
+    """Every command keys records by the id in the header, so a second file
+    carrying an id already read ends the command naming both files."""
+
+    @pytest.fixture
+    def repeated(self, pipeline_dirs, tmp_path):
+        data, ckpt, preds = pipeline_dirs
+        copy = tmp_path / "data"
+        shutil.copytree(data, copy)
+        for ext in (".hea", ".dat"):   # a second file whose header says slow0
+            shutil.copy(copy / f"slow0{ext}", copy / f"zz_copy{ext}")
+        return copy, ckpt, preds
+
+    def _assert_names_both(self, code, err, data):
+        assert code == 1
+        assert err == (f"error: {data / 'slow0'}.hea and {data / 'zz_copy'}.hea"
+                       " both carry record id 'slow0'\n")
+
+    def test_train_exits_1(self, capsys, repeated, tmp_path):
+        data, _, _ = repeated
+        out = tmp_path / "m.ckpt"
+        code, _, err = run(capsys, "train", "--data", str(data), "--out", str(out),
+                           "--window", "10", "--target-fs", "128", "--preset",
+                           "small", "--epochs", "1", "--no-denoise")
+        self._assert_names_both(code, err, data)
+        assert not out.exists()
+
+    def test_predict_exits_1(self, capsys, repeated, tmp_path):
+        data, ckpt, _ = repeated
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--data", str(data),
+                           "--checkpoint", str(ckpt), "--out", str(out))
+        self._assert_names_both(code, err, data)
+        assert not out.exists()
+
+    def test_score_truth_exits_1(self, capsys, repeated, tmp_path):
+        data, _, preds = repeated
+        code, _, err = run(capsys, "score", "--truth", str(data),
+                           "--pred", str(preds), "--out", str(tmp_path / "s"))
+        self._assert_names_both(code, err, data)
+        assert not (tmp_path / "s" / "report.json").exists()
+
+
 class TestNumpyOnlyRuntime:
     """The package runs without scipy: every import of it fails here."""
 

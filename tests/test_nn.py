@@ -9,6 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import as_strided
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -179,6 +180,13 @@ class TestConvValues:
                       ad.Var(np.zeros(1)), 1, 1)
 
 
+def _owner(a):
+    """The array that owns ``a``'s memory, through views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
+
+
 def _conv_windows(xp, k, stride, t_out):
     """windows[b, c, j, t] = xp[b, c, j + stride*t], by fancy indexing."""
     taps = np.arange(k)[:, None] + stride * np.arange(t_out)[None, :]
@@ -219,22 +227,43 @@ class TestOpsAgainstReferences:
         np.testing.assert_allclose(x.grad, dxp[:, :, padding:padding + t_in], **tol)
 
     def test_conv1d_vjp_holds_nothing_larger_than_the_padded_input(self):
-        """The vjp rebuilds the im2col matrix (k times the input) for dW
-        rather than keeping it from the forward."""
+        """The vjp keeps the unpadded input and the weights, and rebuilds the
+        im2col matrix (k times the input) for dW rather than keeping it, or
+        a padded copy of the input, from the forward."""
         rng = np.random.default_rng(8)
         batch, c_in, t_in, k, padding = 4, 3, 50, 7, 3
-        out = ad.conv1d(ad.Var(rng.normal(size=(batch, c_in, t_in))),
-                        ad.Var(rng.normal(size=(5, c_in, k))),
-                        ad.Var(np.zeros(5)), 1, padding)
-        padded_bytes = 8 * batch * c_in * (t_in + 2 * padding)
+        x = ad.Var(rng.normal(size=(batch, c_in, t_in)))
+        w = ad.Var(rng.normal(size=(5, c_in, k)))
+        out = ad.conv1d(x, w, ad.Var(np.zeros(5)), 1, padding)
         captured = [cell.cell_contents for cell in out.vjp.__closure__]
         arrays = [a for a in captured if isinstance(a, np.ndarray)]
-        assert any(a.nbytes == padded_bytes for a in arrays)
-        assert max(a.nbytes for a in arrays) <= padded_bytes
+        assert any(a is x.value for a in arrays)
+        owners = {id(_owner(a)) for a in arrays}
+        assert owners <= {id(x.value), id(w.value)}
+
+    @settings(max_examples=80, deadline=None)
+    @given(batch=st.integers(1, 3), c_in=st.integers(1, 4), t_in=st.integers(1, 10),
+           padding=st.integers(0, 12), stride=st.integers(1, 4), data=st.data())
+    def test_im2col_equals_padded_strided_view(self, batch, c_in, t_in, padding,
+                                               stride, data):
+        """Bit for bit the copy of np.pad's strided view, also where a tap
+        reads padding only (padding >= t_in)."""
+        k = data.draw(st.integers(1, t_in + 2 * padding), label="k")
+        x = np.random.default_rng(t_in * 97 + k).normal(size=(batch, c_in, t_in))
+        t_out = (t_in + 2 * padding - k) // stride + 1
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding)))
+        bs, cs, ts = xp.strides
+        view = as_strided(xp, shape=(c_in, k, batch, t_out),
+                          strides=(cs, ts, bs, stride * ts))
+        ref = view.reshape(c_in * k, batch * t_out)
+        got = ad._im2col(x, k, stride, padding, t_out)
+        assert got.shape == ref.shape and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
 
     @pytest.mark.parametrize("shape", [(2, 3, 8), (4, 5, 33), (1, 2, 16)])
     def test_batchnorm_train_gradients_match_textbook(self, shape):
-        """The chain rule through mean and variance (Ioffe & Szegedy, 2015)."""
+        """The chain rule through mean and variance (Ioffe & Szegedy, 2015),
+        behind the ReLU's mask."""
         rng = np.random.default_rng(sum(shape))
         c, eps = shape[1], ad.BN_EPS
         x = ad.Var(rng.normal(size=shape) * 2 + 1)
@@ -248,6 +277,8 @@ class TestOpsAgainstReferences:
         mu = v.mean(axis=axes, keepdims=True)
         var = v.var(axis=axes, keepdims=True)
         xhat = (v - mu) / np.sqrt(var + eps)
+        ref = xhat * gamma.value[None, :, None] + beta.value[None, :, None]
+        g = g * (ref > 0)   # the ReLU that batchnorm applies
         dxhat = g * gamma.value[None, :, None]
         dvar = (dxhat * (v - mu) * -0.5 * (var + eps) ** -1.5).sum(axis=axes,
                                                                    keepdims=True)
@@ -261,7 +292,8 @@ class TestOpsAgainstReferences:
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_batchnorm_value_is_bit_for_bit_the_plain_formula(self, training):
-        """Inference (and the training forward) keep this elementwise order."""
+        """Inference (and the training forward) keep this elementwise order,
+        ReLU included."""
         rng = np.random.default_rng(12)
         v = rng.normal(size=(3, 4, 21)) * 3 - 1
         gamma, beta = rng.uniform(0.5, 1.5, size=4), rng.normal(size=4)
@@ -273,6 +305,7 @@ class TestOpsAgainstReferences:
         inv_std = 1.0 / np.sqrt(var + 1e-5)
         ref = (gamma[None, :, None] * ((v - mu[None, :, None]) * inv_std[None, :, None])
                + beta[None, :, None])
+        ref = ref * (ref > 0)   # then the ReLU
         out = ad.batchnorm(ad.Var(v), ad.Var(gamma), ad.Var(beta), running_mean,
                            running_var, training)
         np.testing.assert_array_equal(out.value, ref)
@@ -419,24 +452,80 @@ class TestNoGrad:
         for var in inputs:
             assert var.grad is not None and np.any(var.grad != 0)
 
-    def test_predict_peak_memory_below_half_of_graph_forward(self):
+    def _forward_memory(self, x):
+        """tracemalloc's (current, peak) bytes across the graph forward and
+        across ``predict_logits`` of one model on ``x``."""
         model = SeResNet(TestModelForward.CFG)
-        x = np.random.default_rng(6).normal(size=(4, 8, 2048))
-        peaks = []
+        memory = []
         for run in (lambda: model.forward(x, training=False),
                     lambda: model.predict_logits(x)):
             tracemalloc.start()
             try:
                 out = run()
-                peaks.append(tracemalloc.get_traced_memory()[1])
+                memory.append(tracemalloc.get_traced_memory())
             finally:
                 tracemalloc.stop()
             del out
-        graph_peak, predict_peak = peaks
-        assert predict_peak < 0.5 * graph_peak, peaks
+        return memory
+
+    def test_predict_retains_under_one_percent_of_graph_forward(self):
+        x = np.random.default_rng(6).normal(size=(4, 8, 2048))
+        (graph_kept, _), (predict_kept, _) = self._forward_memory(x)
+        assert predict_kept < 0.01 * graph_kept, (predict_kept, graph_kept)
+
+    def test_predict_peak_memory_is_the_stem_convolution(self):
+        """Without a graph the peak is the stem conv's: its im2col matrix,
+        the GEMM product and at most one (padded) input-sized buffer."""
+        batch, t_in = 4, 2048
+        x = np.random.default_rng(6).normal(size=(batch, 8, t_in))
+        cfg = TestModelForward.CFG
+        k, pad = cfg.stem_kernel, cfg.stem_kernel // 2
+        t_out = (t_in + 2 * pad - k) // 2 + 1
+        stem_bytes = 8 * batch * (8 * k * t_out + cfg.stem_channels * t_out
+                                  + 8 * (t_in + 2 * pad))
+        _, (_, predict_peak) = self._forward_memory(x)
+        assert predict_peak < 1.02 * stem_bytes, (predict_peak, stem_bytes)
 
 
 class TestBackwardThroughModel:
+    def _graph_nodes(self, root):
+        nodes, stack = {}, [root]
+        while stack:
+            node = stack.pop()
+            if id(node) not in nodes:
+                nodes[id(node)] = node
+                stack.extend(node.parents)
+        return list(nodes.values())
+
+    def test_backward_frees_every_interior_node(self):
+        model = SeResNet(SeResNetConfig.small())
+        logits, pvars = model.forward(RNG.normal(size=(2, 8, 128)), training=True)
+        interior = [n for n in self._graph_nodes(logits)
+                    if n.vjp is not None and n is not logits]
+        assert len(interior) > 20
+        ad.backward(logits)
+        for node in interior:
+            assert node.grad is None and node.vjp is None and node.parents == ()
+        assert logits.grad is not None and logits.vjp is None
+        for name, var in pvars.items():
+            assert var.grad is not None and var.grad.shape == var.shape, name
+
+    def test_memory_after_backward_is_the_parameter_gradients(self):
+        """What stays allocated after backward, apart from the parameter
+        gradients, is under 5% of what the forward graph held."""
+        model = SeResNet(SeResNetConfig.small())
+        x = np.random.default_rng(9).normal(size=(4, 8, 512))
+        tracemalloc.start()
+        try:
+            logits, pvars = model.forward(x, training=True)
+            graph_bytes = tracemalloc.get_traced_memory()[0]
+            ad.backward(logits)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(pvars[name].grad.nbytes for name in model.params)
+        assert kept - grad_bytes < 0.05 * graph_bytes, (kept, grad_bytes, graph_bytes)
+
     def test_zero_cotangent_gives_zero_gradients(self):
         model = SeResNet(TestModelForward.CFG)
         logits, pvars = model.forward(RNG.normal(size=(2, 8, 64)), training=True)
