@@ -261,8 +261,10 @@ def _add_preprocess(sub):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # no abbreviations: ``--conf PATH`` would parse as ``--config`` and
+    # skip the file, which only ``_apply_config_file`` reads
     parser = argparse.ArgumentParser(
-        prog="ecgdx",
+        prog="ecgdx", allow_abbrev=False,
         description="ECG abnormality classification pipeline")
     parser.add_argument("--config", default=None,
                         help="flat key=value file preloading option defaults")
@@ -329,25 +331,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options that take no value; a config file sets them with true or false
+_SWITCHES = ("no_denoise",)
+
+
 def _apply_config_file(argv: list[str]) -> list[str]:
-    """Insert defaults from a key=value file; explicit flags still win."""
+    """Insert defaults from a key=value file; explicit flags still win.
+
+    The file is named by ``--config PATH`` or ``--config=PATH``.  A switch
+    reads ``true`` or ``false`` in any case, as the manifest writes it.
+    """
+    argv = [part for arg in argv for part in
+            (arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
-    if idx + 1 == len(argv):
+    if idx + 1 == len(argv) or not argv[idx + 1]:
         raise EcgdxError("--config needs a file path")
     path = argv[idx + 1]
-    pairs = []
-    for line in read_text(path).split("\n"):
+    # config entries become leading flags so later explicit flags override
+    injected: list[str] = []
+    for number, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
-        pairs.append((key.strip(), value.strip()))
-    # config entries become leading flags so later explicit flags override
-    injected: list[str] = []
-    for key, value in pairs:
-        injected.extend([f"--{key.replace('_', '-')}", value])
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not (eq and key and value):
+            raise EcgdxError(f"{path}:{number}: expected key=value, got {line!r}")
+        flag = f"--{key.replace('_', '-')}"
+        if key.replace("-", "_") not in _SWITCHES:
+            injected.extend([flag, value])
+        elif value.lower() in ("true", "false"):
+            injected.extend([flag] if value.lower() == "true" else [])
+        else:
+            raise EcgdxError(f"{path}:{number}: {key} must be true or false,"
+                             f" got {value!r}")
     head = argv[:idx] + argv[idx + 2:]
     if not head:
         return injected

@@ -174,19 +174,25 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
     return cols.reshape(c_in * k, batch * t_out)
 
 
-def conv1d(x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
-    """Cross-correlation of x [B, C_in, T] with w [C_out, C_in, k] plus bias.
+def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
+           padding: int = 0) -> Var:
+    """Cross-correlation of x [B, C_in, T] with w [C_out, C_in, k], plus
+    the bias b [C_out] when one is given.
 
     Output length is ``(T + 2*padding - k) // stride + 1``.  The forward
-    is one GEMM, ``w [C_out, C_in*k] @ cols [C_in*k, B*T']``.  The vjp
-    keeps only the unpadded input and rebuilds ``cols`` for the weight
-    gradient rather than holding them between forward and backward.  It
-    transposes the cotangent once, to ``g2 [C_out, B*T']``, for both
-    ``dW = g2 @ cols.T`` and ``dcols = w.T @ g2``; col2im then adds each
-    tap's ``dcols`` rows onto a padded accumulator and returns its
-    interior.
+    is one GEMM, ``w [C_out, C_in*k] @ cols [C_in*k, B*T']``; without a
+    bias the result is the ``[B, C_out, T']`` view of that product, which
+    has the memory layout a bias add would give it.  The vjp keeps only
+    the unpadded input and rebuilds ``cols`` for the weight gradient
+    rather than holding them between forward and backward.  It transposes
+    the cotangent once, to ``g2 [C_out, B*T']``, for both ``dW = g2 @
+    cols.T`` and ``dcols = w.T @ g2``; col2im then adds each tap's
+    ``dcols`` rows onto a padded accumulator and returns its interior.
+    The input gradient is computed only when x arrives as a ``Var``: a
+    plain array (a data batch) gets ``None``.
     """
-    x, w, b = _as_var(x), _as_var(w), _as_var(b)
+    wants_dx = isinstance(x, Var)
+    x, w = _as_var(x), _as_var(w)
     xv = x.value
     batch, c_in, t_in = xv.shape
     c_out, c_in_w, k = w.value.shape
@@ -200,20 +206,24 @@ def conv1d(x: Var, w: Var, b: Var, stride: int = 1, padding: int = 0) -> Var:
     t_out = (t_pad - k) // stride + 1
     w2 = w.value.reshape(c_out, c_in * k)
     out = (w2 @ _im2col(xv, k, stride, padding, t_out)).reshape(c_out, batch, t_out)
-    out = out.transpose(1, 0, 2) + b.value[None, :, None]
+    out = out.transpose(1, 0, 2)
+    if b is not None:
+        b = _as_var(b)
+        out = out + b.value[None, :, None]
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, batch * t_out)
         dw = (g2 @ _im2col(xv, k, stride, padding, t_out).T).reshape(c_out, c_in, k)
-        db = g.sum(axis=(0, 2))
-        dcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
-        dxp = np.zeros((batch, c_in, t_pad))
-        for j in range(k):   # col2im: scatter-add each tap back onto the input
-            dxp[:, :, j:j + stride * t_out:stride] += dcols[:, j].transpose(1, 0, 2)
-        dx = dxp[:, :, padding:padding + t_in] if padding else dxp
-        return dx, dw, db
+        dx = None
+        if wants_dx:
+            dcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
+            dxp = np.zeros((batch, c_in, t_pad))
+            for j in range(k):   # col2im: scatter-add each tap back onto the input
+                dxp[:, :, j:j + stride * t_out:stride] += dcols[:, j].transpose(1, 0, 2)
+            dx = dxp[:, :, padding:padding + t_in] if padding else dxp
+        return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 2)))
 
-    return Var(out, (x, w, b), vjp)
+    return Var(out, (x, w) if b is None else (x, w, b), vjp)
 
 
 def mean_last(x: Var) -> Var:

@@ -18,6 +18,9 @@ fixed values.  Without a spec (a version-1 file, or a model saved with
 ``preprocess=None``) a checkpoint reads with the legacy inference spec:
 500 Hz, ``window_seconds = input_length / 500``, no denoising.  The names,
 kinds and shapes of ``arrays`` must be exactly those ``config`` implies.
+Files written while every conv had a bias also list the biases that feed
+batch normalizations only; each is folded into the running means it
+reaches (``_dead_biases``), and a file listing only some is malformed.
 Only version 2 is written; any malformed file raises ``HeaderParseError``.
 """
 
@@ -92,6 +95,28 @@ def _without_fixed(fields, section: str):
     return fields
 
 
+def _dead_biases(config: SeResNetConfig) -> dict[str, list[str]]:
+    """The conv biases older files list, each with the batch
+    normalizations whose input it shifts.
+
+    ``stem.conv``'s reaches ``stem.bn`` and a ``conv1``'s its block's
+    ``bn2``.  A ``short`` conv's rides the residual stream through the
+    identity blocks that follow, into each one's ``bn1`` and that of the
+    next stage's first block, or into ``head.bn`` after the last stage.
+    """
+    dead = {"stem.conv.b": ["stem.bn"]}
+    stream: list[str] = []   # reached by the residual stream's bias, if any
+    for s, n_blocks in enumerate(config.blocks_per_stage):
+        for b in range(n_blocks):
+            prefix = f"stage{s}.block{b}"
+            stream.append(prefix + ".bn1")
+            dead[prefix + ".conv1.b"] = [prefix + ".bn2"]
+            if b == 0:   # the conv shortcut replaces the stream
+                stream = dead[prefix + ".short.b"] = []
+    stream.append("head.bn")
+    return dead
+
+
 def _parse(blob: bytes) -> SeResNet:
     (header_len,) = struct.unpack("<I", blob[8:12])
     header = json.loads(blob[12:12 + header_len].decode("utf-8"))
@@ -117,6 +142,9 @@ def _parse(blob: bytes) -> SeResNet:
                          f" {len(header['arrays'])} arrays")
     expected = {name: (kind, list(shape))
                 for name, kind, shape in array_layout(config)}
+    dead = _dead_biases(config)
+    for name in dead:   # shape [C_out], the first of the conv weight's
+        expected[name] = ("param", expected[name[:-1] + "w"][1][:1])
     offset = 12 + header_len
     params: dict[str, np.ndarray] = {}
     buffers: dict[str, np.ndarray] = {}
@@ -137,8 +165,17 @@ def _parse(blob: bytes) -> SeResNet:
             raise ValueError(f"non-finite values in array {name!r}")
         offset += 8 * count
         (params if kind == "param" else buffers)[name] = arr
-    if expected:
-        raise ValueError(f"arrays missing: {', '.join(sorted(expected))}")
+    missing = sorted(expected.keys() - dead.keys())
+    if missing:
+        raise ValueError(f"arrays missing: {', '.join(missing)}")
     if offset != len(blob):
         raise ValueError("trailing bytes after arrays")
+    listed = [name for name in dead if name in params]
+    if listed and expected:   # what is left of ``expected`` are dead biases
+        raise ValueError("the file lists some of the older layout's conv"
+                         f" biases but not {', '.join(sorted(expected))}")
+    for name in listed:
+        bias = params.pop(name)
+        for bn in dead[name]:
+            buffers[bn + ".running_mean"] -= bias
     return SeResNet(config, params=params, buffers=buffers, preprocess=spec)

@@ -5,6 +5,12 @@ leads, then stages of pre-activation residual blocks, each ending in a
 squeeze/excitation gate; entry to every stage downsamples by 2.  A global
 average pool absorbs the time axis, so the parameter count does not
 depend on the input length, and a dense head emits one logit per class.
+
+Only each block's ``conv2`` carries a bias, as it feeds the SE gate.
+Every other conv feeds a batch normalization, directly or through the
+residual stream into the next ``bn1`` or ``head.bn``, and that
+normalization subtracts any per-channel constant, so a bias there would
+get no gradient.
 """
 
 from __future__ import annotations
@@ -88,9 +94,10 @@ def array_layout(config: SeResNetConfig) -> list[tuple[str, str, tuple[int, ...]
     in initialization order; ``kind`` is ``"param"`` or ``"buffer"``."""
     layout = []
 
-    def conv(name, c_in, c_out, k):
-        layout.extend([(name + ".w", "param", (c_out, c_in, k)),
-                       (name + ".b", "param", (c_out,))])
+    def conv(name, c_in, c_out, k, bias=False):
+        layout.append((name + ".w", "param", (c_out, c_in, k)))
+        if bias:
+            layout.append((name + ".b", "param", (c_out,)))
 
     def dense(name, f_in, f_out):
         layout.extend([(name + ".w", "param", (f_in, f_out)),
@@ -113,10 +120,10 @@ def array_layout(config: SeResNetConfig) -> list[tuple[str, str, tuple[int, ...]
             bn(prefix + ".bn1", in_c)
             conv(prefix + ".conv1", in_c, out_c, k)
             bn(prefix + ".bn2", out_c)
-            conv(prefix + ".conv2", out_c, out_c, k)
+            conv(prefix + ".conv2", out_c, out_c, k, bias=True)
             dense(prefix + ".se.fc1", out_c, out_c // r)
             dense(prefix + ".se.fc2", out_c // r, out_c)
-            if b == 0 or in_c != out_c:   # the first block of a stage has stride 2
+            if b == 0:   # a stage's first block: stride 2 and a conv shortcut
                 conv(prefix + ".short", in_c, out_c, 1)
             in_c = out_c
     bn("head.bn", in_c)
@@ -163,16 +170,16 @@ class SeResNet:
                             self.buffers[name + ".running_mean"],
                             self.buffers[name + ".running_var"], training)
 
-    def _block(self, x, prefix, pvars, training, stride, in_c, out_c):
+    def _block(self, x, prefix, pvars, training, stride):
         k = BLOCK_KERNEL
         pre = self._bn_relu(x, prefix + ".bn1", pvars, training)
-        if stride != 1 or in_c != out_c:
-            short = ad.conv1d(pre, pvars[prefix + ".short.w"],
-                              pvars[prefix + ".short.b"], stride=stride, padding=0)
+        if stride != 1:   # a stage's first block: a conv shortcut
+            short = ad.conv1d(pre, pvars[prefix + ".short.w"], stride=stride,
+                              padding=0)
         else:
             short = x
-        h = ad.conv1d(pre, pvars[prefix + ".conv1.w"], pvars[prefix + ".conv1.b"],
-                      stride=stride, padding=k // 2)
+        h = ad.conv1d(pre, pvars[prefix + ".conv1.w"], stride=stride,
+                      padding=k // 2)
         h = self._bn_relu(h, prefix + ".bn2", pvars, training)
         h = ad.conv1d(h, pvars[prefix + ".conv2.w"], pvars[prefix + ".conv2.b"],
                       stride=1, padding=k // 2)
@@ -187,23 +194,22 @@ class SeResNet:
         """Build the graph for a batch x [B, leads, T].
 
         Returns the logits Var [B, n_classes] and the dict of parameter
-        Vars whose ``.grad`` fields are populated by ``backward``.
+        Vars whose ``.grad`` fields are populated by ``backward``.  The
+        batch enters the stem conv as a plain array, so the backward
+        computes no gradient for it.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != INPUT_LEADS:
             raise RecordValidationError(
                 f"expected input [B, {INPUT_LEADS}, T], got {x.shape}")
         pvars = {name: ad.Var(value) for name, value in self.params.items()}
-        h = ad.conv1d(ad.Var(x), pvars["stem.conv.w"], pvars["stem.conv.b"],
-                      stride=2, padding=self.config.stem_kernel // 2)
+        h = ad.conv1d(x, pvars["stem.conv.w"], stride=2,
+                      padding=self.config.stem_kernel // 2)
         h = self._bn_relu(h, "stem.bn", pvars, training)
-        in_c = self.config.stem_channels
-        for s, (n_blocks, out_c) in enumerate(zip(self.config.blocks_per_stage,
-                                                  self.config.channels_per_stage)):
+        for s, n_blocks in enumerate(self.config.blocks_per_stage):
             for b in range(n_blocks):
                 h = self._block(h, f"stage{s}.block{b}", pvars, training,
-                                stride=2 if b == 0 else 1, in_c=in_c, out_c=out_c)
-                in_c = out_c
+                                stride=2 if b == 0 else 1)
         h = self._bn_relu(h, "head.bn", pvars, training)
         pooled = ad.mean_last(h)
         logits = ad.dense(pooled, pvars["head.fc.w"], pvars["head.fc.b"])

@@ -718,13 +718,47 @@ class TestConfigFile:
     def test_config_file_defaults_and_flag_override(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bpm=50\nduration=12\n")
-        out = tmp_path / "d"
-        code, _, _ = run(capsys, "synth", "--config", str(cfg),
-                         "--duration", "8", "--out", str(out))
-        assert code == 0
-        manifest = (out / "manifest.txt").read_text()
-        assert "bpm=50.0" in manifest
-        assert "duration=8.0" in manifest   # explicit flag wins
+        for n, config in enumerate((["--config", str(cfg)], [f"--config={cfg}"])):
+            out = tmp_path / f"d{n}"
+            code, _, _ = run(capsys, "synth", *config,
+                             "--duration", "8", "--out", str(out))
+            assert code == 0, config
+            manifest = (out / "manifest.txt").read_text()
+            assert "bpm=50.0" in manifest, config
+            assert "duration=8.0" in manifest, config   # explicit flag wins
+
+    @pytest.mark.parametrize("value, expected", [
+        ("true", True), ("True", True), ("TRUE", True),
+        ("false", False), ("False", False)])
+    def test_switch_reads_true_or_false(self, tmp_path, value, expected):
+        """``no_denoise`` reads as the manifest writes it (``True``/``False``)."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"no_denoise={value}\ntarget_fs=250\n")
+        argv = cli._apply_config_file(
+            ["preprocess", f"--config={cfg}", "--data", "d", "--out", "o"])
+        args = cli.build_parser().parse_args(argv)
+        assert args.no_denoise is expected and args.target_fs == 250
+
+    @pytest.mark.parametrize("line", [
+        "no_denoise", "no_denoise=yes", "no_denoise=1", "no_denoise=", "count=",
+        "=3", "count 3"])
+    def test_malformed_line_exits_1_naming_it(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"# header\nbpm=50\n{line}\n")
+        code, _, err = run(capsys, "synth", "--config", str(cfg),
+                           "--out", str(tmp_path / "d"))
+        assert code == 1
+        assert err.startswith(f"error: {cfg}:3: ") and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+    def test_abbreviated_config_is_a_usage_error(self, capsys, tmp_path):
+        """An abbreviation would pass argparse with the file unread."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("count=3\n")
+        code, _, _ = run(capsys, "--conf", str(cfg), "synth",
+                         "--out", str(tmp_path / "d"))
+        assert code == 2
+        assert not (tmp_path / "d").exists()
 
     def test_config_without_path_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "synth", "--out", str(tmp_path), "--config")

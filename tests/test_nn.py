@@ -6,6 +6,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,9 +19,11 @@ from ecgdx.nn import (Adam, SeResNet, SeResNetConfig, load_checkpoint,
                       lr_for_epoch, save_checkpoint)
 from ecgdx.nn import autodiff as ad
 from ecgdx.nn.checkpoint import MAGIC
+from ecgdx.nn.model import array_layout
 from ecgdx.preprocess import PreprocessConfig
 
 RNG = np.random.default_rng(42)
+DATA = Path(__file__).parent / "data"
 FD_STEP = 1e-5
 LAYER_TOL = 1e-4
 
@@ -85,6 +88,11 @@ class TestLayerGradients:
         w = rng.normal(size=(4, 3, 1)) * 0.3
         b = rng.normal(size=4) * 0.1
         check_op(lambda v: ad.conv1d(v[0], v[1], v[2], 2, 0), [x, w, b])
+
+    def test_conv1d_without_bias(self):
+        x = RNG.normal(size=(2, 3, 12))
+        w = RNG.normal(size=(4, 3, 5)) * 0.3
+        check_op(lambda v: ad.conv1d(v[0], v[1], stride=2, padding=2), [x, w])
 
     def test_dense(self):
         x = RNG.normal(size=(4, 6))
@@ -174,6 +182,22 @@ class TestConvValues:
             dxp[:, :, j:j + stride * t_out:stride] += dcols[:, :, j, :]
         np.testing.assert_allclose(x.grad, dxp[:, :, padding:-padding], rtol=1e-12)
 
+    def test_plain_array_input_gets_no_gradient(self):
+        """A data batch passed as an array gets a ``None`` input cotangent,
+        and the weight and bias gradients of the ``Var`` input's."""
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(2, 3, 20))
+        w, b = rng.normal(size=(4, 3, 5)), rng.normal(size=4)
+        g = rng.normal(size=(2, 4, 10))
+        plain = ad.conv1d(x, ad.Var(w), ad.Var(b), 2, 2)
+        as_var = ad.conv1d(ad.Var(x), ad.Var(w), ad.Var(b), 2, 2)
+        np.testing.assert_array_equal(plain.value, as_var.value)
+        dx, dw, db = plain.vjp(g)
+        assert dx is None
+        _, want_dw, want_db = as_var.vjp(g)
+        np.testing.assert_array_equal(dw, want_dw)
+        np.testing.assert_array_equal(db, want_db)
+
     def test_channel_mismatch_rejected(self):
         with pytest.raises(RecordValidationError):
             ad.conv1d(ad.Var(np.zeros((1, 2, 8))), ad.Var(np.zeros((1, 3, 3))),
@@ -202,25 +226,29 @@ class TestOpsAgainstReferences:
     @settings(max_examples=60, deadline=None)
     @given(batch=st.integers(1, 3), c_in=st.integers(1, 5), c_out=st.integers(1, 5),
            k=st.integers(1, 9), stride=st.integers(1, 3), padding=st.integers(0, 4),
-           extra=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1))
+           extra=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+           with_bias=st.booleans())
     def test_conv1d_matches_einsum(self, batch, c_in, c_out, k, stride, padding,
-                                   extra, seed):
+                                   extra, seed, with_bias):
         rng = np.random.default_rng(seed)
         t_in = k + extra
         x = ad.Var(rng.normal(size=(batch, c_in, t_in)))
         w = ad.Var(rng.normal(size=(c_out, c_in, k)))
-        b = ad.Var(rng.normal(size=c_out))
+        b = ad.Var(rng.normal(size=c_out)) if with_bias else None
         out = ad.conv1d(x, w, b, stride, padding)
         t_out = (t_in + 2 * padding - k) // stride + 1
         xp = np.pad(x.value, ((0, 0), (0, 0), (padding, padding)))
         windows, taps = _conv_windows(xp, k, stride, t_out)
-        ref = np.einsum("oik,bikt->bot", w.value, windows) + b.value[None, :, None]
+        ref = np.einsum("oik,bikt->bot", w.value, windows)
+        if with_bias:
+            ref += b.value[None, :, None]
         tol = dict(rtol=1e-12, atol=1e-12)
         np.testing.assert_allclose(out.value, ref, **tol)
         g = rng.normal(size=out.shape)
         ad.backward(out, seed=g)
         np.testing.assert_allclose(w.grad, np.einsum("bot,bikt->oik", g, windows), **tol)
-        np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2)), **tol)
+        if with_bias:
+            np.testing.assert_allclose(b.grad, g.sum(axis=(0, 2)), **tol)
         dxp = np.zeros_like(xp)
         np.add.at(dxp, (slice(None), slice(None), taps),
                   np.einsum("bot,oik->bikt", g, w.value))
@@ -372,8 +400,17 @@ class TestModelForward:
 
     def test_default_parameter_count_regression(self):
         # frozen from the committed default architecture
-        assert SeResNet(SeResNetConfig()).parameter_count() == 2285515
-        assert SeResNet(SeResNetConfig.small()).parameter_count() == 18007
+        assert SeResNet(SeResNetConfig()).parameter_count() == 2284043
+        assert SeResNet(SeResNetConfig.small()).parameter_count() == 17895
+
+    @pytest.mark.parametrize("cfg", [SeResNetConfig(), SeResNetConfig.small(), CFG])
+    def test_only_conv2_and_the_dense_layers_have_a_bias(self, cfg):
+        """Every other conv feeds a batch normalization, which cancels a bias."""
+        biased = {name[:-2] for name, _, _ in array_layout(cfg) if name.endswith(".b")}
+        blocks = [f"stage{s}.block{b}" for s, n in enumerate(cfg.blocks_per_stage)
+                  for b in range(n)]
+        assert biased == {"head.fc"} | {f"{block}.{layer}" for block in blocks
+                                        for layer in ("conv2", "se.fc1", "se.fc2")}
 
     def test_batch_permutation_equivariance(self):
         model = SeResNet(self.CFG)
@@ -507,6 +544,19 @@ class TestBackwardThroughModel:
         for node in interior:
             assert node.grad is None and node.vjp is None and node.parents == ()
         assert logits.grad is not None and logits.vjp is None
+        for name, var in pvars.items():
+            assert var.grad is not None and var.grad.shape == var.shape, name
+
+    def test_backward_fills_every_parameter_and_not_the_batch(self):
+        """The batch enters the stem conv as an array: it is the one leaf
+        that is not a parameter, and backward leaves its ``.grad`` empty."""
+        model = SeResNet(SeResNetConfig.small())
+        logits, pvars = model.forward(RNG.normal(size=(2, 8, 128)), training=True)
+        params = {id(var) for var in pvars.values()}
+        others = [n for n in self._graph_nodes(logits)
+                  if n.vjp is None and id(n) not in params]
+        ad.backward(logits)
+        assert len(others) == 1 and others[0].grad is None
         for name, var in pvars.items():
             assert var.grad is not None and var.grad.shape == var.shape, name
 
@@ -717,6 +767,8 @@ MALFORMED = {
     "other-decomposition-level": _with_spec(decomposition_level=6),
     "float-decomposition-level": _with_spec(decomposition_level=8.0),
     "other-wavelet": _with_spec(wavelet="bior2.4"),
+    "partial-dead-biases": _edit_arrays(lambda pairs: pairs + [(
+        {"name": "stem.conv.b", "kind": "param", "shape": [8]}, bytes(64))]),
     "huge-block-count": _edit_checkpoint(lambda h, p: (
         {**h, "config": {**h["config"], "blocks_per_stage": [10 ** 12, 1]}}, p)),
 }
@@ -797,6 +849,49 @@ class TestCheckpoint:
             target_fs=500, window_seconds=64 / 500, denoise_enabled=False)
         for name in model.params:
             np.testing.assert_array_equal(back.params[name], model.params[name])
+
+    def test_file_with_every_conv_bias_reads_folded(self):
+        """A file written while every conv had a bias reads with the stem,
+        ``conv1`` and shortcut biases folded into the running means, and
+        gives the logits of the code that wrote it.
+
+        That code wrote the fixture from ``SeResNetConfig(input_length=32,
+        stem_channels=4, blocks_per_stage=(1, 2), channels_per_stage=(4,
+        8), seed=5, stem_kernel=5)``: those 6 biases drawn from N(0, 1),
+        the other biases from 0.1 * N(0, 1), 0.1 * N(0, 1) added to every
+        gamma and beta, then four training-mode forwards on random
+        batches.  ``logits`` is its ``predict_logits(x)``."""
+        blob = (DATA / "all_conv_biases.ckpt").read_bytes()
+        (n,) = struct.unpack("<I", blob[8:12])
+        listed = {entry["name"] for entry in json.loads(blob[12:12 + n])["arrays"]}
+        dead = {"stem.conv.b", "stage0.block0.conv1.b", "stage0.block0.short.b",
+                "stage1.block0.conv1.b", "stage1.block0.short.b",
+                "stage1.block1.conv1.b"}
+        assert dead <= listed
+        model = load_checkpoint(DATA / "all_conv_biases.ckpt")
+        assert set(model.params) | set(model.buffers) == listed - dead
+        data = np.load(DATA / "all_conv_biases.npz")
+        np.testing.assert_allclose(model.predict_logits(data["x"]), data["logits"],
+                                   rtol=0, atol=1e-12)
+
+    def test_zero_conv_biases_fold_to_the_same_model(self, tmp_path):
+        """An untrained model saved with every conv bias (all zero) reads
+        as the same arrays."""
+        model = SeResNet(TestModelForward.CFG)
+        model.forward(RNG.normal(size=(2, 8, 64)), training=True)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(path, model)
+        widths = {name[:-2]: shape[0] for name, _, shape in array_layout(model.config)
+                  if name.endswith(".w") and len(shape) == 3}
+        path.write_bytes(_edit_arrays(lambda pairs: pairs + [
+            ({"name": conv + ".b", "kind": "param", "shape": [c_out]}, bytes(8 * c_out))
+            for conv, c_out in widths.items() if not conv.endswith(".conv2")])(
+                path.read_bytes()))
+        back = load_checkpoint(path)
+        for table, saved in ((back.params, model.params), (back.buffers, model.buffers)):
+            assert set(table) == set(saved)
+            for name in saved:
+                np.testing.assert_array_equal(table[name], saved[name])
 
     @pytest.mark.parametrize("damage", sorted(MALFORMED))
     def test_malformed_file_rejected(self, tmp_path, damage):
