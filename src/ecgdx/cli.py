@@ -69,6 +69,8 @@ def _load_records(data_dir: str):
 # ----------------------------------------------------------------------
 
 def _cmd_synth(args) -> int:
+    if args.count < 1:
+        raise EcgdxError(f"--count must be at least 1, got {args.count}")
     specs = [SynthSpec(bpm=args.bpm, fs=args.fs, duration=args.duration,
                        noise_sigma=args.noise_sigma,
                        ectopic_rate=args.ectopic_rate, seed=args.seed + i)
@@ -225,7 +227,7 @@ def _cmd_score(args) -> int:
     report = challenge_score(labels, truths, weights, probs27=probs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json(ClassMap.default().abbreviations) + "\n")
+        fh.write(report.to_json() + "\n")
     _write_per_class(os.path.join(args.out, "per_class.csv"),
                      report.per_class_auc, report.per_class_f1)
     print(f"normalized_score={report.normalized}")
@@ -331,15 +333,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options that take no value; a config file sets them with true or false
-_SWITCHES = ("no_denoise",)
-
-
-def _apply_config_file(argv: list[str]) -> list[str]:
+def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Insert defaults from a key=value file; explicit flags still win.
 
-    The file is named by ``--config PATH`` or ``--config=PATH``.  A switch
-    reads ``true`` or ``false`` in any case, as the manifest writes it.
+    The file is named by ``--config PATH`` or ``--config=PATH``.  Each key
+    names an option of the subcommand; a switch reads ``true`` or ``false``
+    in any case, as the manifest writes it.
     """
     argv = [part for arg in argv for part in
             (arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
@@ -349,6 +348,14 @@ def _apply_config_file(argv: list[str]) -> list[str]:
     if idx + 1 == len(argv) or not argv[idx + 1]:
         raise EcgdxError("--config needs a file path")
     path = argv[idx + 1]
+    head = argv[:idx] + argv[idx + 2:]
+    # argparse has no public accessor for a parser's actions
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    if not head or head[0] not in commands:
+        return head   # argparse rejects the missing or unknown command
+    options = {a.dest: a for a in commands[head[0]]._actions
+               if a.option_strings and a.dest != "help"}
     # config entries become leading flags so later explicit flags override
     injected: list[str] = []
     for number, line in enumerate(read_text(path).split("\n"), 1):
@@ -358,24 +365,24 @@ def _apply_config_file(argv: list[str]) -> list[str]:
         key, eq, value = (part.strip() for part in line.partition("="))
         if not (eq and key and value):
             raise EcgdxError(f"{path}:{number}: expected key=value, got {line!r}")
-        flag = f"--{key.replace('_', '-')}"
-        if key.replace("-", "_") not in _SWITCHES:
+        dest = key.replace("-", "_")
+        if dest not in options:
+            raise EcgdxError(f"{path}:{number}: {key} is not an option of {head[0]}")
+        flag = options[dest].option_strings[0]
+        if options[dest].nargs != 0:
             injected.extend([flag, value])
         elif value.lower() in ("true", "false"):
             injected.extend([flag] if value.lower() == "true" else [])
         else:
             raise EcgdxError(f"{path}:{number}: {key} must be true or false,"
                              f" got {value!r}")
-    head = argv[:idx] + argv[idx + 2:]
-    if not head:
-        return injected
     return [head[0]] + injected + head[1:]
 
 
 def dispatch(argv: list[str]) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(_apply_config_file(list(argv)))
+        args = parser.parse_args(_apply_config_file(list(argv), parser))
         code = args.func(args)
         if code == 0 and "out" in args:   # rpeaks prints and takes no --out
             _write_manifest(args)

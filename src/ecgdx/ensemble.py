@@ -114,15 +114,15 @@ def relabel_pseudo(record_ids, probs, original_label_space) -> list[PseudoLabel]
     (guaranteed by the columns).  Existing labels are never removed.
     Proposals above ``REVIEW_THRESHOLD`` are flagged for manual review.
     """
-    entries = ClassMap.default().entries
+    cmap = ClassMap.default()
     original = frozenset(original_label_space)
     report: list[PseudoLabel] = []
     for record_id, row in zip(record_ids, np.asarray(probs, dtype=np.float64)):
-        for entry, prob in zip(entries, row):
-            if prob > PSEUDO_LABEL_THRESHOLD and entry.code not in original:
+        for code, abbreviation, prob in zip(cmap.codes, cmap.abbreviations, row):
+            if prob > PSEUDO_LABEL_THRESHOLD and code not in original:
                 report.append(PseudoLabel(
-                    record_id=record_id, code=entry.code,
-                    abbreviation=entry.abbreviation, prob=float(prob),
+                    record_id=record_id, code=code,
+                    abbreviation=abbreviation, prob=float(prob),
                     needs_review=bool(prob > REVIEW_THRESHOLD)))
     return report
 

@@ -160,9 +160,6 @@ class SeResNet:
                 value = np.zeros(shape)
             (self.params if kind == "param" else self.buffers)[name] = value
 
-    def parameter_count(self) -> int:
-        return sum(v.size for v in self.params.values())
-
     # -- forward ------------------------------------------------------------
 
     def _bn_relu(self, x, name, pvars, training):

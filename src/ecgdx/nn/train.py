@@ -34,10 +34,6 @@ class TrainResult:
     model: SeResNet
     history: list[dict]  # one row per epoch: epoch, lr, loss
 
-    @property
-    def losses(self) -> list[float]:
-        return [row["loss"] for row in self.history]
-
 
 def check_schedule(epochs: int, batch_size: int) -> None:
     """Raise ConfigError unless ``epochs`` and ``batch_size`` are at least 1."""

@@ -1,7 +1,9 @@
 """ECG record parsing/writing, the scored-class map, and lead arithmetic.
 
 The on-disk container is a text header plus little-endian 16-bit samples
-with per-lead gain/offset.  Header grammar, one record::
+with per-lead gain/offset.  The reader accepts any finite non-zero gain
+and any integer offset, as the source datasets differ; the writer always
+uses ``WRITE_GAIN`` units/mV at offset 0.  Header grammar, one record::
 
     <record_id> <n_leads> <fs> <n_samples>
     <gain> <offset> <lead_name>          (one line per lead)
@@ -16,11 +18,10 @@ Millivolts are recovered as ``(raw - offset) / gain``.
 
 from __future__ import annotations
 
-import csv
-import io
+import os
 from dataclasses import dataclass
 from importlib import resources
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
@@ -38,19 +39,13 @@ TRAINING_LEADS = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
 SINUS_RHYTHM_CODE = "426783006"
 BRADYCARDIA_CODE = "426627000"
 
-_DEFAULT_GAIN = 1000.0
-_DEFAULT_OFFSET = 0
+#: ADC units per millivolt of every record written; the offset is always 0.
+WRITE_GAIN = 1000
 
 
 @dataclass(frozen=True)
 class EcgRecord:
-    """One multi-lead ECG recording in millivolts.
-
-    ``adc_gains``/``adc_offsets`` keep the digitization parameters seen at
-    parse time so that :func:`write_record` can reproduce the original
-    byte payload exactly; they default to 1000/mV and 0 for records built
-    in memory.
-    """
+    """One multi-lead ECG recording in millivolts."""
 
     record_id: str
     signals: np.ndarray            # [n_leads, n_samples] float64, mV
@@ -59,8 +54,6 @@ class EcgRecord:
     age: Optional[int] = None
     sex: str = "unknown"
     dx_codes: frozenset[str] = frozenset()
-    adc_gains: Optional[tuple[float, ...]] = None
-    adc_offsets: Optional[tuple[int, ...]] = None
 
     def __post_init__(self):
         sig = np.asarray(self.signals, dtype=np.float64)
@@ -88,14 +81,6 @@ class EcgRecord:
         object.__setattr__(self, "lead_names", tuple(self.lead_names))
         object.__setattr__(self, "dx_codes", frozenset(self.dx_codes))
 
-    @property
-    def n_leads(self) -> int:
-        return self.signals.shape[0]
-
-    @property
-    def n_samples(self) -> int:
-        return self.signals.shape[1]
-
     def lead(self, name: str) -> np.ndarray:
         try:
             return self.signals[self.lead_names.index(name)]
@@ -104,116 +89,43 @@ class EcgRecord:
                 f"record {self.record_id!r} has no lead {name!r}") from None
 
 
-@dataclass(frozen=True)
-class ClassEntry:
-    code: str
-    abbreviation: str
-    group: int
-
-
 class ClassMap:
-    """The 27 scored diagnosis classes and their equivalence groups.
+    """The 27 scored diagnosis classes and their 24 merged categories.
 
-    Three clinically equivalent pairs (CRBBB/RBBB, PAC/SVPB, PVC/VPB)
-    share a group id, collapsing the 27 classes into 24 scored
-    categories.  The table is fixed by the PhysioNet/CinC 2020 Challenge
-    and ships with the package as a CSV file (``code, abbreviation,
-    group``), read by :meth:`default`.
+    The table is fixed by the PhysioNet/CinC 2020 Challenge and ships with
+    the package as a CSV file (``code, abbreviation, group``), which
+    :meth:`default` reads once.  Three clinically equivalent pairs
+    (CRBBB/RBBB, PAC/SVPB, PVC/VPB) share a group; a merged category is
+    numbered, and named by its first member, in order of first appearance.
     """
 
-    def __init__(self, entries: Sequence[ClassEntry]):
-        self.entries = tuple(entries)
-        if len(self.entries) != 27:
-            raise RecordValidationError(
-                f"class map must have exactly 27 entries, got {len(self.entries)}")
-        abbrs = [e.abbreviation for e in self.entries]
-        if len(set(abbrs)) != len(abbrs):
-            raise RecordValidationError("class map abbreviations must be unique")
-        codes = [e.code for e in self.entries]
-        if len(set(codes)) != len(codes):
-            raise RecordValidationError("class map codes must be unique")
-        sizes: dict[int, int] = {}
-        for e in self.entries:
-            sizes[e.group] = sizes.get(e.group, 0) + 1
-        pairs = sorted(g for g, n in sizes.items() if n == 2)
-        if len(pairs) != 3 or any(n > 2 for n in sizes.values()):
-            raise RecordValidationError(
-                "class map must contain exactly 3 two-member equivalence groups")
-        # merged category order = first appearance of each group id
-        merged: list[int] = []
-        for e in self.entries:
-            if e.group not in merged:
-                merged.append(e.group)
-        if len(merged) != 24:
-            raise RecordValidationError(
-                f"class map must merge to 24 categories, got {len(merged)}")
-        self._code_to_index = {e.code: i for i, e in enumerate(self.entries)}
-        self._abbr_to_index = {e.abbreviation: i for i, e in enumerate(self.entries)}
-        self._merged_of = np.array(
-            [merged.index(e.group) for e in self.entries], dtype=np.intp)
-
     n_scored = 27
-
-    @property
-    def n_merged(self) -> int:
-        return 24
-
-    @property
-    def codes(self) -> tuple[str, ...]:
-        return tuple(e.code for e in self.entries)
-
-    @property
-    def abbreviations(self) -> tuple[str, ...]:
-        return tuple(e.abbreviation for e in self.entries)
-
-    @property
-    def merged_abbreviations(self) -> tuple[str, ...]:
-        """Abbreviation of each merged category (first pair member wins)."""
-        out = []
-        seen = set()
-        for e in self.entries:
-            if e.group not in seen:
-                seen.add(e.group)
-                out.append(e.abbreviation)
-        return tuple(out)
-
-    def index_of_code(self, code: str) -> int:
-        return self._code_to_index[code]
-
-    def index_of_abbr(self, abbr: str) -> int:
-        return self._abbr_to_index[abbr]
-
-    @property
-    def merged_index(self) -> np.ndarray:
-        """Per-class index into the 24 merged categories."""
-        return self._merged_of
-
-    @property
-    def sinus_rhythm_index(self) -> int:
-        return self._code_to_index[SINUS_RHYTHM_CODE]
-
-    @property
-    def bradycardia_index(self) -> int:
-        return self._code_to_index[BRADYCARDIA_CODE]
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ClassMap":
-        entries = []
-        for row in csv.DictReader(io.StringIO(text)):
-            entries.append(ClassEntry(row["code"].strip(),
-                                      row["abbreviation"].strip(),
-                                      int(row["group"])))
-        return cls(entries)
-
+    n_merged = 24
     _default: Optional["ClassMap"] = None
 
     @classmethod
     def default(cls) -> "ClassMap":
         if cls._default is None:
-            text = resources.files("ecgdx.data").joinpath(
-                "scored_classes.csv").read_text(encoding="utf-8")
-            cls._default = cls.from_csv(text)
+            cls._default = cls()
         return cls._default
+
+    def __init__(self):
+        text = resources.files("ecgdx.data").joinpath(
+            "scored_classes.csv").read_text(encoding="utf-8")
+        # one "code,abbreviation,group" line per class, after a header line
+        self.codes, self.abbreviations, groups = zip(
+            *(line.split(",") for line in text.split()[1:]))
+        merged = list(dict.fromkeys(groups))
+        self.merged_index = np.array([merged.index(g) for g in groups],
+                                     dtype=np.intp)
+        self.merged_abbreviations = tuple(self.abbreviations[groups.index(g)]
+                                          for g in merged)
+        self._index = {code: i for i, code in enumerate(self.codes)}
+        self.sinus_rhythm_index = self._index[SINUS_RHYTHM_CODE]
+        self.bradycardia_index = self._index[BRADYCARDIA_CODE]
+
+    def index_of_code(self, code: str) -> int:
+        return self._index[code]
 
 
 def labels_from_codes(dx_codes: Iterable[str]) -> np.ndarray:
@@ -226,19 +138,16 @@ def labels_from_codes(dx_codes: Iterable[str]) -> np.ndarray:
     cmap = ClassMap.default()
     out = np.zeros(cmap.n_scored, dtype=np.uint8)
     for code in dx_codes:
-        idx = cmap._code_to_index.get(code)
-        if idx is not None:
-            out[idx] = 1
+        try:
+            out[cmap.index_of_code(code)] = 1
+        except KeyError:   # not a scored class
+            pass
     return out
 
 
 # ----------------------------------------------------------------------
 # header + binary signal container
 # ----------------------------------------------------------------------
-
-def _format_gain(g: float) -> str:
-    return repr(int(g)) if float(g).is_integer() else repr(float(g))
-
 
 def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
     """Parse a header/signal pair into an :class:`EcgRecord`.
@@ -318,22 +227,20 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
     raw = np.frombuffer(signal_bytes, dtype="<i2").reshape(n_samples, n_leads).T
     mv = (raw.astype(np.float64) - np.array(offsets)[:, None]) / np.array(gains)[:, None]
     return EcgRecord(record_id=record_id, signals=mv, lead_names=tuple(names),
-                     fs=fs, age=age, sex=sex, dx_codes=frozenset(dx),
-                     adc_gains=tuple(gains), adc_offsets=tuple(offsets))
+                     fs=fs, age=age, sex=sex, dx_codes=frozenset(dx))
 
 
 def write_record(record: EcgRecord) -> tuple[str, bytes]:
-    """Serialize a record to (header_text, signal_bytes).
+    """Serialize a record to (header_text, signal_bytes) at ``WRITE_GAIN``
+    units/mV and offset 0 on every lead.
 
-    Inverse of :func:`parse_record` for canonically formatted headers:
-    ``write_record(parse_record(h, b)) == (h, b)`` whenever ``h`` itself
+    Inverse of :func:`parse_record` for the headers it writes:
+    ``write_record(parse_record(h, b)) == (h, b)`` whenever ``(h, b)``
     came from :func:`write_record`.
     """
-    gains = record.adc_gains or (_DEFAULT_GAIN,) * record.n_leads
-    offsets = record.adc_offsets or (_DEFAULT_OFFSET,) * record.n_leads
-    lines = [f"{record.record_id} {record.n_leads} {record.fs} {record.n_samples}"]
-    for g, o, name in zip(gains, offsets, record.lead_names):
-        lines.append(f"{_format_gain(g)} {o} {name}")
+    n_leads, n_samples = record.signals.shape
+    lines = [f"{record.record_id} {n_leads} {record.fs} {n_samples}"]
+    lines += [f"{WRITE_GAIN} 0 {name}" for name in record.lead_names]
     if record.age is not None:
         lines.append(f"# Age: {record.age}")
     if record.sex != "unknown":
@@ -342,23 +249,21 @@ def write_record(record: EcgRecord) -> tuple[str, bytes]:
         lines.append("# Dx: " + ",".join(sorted(record.dx_codes)))
     header = "\n".join(lines) + "\n"
 
-    raw = np.rint(record.signals * np.array(gains)[:, None]
-                  + np.array(offsets)[:, None])
+    raw = np.rint(record.signals * WRITE_GAIN)
     if raw.min() < -32768 or raw.max() > 32767:
         raise RecordValidationError(
-            f"record {record.record_id!r}: samples exceed int16 range at the "
-            f"stored gain; rescale before writing")
+            f"record {record.record_id!r}: samples exceed int16 range at "
+            f"{WRITE_GAIN} units/mV; rescale before writing")
     return header, raw.T.astype("<i2").tobytes()
 
 
-def save_record(record: EcgRecord, directory, stem: Optional[str] = None) -> None:
-    """Write ``<stem>.hea`` and ``<stem>.dat`` under ``directory``."""
-    import os
-    stem = stem or record.record_id
+def save_record(record: EcgRecord, directory) -> None:
+    """Write ``<record_id>.hea`` and ``<record_id>.dat`` under ``directory``."""
+    stem = os.path.join(directory, record.record_id)
     header, payload = write_record(record)
-    with open(os.path.join(directory, stem + ".hea"), "w", encoding="utf-8") as fh:
+    with open(stem + ".hea", "w", encoding="utf-8") as fh:
         fh.write(header)
-    with open(os.path.join(directory, stem + ".dat"), "wb") as fh:
+    with open(stem + ".dat", "wb") as fh:
         fh.write(payload)
 
 
@@ -408,7 +313,6 @@ def derive_limb_leads(record: EcgRecord) -> EcgRecord:
     rows = [record.lead(n) for n in names]
     names += list(DERIVED_LEADS)
     rows += [derived[n] for n in DERIVED_LEADS]
-    # gains no longer meaningful after recombination
     return EcgRecord(record_id=record.record_id, signals=np.vstack(rows),
                      lead_names=tuple(names), fs=record.fs, age=record.age,
                      sex=record.sex, dx_codes=record.dx_codes)

@@ -80,14 +80,6 @@ class RewardMatrix:
         return cls(values=np.eye(cmap.n_merged),
                    abbreviations=cmap.merged_abbreviations)
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["category"] + list(self.abbreviations))
-        for abbr, row in zip(self.abbreviations, self.values):
-            writer.writerow([abbr] + [repr(float(v)) for v in row])
-        return buf.getvalue()
-
 
 def merge_pairs(labels27) -> np.ndarray:
     """Collapse 27-class label vectors to the 24 merged categories (OR).
@@ -130,8 +122,9 @@ class ScoreReport:
     per_class_auc: np.ndarray
     per_class_f1: np.ndarray
 
-    def to_json(self, abbreviations=None) -> str:
+    def to_json(self) -> str:
         body = {
+            "classes": list(ClassMap.default().abbreviations),
             "unnormalized": self.unnormalized,
             "inactive": self.inactive,
             "correct": self.correct,
@@ -140,8 +133,6 @@ class ScoreReport:
                               for v in self.per_class_auc],
             "per_class_f1": [float(v) for v in self.per_class_f1],
         }
-        if abbreviations is not None:
-            body["classes"] = list(abbreviations)
         return json.dumps(body, indent=2, sort_keys=True)
 
 

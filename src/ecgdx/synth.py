@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .records import EcgRecord, derive_limb_leads, labels_from_codes
+from .records import (SINUS_RHYTHM_CODE, EcgRecord, derive_limb_leads,
+                      labels_from_codes)
 
 # per-lead template amplitude multipliers for (I, II, V1..V6)
 _LEAD_SCALE = {
@@ -35,7 +36,6 @@ _T_OFFSET = 0.22
 _FIRST_BEAT_FRACTION = 0.3
 
 _SB_CODE = "426177001"      # sinus bradycardia
-_NSR_CODE = "426783006"     # sinus rhythm
 _STACH_CODE = "427084000"   # sinus tachycardia
 _PVC_CODE = "427172004"     # premature ventricular contractions
 
@@ -120,7 +120,7 @@ def generate(spec: SynthSpec, record_id: str = "synth0"):
     elif spec.bpm > 100:
         dx.add(_STACH_CODE)
     else:
-        dx.add(_NSR_CODE)
+        dx.add(SINUS_RHYTHM_CODE)
     if spec.ectopic_rate > 0:
         dx.add(_PVC_CODE)
 

@@ -250,7 +250,7 @@ def test_criterion_5_wavelet():
 def test_criterion_6_scorer_boundaries():
     rng = np.random.default_rng(606)
     truths = rng.integers(0, 2, size=(30, 27)).astype(np.uint8)
-    truths[0, CMAP.index_of_abbr("AF")] = 1
+    truths[0, CMAP.abbreviations.index("AF")] = 1
     for row in truths:
         if row.sum() == 0:
             row[CMAP.sinus_rhythm_index] = 1
@@ -264,7 +264,7 @@ def test_criterion_6_scorer_boundaries():
     inactive = challenge_score(always, truths, w, cmap=CMAP).normalized
 
     # hand-evaluated single record: truth {A}, prediction {B}, w[B][A]=0.5
-    a_idx, b_idx = CMAP.index_of_abbr("AF"), CMAP.index_of_abbr("LBBB")
+    a_idx, b_idx = CMAP.abbreviations.index("AF"), CMAP.abbreviations.index("LBBB")
     w_hand = np.eye(24)
     w_hand[int(CMAP.merged_index[b_idx]), int(CMAP.merged_index[a_idx])] = 0.5
     hand_w = RewardMatrix(values=w_hand, abbreviations=CMAP.merged_abbreviations)
@@ -313,7 +313,7 @@ def test_criterion_7_desk_scale_training():
     result = train(x, y, config, epochs=19, batch_size=16)
     elapsed = time.perf_counter() - t0
 
-    losses = result.losses
+    losses = [row["loss"] for row in result.history]
     plateau_level = 1.05 * min(losses)
     window_ok = all(losses[i + 4] < losses[i]
                     for i in range(len(losses) - 4)

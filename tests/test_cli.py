@@ -7,6 +7,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +20,9 @@ from ecgdx.cli import dispatch
 from ecgdx.errors import EcgdxError
 from ecgdx.records import save_record
 from ecgdx.synth import SynthSpec, generate
+
+_SHIPPED_WEIGHTS = resources.files("ecgdx.data").joinpath(
+    "reward_weights.csv").read_text(encoding="utf-8")
 
 
 def run(capsys, *argv):
@@ -107,10 +111,11 @@ class TestValuesThatCannotWork:
         ["train", "--batch-size", "0"], ["train", "--batch-size", "-1"],
         ["train", "--epochs", "0"], ["train", "--seed", "-1"],
         ["synth", "--seed", "-1"], ["synth", "--duration", "nan"],
-        ["synth", "--duration", "inf"]],
+        ["synth", "--duration", "inf"], ["synth", "--count", "0"],
+        ["synth", "--count", "-2", "--bpm", "999"]],
         ids=["batch-size-0", "batch-size-negative", "epochs-0",
              "train-seed-negative", "synth-seed-negative", "synth-duration-nan",
-             "synth-duration-inf"])
+             "synth-duration-inf", "count-0", "count-negative"])
     def test_exits_1(self, capsys, tmp_path, argv):
         data = tmp_path / "d"
         assert dispatch(["synth", "--count", "2", "--duration", "4",
@@ -448,6 +453,7 @@ class TestTrainPredictScore:
         from ecgdx.ensemble import (PSEUDO_LABEL_THRESHOLD, REVIEW_THRESHOLD,
                                     read_predictions)
         from ecgdx.records import ClassMap
+        cmap = ClassMap.default()
         data, _, _ = pipeline_dirs
         path = self._checkpoint_with_head(pipeline_dirs, tmp_path, 1.0,
                                           lambda b: b + np.linspace(-1.0, 4.0, 27))
@@ -457,12 +463,12 @@ class TestTrainPredictScore:
                          "--out", str(preds)]) == 0
         assert dispatch(["relabel", "--data", str(data), "--checkpoint", str(path),
                          "--original-codes", "426783006", "--out", str(out)]) == 0
-        entries = ClassMap.default().entries
-        want = [[ps.record_id, entry.code, entry.abbreviation, repr(float(prob)),
+        want = [[ps.record_id, code, abbreviation, repr(float(prob)),
                  str(int(prob > REVIEW_THRESHOLD))]
                 for ps in read_predictions(preds.read_text())
-                for entry, prob in zip(entries, ps.probs)
-                if prob > PSEUDO_LABEL_THRESHOLD and entry.code != "426783006"]
+                for code, abbreviation, prob in zip(cmap.codes, cmap.abbreviations,
+                                                    ps.probs)
+                if prob > PSEUDO_LABEL_THRESHOLD and code != "426783006"]
         got = [line.split(",") for line in out.read_text().splitlines()[1:]]
         assert got == want
         assert {row[0] for row in got} == {"rec000", "rec001", "rec002", "rec003",
@@ -537,7 +543,7 @@ class TestTrainPredictScore:
     def test_weights_file_scores_like_the_default(self, capsys, pipeline_dirs,
                                                  tmp_path):
         weights = tmp_path / "w.csv"
-        weights.write_text(cli._default_weights().to_csv())
+        weights.write_text(_SHIPPED_WEIGHTS)
         code, _, _ = self._score(capsys, pipeline_dirs, tmp_path / "a")
         assert code == 0
         code, _, _ = self._score(capsys, pipeline_dirs, tmp_path / "b",
@@ -554,7 +560,7 @@ class TestTrainPredictScore:
     ], ids=["header", "cell", "short-row"])
     def test_malformed_weights_exit_1(self, capsys, pipeline_dirs, tmp_path,
                                       damage, message):
-        lines = cli._default_weights().to_csv().splitlines()
+        lines = _SHIPPED_WEIGHTS.splitlines()
         if damage == "header":
             lines[0] = ",".join(["category"] + [f"X{i}" for i in range(24)])
         elif damage == "cell":
@@ -580,7 +586,7 @@ class TestTrainPredictScore:
         pred = tmp_path / "preds.csv"
         pred.write_bytes(preds.read_bytes())
         weights = tmp_path / "w.csv"
-        weights.write_text(cli._default_weights().to_csv())
+        weights.write_text(_SHIPPED_WEIGHTS)
         config = tmp_path / "run.cfg"
         config.write_text("# no options\n")
         target = {"header": truth / "slow0.hea", "predictions": pred,
@@ -734,14 +740,15 @@ class TestConfigFile:
         """``no_denoise`` reads as the manifest writes it (``True``/``False``)."""
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"no_denoise={value}\ntarget_fs=250\n")
+        parser = cli.build_parser()
         argv = cli._apply_config_file(
-            ["preprocess", f"--config={cfg}", "--data", "d", "--out", "o"])
-        args = cli.build_parser().parse_args(argv)
+            ["preprocess", f"--config={cfg}", "--data", "d", "--out", "o"], parser)
+        args = parser.parse_args(argv)
         assert args.no_denoise is expected and args.target_fs == 250
 
     @pytest.mark.parametrize("line", [
         "no_denoise", "no_denoise=yes", "no_denoise=1", "no_denoise=", "count=",
-        "=3", "count 3"])
+        "=3", "count 3", "colour=red", "config=other.cfg", "data=d"])
     def test_malformed_line_exits_1_naming_it(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# header\nbpm=50\n{line}\n")
@@ -749,7 +756,19 @@ class TestConfigFile:
                            "--out", str(tmp_path / "d"))
         assert code == 1
         assert err.startswith(f"error: {cfg}:3: ") and err.count("\n") == 1
+        assert line.partition("=")[0] in err
         assert not (tmp_path / "d").exists()
+
+    def test_manifest_as_config_exits_1(self, capsys, tmp_path):
+        """A manifest's ``command=`` and ``version=`` lines are no options."""
+        first = tmp_path / "d1"
+        assert run(capsys, "synth", "--out", str(first))[0] == 0
+        manifest = first / "manifest.txt"
+        code, _, err = run(capsys, "--config", str(manifest), "synth",
+                           "--out", str(tmp_path / "d2"))
+        assert code == 1
+        assert err == f"error: {manifest}:1: command is not an option of synth\n"
+        assert not (tmp_path / "d2").exists()
 
     def test_abbreviated_config_is_a_usage_error(self, capsys, tmp_path):
         """An abbreviation would pass argparse with the file unread."""
@@ -776,7 +795,8 @@ class TestConfigFileProperties:
             with open(path, "wb") as fh:
                 fh.write(content)
             try:
-                argv = cli._apply_config_file(["rpeaks", "--config", path, "r"])
+                argv = cli._apply_config_file(["rpeaks", "--config", path, "r"],
+                                              cli.build_parser())
             except EcgdxError:
                 return
         assert argv[0] == "rpeaks" and argv[-1] == "r"

@@ -60,7 +60,7 @@ class TestSnrPostprocess:
 
     def test_any_positive_left_alone(self):
         labels = np.zeros(27, dtype=np.uint8)
-        labels[CMAP.index_of_abbr("AF")] = 1
+        labels[CMAP.abbreviations.index("AF")] = 1
         out = snr_postprocess(labels)
         np.testing.assert_array_equal(out, labels)
 
@@ -206,18 +206,18 @@ class TestReadPredictionsProperties:
 
 class TestRelabel:
     def test_threshold_and_origin_rules(self):
-        af = CMAP.index_of_abbr("AF")
-        sb = CMAP.index_of_abbr("SB")
+        af = CMAP.abbreviations.index("AF")
+        sb = CMAP.abbreviations.index("SB")
         probs = np.zeros(27)
         probs[af] = 0.85       # outside original space, above threshold -> added
         probs[sb] = 0.90       # inside original space -> not added
-        probs[CMAP.index_of_abbr("AFL")] = 0.75  # below threshold -> not added
-        original = {CMAP.entries[sb].code}
+        probs[CMAP.abbreviations.index("AFL")] = 0.75  # below threshold -> not added
+        original = {CMAP.codes[sb]}
         report = relabel_pseudo(["rec0"], probs[None, :], original)
         assert [(r.abbreviation, r.needs_review) for r in report] == [("AF", False)]
 
     def test_review_flag_above_095(self):
         probs = np.zeros(27)
-        probs[CMAP.index_of_abbr("AF")] = 0.97
+        probs[CMAP.abbreviations.index("AF")] = 0.97
         report = relabel_pseudo(["rec0"], probs[None, :], set())
         assert report[0].needs_review is True

@@ -132,14 +132,23 @@ class TestWriteRecord:
     def test_roundtrip_is_bit_exact(self):
         rng = np.random.default_rng(0)
         raw = rng.integers(-3000, 3000, size=(3, 200))
-        rec = EcgRecord(record_id="rt", signals=raw / 500.0,
+        rec = EcgRecord(record_id="rt", signals=raw / 1000.0,
                         lead_names=("I", "II", "V1"), fs=250, age=40,
-                        sex="male", dx_codes=frozenset({AF_CODE, "999"}),
-                        adc_gains=(500.0,) * 3, adc_offsets=(0,) * 3)
+                        sex="male", dx_codes=frozenset({AF_CODE, "999"}))
         header, payload = write_record(rec)
         header2, payload2 = write_record(parse_record(header, payload))
         assert header2 == header
         assert payload2 == payload
+
+    def test_any_gain_is_written_at_1000_and_offset_0(self):
+        raw = np.array([[5, 205, -195, 1005], [105, 5, 45, -395]])
+        header = "r0 2 500 4\n200 5 I\n200 5 II\n"
+        rec = parse_record(header, _bytes_for(raw))
+        header2, payload2 = write_record(rec)
+        assert header2 == "r0 2 500 4\n1000 0 I\n1000 0 II\n"
+        back = parse_record(header2, payload2)
+        np.testing.assert_allclose(back.signals, (raw - 5) / 200, rtol=0,
+                                   atol=0.5e-3)
 
     def test_overflow_detected(self):
         rec = EcgRecord(record_id="big", signals=np.full((1, 4), 40.0),
@@ -200,19 +209,20 @@ class TestLabelsFromCodes:
 
 class TestClassMap:
     def test_structure(self):
+        """The shipped scored_classes.csv: 27 distinct codes and
+        abbreviations, three two-member pairs, 24 merged categories."""
         cmap = ClassMap.default()
-        assert cmap.n_scored == 27
-        assert cmap.n_merged == 24
-        # the three documented equivalence pairs share groups
-        for a, b in (("CRBBB", "RBBB"), ("PAC", "SVPB"), ("PVC", "VPB")):
-            ga = cmap.entries[cmap.index_of_abbr(a)].group
-            gb = cmap.entries[cmap.index_of_abbr(b)].group
-            assert ga == gb
-
-    def test_rejects_wrong_cardinality(self):
-        cmap = ClassMap.default()
-        with pytest.raises(RecordValidationError):
-            ClassMap(cmap.entries[:26])
+        assert cmap.n_scored == len(set(cmap.codes)) == 27
+        assert len(set(cmap.abbreviations)) == 27
+        pairs = (("CRBBB", "RBBB"), ("PAC", "SVPB"), ("PVC", "VPB"))
+        merged = [int(cmap.merged_index[cmap.abbreviations.index(a)])
+                  for pair in pairs for a in pair]
+        assert merged[0::2] == merged[1::2]
+        members = np.bincount(cmap.merged_index)
+        assert sorted(np.flatnonzero(members == 2)) == sorted(merged[0::2])
+        assert members.max() == 2
+        assert cmap.n_merged == len(members) == len(cmap.merged_abbreviations) == 24
+        assert cmap.codes[cmap.sinus_rhythm_index] == SINUS_CODE
 
 
 class TestLeadArithmetic:

@@ -50,7 +50,7 @@ def oracle_score(preds, truths, w):
 def random_dataset(rng, n_records, ensure_calibratable=True):
     truths = rng.integers(0, 2, size=(n_records, 27)).astype(np.uint8)
     if ensure_calibratable:
-        truths[0, CMAP.index_of_abbr("AF")] = 1   # keep correct != inactive
+        truths[0, CMAP.abbreviations.index("AF")] = 1   # keep correct != inactive
     for row in truths:
         if row.sum() == 0:
             row[CMAP.sinus_rhythm_index] = 1
@@ -64,23 +64,23 @@ def random_dataset(rng, n_records, ensure_calibratable=True):
 class TestMergePairs:
     def test_single_pair_member_sets_merged_bit(self):
         labels = np.zeros(27, dtype=np.uint8)
-        labels[CMAP.index_of_abbr("CRBBB")] = 1
+        labels[CMAP.abbreviations.index("CRBBB")] = 1
         merged = merge_pairs(labels)
-        group = int(CMAP.merged_index[CMAP.index_of_abbr("RBBB")])
+        group = int(CMAP.merged_index[CMAP.abbreviations.index("RBBB")])
         assert merged[group] == 1
         assert merged.sum() == 1
 
     def test_both_pair_members_one_bit(self):
         labels = np.zeros(27, dtype=np.uint8)
-        labels[CMAP.index_of_abbr("PAC")] = 1
-        labels[CMAP.index_of_abbr("SVPB")] = 1
+        labels[CMAP.abbreviations.index("PAC")] = 1
+        labels[CMAP.abbreviations.index("SVPB")] = 1
         merged = merge_pairs(labels)
         assert merged.sum() == 1
 
     def test_singletons_pass_through(self):
         labels = np.zeros(27, dtype=np.uint8)
-        labels[CMAP.index_of_abbr("AF")] = 1
-        labels[CMAP.index_of_abbr("LBBB")] = 1
+        labels[CMAP.abbreviations.index("AF")] = 1
+        labels[CMAP.abbreviations.index("LBBB")] = 1
         merged = merge_pairs(labels)
         assert merged.sum() == 2
 
@@ -183,8 +183,8 @@ class TestChallengeScore:
 
     def test_hand_evaluated_single_record(self):
         # truth {A}, prediction {B}, w[B][A] = 0.5 -> unnormalized 0.5 * 0.5
-        a_idx = CMAP.index_of_abbr("AF")
-        b_idx = CMAP.index_of_abbr("LBBB")
+        a_idx = CMAP.abbreviations.index("AF")
+        b_idx = CMAP.abbreviations.index("LBBB")
         a_m = int(CMAP.merged_index[a_idx])
         b_m = int(CMAP.merged_index[b_idx])
         w = np.eye(24)
@@ -260,10 +260,10 @@ class TestChallengeScore:
     def test_partial_credit_makes_some_wrong_bits_beneficial(self):
         # counterexample to naive monotone repair: a false positive with
         # high off-diagonal reward earns more than the credit it dilutes
-        a = CMAP.index_of_abbr("AF")
-        b = CMAP.index_of_abbr("LBBB")
-        g1 = CMAP.index_of_abbr("SB")
-        g2 = CMAP.index_of_abbr("STach")
+        a = CMAP.abbreviations.index("AF")
+        b = CMAP.abbreviations.index("LBBB")
+        g1 = CMAP.abbreviations.index("SB")
+        g2 = CMAP.abbreviations.index("STach")
         w = np.eye(24)
         bm = int(CMAP.merged_index[b])
         w[bm, int(CMAP.merged_index[g1])] = 0.9
@@ -271,10 +271,10 @@ class TestChallengeScore:
         matrix = RewardMatrix(values=w, abbreviations=CMAP.merged_abbreviations)
         truth = np.zeros((2, 27), dtype=np.uint8)
         truth[0, [g1, g2]] = 1
-        truth[1, CMAP.index_of_abbr("AFL")] = 1   # calibration record
+        truth[1, CMAP.abbreviations.index("AFL")] = 1   # calibration record
         pred = np.zeros((2, 27), dtype=np.uint8)
         pred[0, [a, b]] = 1
-        pred[1, CMAP.index_of_abbr("AFL")] = 1
+        pred[1, CMAP.abbreviations.index("AFL")] = 1
         with_fp = challenge_score(pred, truth, matrix, cmap=CMAP).normalized
         repaired = pred.copy()
         repaired[0, b] = 0
@@ -298,15 +298,6 @@ class TestRewardMatrix:
         w = RewardMatrix.identity(CMAP)
         assert w.values.shape == (24, 24)
         np.testing.assert_array_equal(np.diag(w.values), 1.0)
-
-    def test_csv_roundtrip(self):
-        rng = np.random.default_rng(9)
-        w = rng.uniform(0, 0.9, size=(24, 24))
-        np.fill_diagonal(w, 1.0)
-        matrix = RewardMatrix(values=w, abbreviations=CMAP.merged_abbreviations)
-        back = RewardMatrix.from_csv(matrix.to_csv())
-        np.testing.assert_array_equal(back.values, matrix.values)
-        assert back.abbreviations == matrix.abbreviations
 
     def test_diagonal_must_be_one(self):
         w = np.eye(24)

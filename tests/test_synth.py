@@ -13,7 +13,7 @@ class TestBeatPlacement:
         rec, beats, _ = generate(SynthSpec(bpm=60, fs=500, duration=10.0))
         assert len(beats) == 10
         np.testing.assert_array_equal(beats, 150 + 500 * np.arange(10))
-        assert rec.n_samples == 5000
+        assert rec.signals.shape[1] == 5000
 
     def test_beat_count_tracks_rate(self):
         for bpm in (40, 55, 75, 100, 140, 200):
@@ -56,15 +56,15 @@ class TestLabels:
 
     def test_rate_rule(self):
         labels, cmap = self._labels(bpm=45, duration=10.0)
-        assert labels[cmap.index_of_abbr("SB")] == 1
+        assert labels[cmap.abbreviations.index("SB")] == 1
         labels, cmap = self._labels(bpm=75, duration=10.0)
         assert labels[cmap.sinus_rhythm_index] == 1
         labels, cmap = self._labels(bpm=130, duration=10.0)
-        assert labels[cmap.index_of_abbr("STach")] == 1
+        assert labels[cmap.abbreviations.index("STach")] == 1
 
     def test_ectopy_adds_ventricular_label(self):
         labels, cmap = self._labels(bpm=75, duration=10.0, ectopic_rate=0.2)
-        assert labels[cmap.index_of_abbr("PVC")] == 1
+        assert labels[cmap.abbreviations.index("PVC")] == 1
         assert labels[cmap.sinus_rhythm_index] == 1
 
 
@@ -92,6 +92,6 @@ class TestSpecValidation:
 
 def test_record_is_12_lead_and_consistent():
     rec, _, _ = generate(SynthSpec(bpm=80, duration=10.0))
-    assert rec.n_leads == 12
+    assert rec.signals.shape[0] == 12
     np.testing.assert_allclose(rec.lead("III"), rec.lead("II") - rec.lead("I"),
                                atol=1e-12)

@@ -35,7 +35,7 @@ class TestTraining:
     def test_loss_decreases_and_fits(self):
         x, y = make_dataset(n=80)
         result = train(x, y, CFG, epochs=12, batch_size=16)
-        losses = result.losses
+        losses = [row["loss"] for row in result.history]
         assert losses[-1] < losses[0]
         assert exact_match_accuracy(result.model, x, y) >= 0.9
 
