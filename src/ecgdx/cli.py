@@ -3,10 +3,11 @@
 After a subcommand with an ``--out`` succeeds, ``dispatch`` writes a
 manifest echoing the exact configuration (including the seed and package
 version): ``<out>/manifest.txt`` when ``--out`` is a directory, else
-``<out>.manifest.txt``.  Two runs with the same inputs produce
-byte-identical artifacts.  Options can be preloaded from a flat
-``key=value`` config file via ``--config``; explicit flags win over file
-values.
+``<out>.manifest.txt``.  Unset options are left out, so a manifest
+without its ``command=`` and ``version=`` lines reads back as a config
+file.  Two runs with the same inputs produce byte-identical artifacts.
+Options can be preloaded from a flat ``key=value`` config file via
+``--config``; explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .nn import (SeResNetConfig, check_schedule, load_checkpoint, save_checkpoin
 def _write_manifest(args: argparse.Namespace) -> None:
     lines = [f"command={args.command}", f"version={__version__}"]
     lines += [f"{key}={value}" for key, value in sorted(vars(args).items())
-              if key not in ("func", "config", "command")]
+              if key not in ("func", "config", "command") and value is not None]
     path = (os.path.join(args.out, "manifest.txt") if os.path.isdir(args.out)
             else args.out + ".manifest.txt")
     with open(path, "w", encoding="utf-8") as fh:
@@ -148,7 +149,8 @@ def _cmd_train(args) -> int:
 
 def _ensemble_probs(args):
     """Records and their short/long-window probabilities; each distinct
-    checkpoint runs once, on features built with the spec it carries."""
+    checkpoint runs once, on features built with the spec it carries, one
+    32-record batch at a time."""
     long_path = args.checkpoint_long or args.checkpoint
     short_path = args.checkpoint_short or args.checkpoint
     if not long_path or not short_path:
@@ -158,9 +160,10 @@ def _ensemble_probs(args):
     probs = {}
     for path in dict.fromkeys((long_path, short_path)):
         model = load_checkpoint(path)
-        x = np.stack([make_example(rec, model.preprocess)[0] for rec in records])
-        probs[path] = np.concatenate([model.predict_probs(x[i:i + 32])
-                                      for i in range(0, len(x), 32)])
+        probs[path] = np.concatenate([
+            model.predict_probs(np.stack([make_example(rec, model.preprocess)[0]
+                                          for rec in records[i:i + 32]]))
+            for i in range(0, len(records), 32)])
     return records, probs[short_path], probs[long_path]
 
 

@@ -180,11 +180,15 @@ def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
     the bias b [C_out] when one is given.
 
     Output length is ``(T + 2*padding - k) // stride + 1``.  The forward
-    is one GEMM, ``w [C_out, C_in*k] @ cols [C_in*k, B*T']``; without a
-    bias the result is the ``[B, C_out, T']`` view of that product, which
-    has the memory layout a bias add would give it.  The vjp keeps only
-    the unpadded input and rebuilds ``cols`` for the weight gradient
-    rather than holding them between forward and backward.  It transposes
+    fills a fresh ``[C_out, B, T']`` array one record at a time: record
+    ``i``'s im2col panel ``cols_i [C_in*k, T']`` is built, and ``w
+    [C_out, C_in*k] @ cols_i`` is written into ``out[:, i]``, so the
+    whole batch's matrix never exists (the memory-efficient convolution
+    of Cho & Brand, 2017).  The bias, when given, is added in place, and
+    the result is the ``[B, C_out, T']`` transpose view of that array.
+    The vjp keeps only the unpadded input and rebuilds the whole-batch
+    ``cols [C_in*k, B*T']`` for the weight gradient rather than holding
+    them between forward and backward.  It transposes
     the cotangent once, to ``g2 [C_out, B*T']``, for both ``dW = g2 @
     cols.T`` and ``dcols = w.T @ g2``; col2im then adds each tap's
     ``dcols`` rows onto a padded accumulator and returns its interior.
@@ -205,11 +209,13 @@ def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
             f"kernel {k} longer than padded input {t_pad}")
     t_out = (t_pad - k) // stride + 1
     w2 = w.value.reshape(c_out, c_in * k)
-    out = (w2 @ _im2col(xv, k, stride, padding, t_out)).reshape(c_out, batch, t_out)
-    out = out.transpose(1, 0, 2)
+    out = np.empty((c_out, batch, t_out))
+    for i in range(batch):
+        np.matmul(w2, _im2col(xv[i:i + 1], k, stride, padding, t_out), out=out[:, i])
     if b is not None:
         b = _as_var(b)
-        out = out + b.value[None, :, None]
+        out += b.value[:, None, None]
+    out = out.transpose(1, 0, 2)
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, batch * t_out)
@@ -259,7 +265,10 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     :func:`relu`, so a negative value becomes ``-0.0``).  Every batch
     normalization of the network feeds a ReLU, and fusing the two
     (Rota Bulò, Porzi & Kontschieder, 2018) keeps no pre-activation
-    array alive for the backward.
+    array alive for the backward.  When no graph is recorded (inside
+    :func:`no_grad`), no vjp will read ``xhat``, so it is scaled by gamma
+    in place and becomes the output: the same arithmetic, one array of
+    the input's size fewer.
 
     The vjp first masks the cotangent, ``g = g * (out > 0)``.  The
     training backward is then the closed form over the ``N = B*T``
@@ -283,7 +292,11 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         xhat = v - mu[None, :, None]
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
-    out = xhat * gamma.value[None, :, None]
+    if _grad_enabled:
+        out = xhat * gamma.value[None, :, None]
+    else:   # no vjp will read xhat, so it becomes the output
+        out = xhat
+        out *= gamma.value[None, :, None]
     out += beta.value[None, :, None]
     out *= out > 0
 

@@ -244,13 +244,35 @@ class TestTrainPredictScore:
                          str(ckpt), "--out", str(again)])
         assert code == 0
         assert again.read_bytes() == preds.read_bytes()
-        assert (str(again) + ".manifest.txt") != (str(preds) + ".manifest.txt")
+        assert os.path.exists(str(preds) + ".manifest.txt")
+        assert os.path.exists(str(again) + ".manifest.txt")
         manifest_a = open(str(preds) + ".manifest.txt").read()
         manifest_b = open(str(again) + ".manifest.txt").read()
         # manifests differ only in the output path they echo
         diff = [pair for pair in zip(manifest_a.splitlines(),
                                      manifest_b.splitlines()) if pair[0] != pair[1]]
         assert all(left.startswith("out=") for left, _ in diff)
+
+    def test_more_records_than_one_batch(self, pipeline_dirs, tmp_path):
+        """Features are built one 32-record batch at a time: 33 records give
+        33 rows, the bytes of predicting the first 32 and the last apart."""
+        _, ckpt, _ = pipeline_dirs
+        every, first, rest = (tmp_path / name for name in ("all", "first", "rest"))
+        assert dispatch(["synth", "--count", "33", "--duration", "4", "--fs", "128",
+                         "--bpm", "70", "--seed", "21", "--out", str(every)]) == 0
+        for part, stems in ((first, range(32)), (rest, [32])):
+            os.makedirs(part)
+            for i in stems:
+                for ext in (".hea", ".dat"):
+                    shutil.copy(every / f"rec{i:03d}{ext}", part)
+        rows = []
+        for part in (every, first, rest):
+            out = tmp_path / f"{part.name}.csv"
+            assert dispatch(["predict", "--data", str(part), "--checkpoint",
+                             str(ckpt), "--out", str(out)]) == 0
+            rows.append(out.read_text().splitlines(keepends=True))
+        assert len(rows[0]) == 1 + 33
+        assert rows[0] == rows[1] + rows[2][1:]
 
     def test_single_checkpoint_runs_once_with_same_bytes(self, pipeline_dirs,
                                                          tmp_path, monkeypatch):
@@ -769,6 +791,25 @@ class TestConfigFile:
         assert code == 1
         assert err == f"error: {manifest}:1: command is not an option of synth\n"
         assert not (tmp_path / "d2").exists()
+
+    def test_trimmed_manifest_reruns_score(self, capsys, pipeline_dirs, tmp_path):
+        """Unset options (``--weights``) are left out of the manifest, so
+        without its ``command=`` and ``version=`` lines it is a config."""
+        data, _, preds = pipeline_dirs
+        first = tmp_path / "s1"
+        code, _, _ = run(capsys, "score", "--truth", str(data), "--pred", str(preds),
+                         "--out", str(first))
+        assert code == 0
+        lines = (first / "manifest.txt").read_text().splitlines()
+        assert not any(line.endswith("=None") for line in lines)
+        cfg = tmp_path / "score.cfg"
+        cfg.write_text("".join(line + "\n" for line in lines
+                               if not line.startswith(("command=", "version="))))
+        second = tmp_path / "s2"
+        code, _, err = run(capsys, "--config", str(cfg), "score", "--out", str(second))
+        assert code == 0, err
+        assert ((second / "report.json").read_bytes()
+                == (first / "report.json").read_bytes())
 
     def test_abbreviated_config_is_a_usage_error(self, capsys, tmp_path):
         """An abbreviation would pass argparse with the file unread."""

@@ -526,6 +526,23 @@ class TestNoGrad:
         _, (_, predict_peak) = self._forward_memory(x)
         assert predict_peak < 1.02 * stem_bytes, (predict_peak, stem_bytes)
 
+    def test_conv1d_forward_never_holds_the_whole_batch_im2col(self):
+        """The forward builds one record's im2col panel at a time, so its
+        peak, output included, stays below the whole batch's matrix."""
+        batch, c_in, t_in, k = 8, 16, 2048, 7
+        rng = np.random.default_rng(9)
+        x = rng.normal(size=(batch, c_in, t_in))
+        w = ad.Var(rng.normal(size=(32, c_in, k)))
+        whole_batch_cols = 8 * c_in * k * batch * t_in   # 14.7 MB; T' = T here
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                ad.conv1d(x, w, padding=k // 2)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert peak < whole_batch_cols, (peak, whole_batch_cols)
+
 
 class TestBackwardThroughModel:
     def _graph_nodes(self, root):
