@@ -11,12 +11,13 @@ Layout (little endian):
 * remainder     for each entry of ``arrays`` in order, the C-order
   float64 little-endian payload (8 bytes per element)
 
-``config`` and ``preprocess`` hold the ``SeResNetConfig`` and
-``PreprocessConfig`` fields; files written while more values were settings
-also list the keys of ``_FIXED_KEYS``, and read only with exactly those
-fixed values.  Without a spec (a version-1 file, or a model saved with
-``preprocess=None``) a checkpoint reads with the legacy inference spec:
-500 Hz, ``window_seconds = input_length / 500``, no denoising.  The names,
+``config`` and ``preprocess`` hold every ``SeResNetConfig`` and
+``PreprocessConfig`` field (a section lacking one is malformed); files
+written while more values were settings also list the keys of
+``_FIXED_KEYS``, and read only with exactly those fixed values.  Without
+a spec (a version-1 file, or a model saved with ``preprocess=None``) a
+checkpoint reads with the legacy inference spec: 500 Hz,
+``window_seconds = input_length / 500``, no denoising.  The names,
 kinds and shapes of ``arrays`` must be exactly those ``config`` implies.
 Files written while every conv had a bias also list the biases that feed
 batch normalizations only; each is folded into the running means it
@@ -29,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -58,7 +59,7 @@ def save_checkpoint(path, model: SeResNet) -> None:
             payload += arr.tobytes()
     header = json.dumps({
         "format_version": FORMAT_VERSION,
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),   # JSON writes its tuples as lists
         "preprocess": asdict(model.preprocess) if model.preprocess else None,
         "arrays": arrays,
     }, sort_keys=True).encode("utf-8")
@@ -83,16 +84,20 @@ def load_checkpoint(path) -> SeResNet:
             f"{path}: malformed checkpoint ({type(exc).__name__}: {exc})") from None
 
 
-def _without_fixed(fields, section: str):
-    """``fields`` without the section's ``_FIXED_KEYS``, each of which may
-    be listed only with exactly its fixed value."""
-    if not isinstance(fields, dict):
-        return fields
+def _section(cls, values, section: str):
+    """The ``cls`` a header section describes.  Each of the section's
+    ``_FIXED_KEYS`` may be listed only with exactly its fixed value, and
+    every field of ``cls`` must be listed."""
+    if not isinstance(values, dict):
+        raise ValueError(f"{section} is not an object")
     for key, fixed in _FIXED_KEYS[section].items():
-        value = fields.pop(key, fixed)
+        value = values.pop(key, fixed)
         if type(value) is not type(fixed) or value != fixed:
             raise ValueError(f"{section} {key} {value!r} is not {fixed!r}")
-    return fields
+    missing = [f.name for f in fields(cls) if f.name not in values]
+    if missing:
+        raise ValueError(f"{section} lacks {', '.join(missing)}")
+    return cls(**values)
 
 
 def _dead_biases(config: SeResNetConfig) -> dict[str, list[str]]:
@@ -124,12 +129,12 @@ def _parse(blob: bytes) -> SeResNet:
         raise ValueError("JSON header is not an object")
     if header.get("format_version") not in (1, 2):
         raise ValueError(f"unsupported version {header.get('format_version')}")
-    config = SeResNetConfig.from_dict(_without_fixed(header["config"], "config"))
+    config = _section(SeResNetConfig, header["config"], "config")
     spec_fields = header.get("preprocess")
     if spec_fields is None:   # the legacy inference spec
         spec_fields = dict(target_fs=500, window_seconds=config.input_length / 500,
                            denoise_enabled=False)
-    spec = PreprocessConfig(**_without_fixed(spec_fields, "preprocess"))
+    spec = _section(PreprocessConfig, spec_fields, "preprocess")
     if spec.window_samples != config.input_length:
         raise ValueError(
             f"preprocess spec ({spec.target_fs} Hz x {spec.window_seconds} s)"

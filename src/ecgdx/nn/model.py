@@ -15,7 +15,7 @@ get no gradient.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,19 +69,6 @@ class SeResNetConfig:
                     channels_per_stage=(16, 32), seed=0, stem_kernel=7)
         base.update(overrides)
         return cls(**base)
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["blocks_per_stage"] = list(self.blocks_per_stage)
-        d["channels_per_stage"] = list(self.channels_per_stage)
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "SeResNetConfig":
-        d = dict(d)
-        d["blocks_per_stage"] = tuple(d["blocks_per_stage"])
-        d["channels_per_stage"] = tuple(d["channels_per_stage"])
-        return cls(**d)
 
 
 def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:

@@ -80,16 +80,3 @@ def train(x, y, config: SeResNetConfig, epochs: int = 19,
         history.append({"epoch": epoch, "lr": lr, "loss": mean_loss})
         logger.debug("epoch %d lr %.4g loss %.6f", epoch, lr, mean_loss)
     return TrainResult(model=model, history=history)
-
-
-def exact_match_accuracy(model: SeResNet, x, y, threshold: float = 0.5,
-                         batch_size: int = 64) -> float:
-    """Fraction of records whose full binarized label set matches exactly."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y)
-    hits = 0
-    for start in range(0, x.shape[0], batch_size):
-        probs = model.predict_probs(x[start:start + batch_size])
-        pred = (probs >= threshold).astype(np.uint8)
-        hits += int(np.all(pred == y[start:start + batch_size], axis=1).sum())
-    return hits / x.shape[0]

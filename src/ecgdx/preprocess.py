@@ -10,12 +10,12 @@ import numpy as np
 
 from . import dsp, wavelet
 from .errors import ConfigError, RecordValidationError, UnsupportedRatioError
-from .records import EcgRecord, labels_from_codes, select_training_leads
+from .records import TRAINING_LEADS, EcgRecord, labels_from_codes
 
 # the paper's denoiser: bior2.6 wavelet, 8 decomposition levels; older
-# checkpoints' ``wavelet`` key is checked against WAVELET
+# checkpoints' ``wavelet`` and ``decomposition_level`` are checked against these
 WAVELET = wavelet.NAME
-LEVEL = 8
+LEVEL = wavelet.LEVEL
 
 
 @dataclass
@@ -90,7 +90,7 @@ def wavelet_denoise(signal) -> np.ndarray:
     always equals input shape.
     """
     x = np.asarray(signal, dtype=np.float64)
-    coeffs = wavelet.wavedec(x, LEVEL)
+    coeffs = wavelet.wavedec(x)
     sigma = np.median(np.abs(coeffs.details[0]), axis=-1, keepdims=True) / 0.6745
     thr = sigma * np.sqrt(2.0 * np.log(max(x.shape[-1], 2)))
     coeffs.details = [np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
@@ -107,12 +107,16 @@ def make_example(record: EcgRecord,
     the window.
     """
     config = config or PreprocessConfig()
-    rec8 = select_training_leads(record)
-    x = np.vstack([resample(row, rec8.fs, config.target_fs) for row in rec8.signals])
+    missing = [n for n in TRAINING_LEADS if n not in record.lead_names]
+    if missing:
+        raise RecordValidationError(
+            f"record {record.record_id!r}: missing training leads {missing}")
+    x = np.vstack([resample(record.lead(n), record.fs, config.target_fs)
+                   for n in TRAINING_LEADS])
     if x.shape[1] == 0:
         raise RecordValidationError(
-            f"record {record.record_id!r}: {rec8.signals.shape[1]} sample(s) at"
-            f" {rec8.fs} Hz resample to none at {config.target_fs} Hz")
+            f"record {record.record_id!r}: {record.signals.shape[1]} sample(s) at"
+            f" {record.fs} Hz resample to none at {config.target_fs} Hz")
     if config.denoise_enabled:
         x = wavelet_denoise(x)
     x = fix_length(x, config.target_fs, config.window_seconds)

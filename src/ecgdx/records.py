@@ -1,4 +1,4 @@
-"""ECG record parsing/writing, the scored-class map, and lead arithmetic.
+"""ECG record parsing/writing and the scored-class map.
 
 The on-disk container is a text header plus little-endian 16-bit samples
 with per-lead gain/offset.  The reader accepts any finite non-zero gain
@@ -7,9 +7,7 @@ uses ``WRITE_GAIN`` units/mV at offset 0.  Header grammar, one record::
 
     <record_id> <n_leads> <fs> <n_samples>
     <gain> <offset> <lead_name>          (one line per lead)
-    # Age: 57                            (optional comment lines)
-    # Sex: female
-    # Dx: 426783006,164889003
+    # Dx: 426783006,164889003            (optional; other comments are skipped)
 
 Signal payload: int16 little-endian, lead-interleaved by sample, so the
 value of lead ``c`` at sample ``t`` sits at element ``t * n_leads + c``.
@@ -27,11 +25,6 @@ import numpy as np
 
 from .errors import (EcgdxError, HeaderParseError, RecordValidationError,
                      SignalTruncationError)
-
-SEXES = ("male", "female", "unknown")
-
-#: Limb leads that are linear combinations of leads I and II.
-DERIVED_LEADS = ("III", "aVR", "aVL", "aVF")
 
 #: The 8 linearly independent leads kept for model input.
 TRAINING_LEADS = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
@@ -51,8 +44,6 @@ class EcgRecord:
     signals: np.ndarray            # [n_leads, n_samples] float64, mV
     lead_names: tuple[str, ...]
     fs: int
-    age: Optional[int] = None
-    sex: str = "unknown"
     dx_codes: frozenset[str] = frozenset()
 
     def __post_init__(self):
@@ -73,9 +64,6 @@ class EcgRecord:
         if not np.all(np.isfinite(sig)):
             raise RecordValidationError(
                 f"record {self.record_id!r}: non-finite sample values")
-        if self.sex not in SEXES:
-            raise RecordValidationError(
-                f"record {self.record_id!r}: sex must be one of {SEXES}")
         sig.flags.writeable = False
         object.__setattr__(self, "signals", sig)
         object.__setattr__(self, "lead_names", tuple(self.lead_names))
@@ -195,8 +183,6 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
                 f"line {lineno}: gain {parts[0]} is not finite and non-zero")
         names.append(parts[2])
 
-    age: Optional[int] = None
-    sex = "unknown"
     dx: set[str] = set()
     for k in range(1 + n_leads, len(lines)):
         line = lines[k].strip()
@@ -209,15 +195,6 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
             codes = body[3:].strip()
             if codes:
                 dx.update(c.strip() for c in codes.split(",") if c.strip())
-        elif body.lower().startswith("age:"):
-            value = body[4:].strip()
-            # ASCII only: str.isdigit also accepts digits such as "²" that
-            # int() rejects; more than three digits is not an age
-            age = int(value) if value.isascii() and value.isdigit() \
-                and len(value) <= 3 else None
-        elif body.lower().startswith("sex:"):
-            value = body[4:].strip().lower()
-            sex = value if value in SEXES else "unknown"
 
     expected = n_leads * n_samples * 2
     if len(signal_bytes) != expected:
@@ -227,7 +204,7 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
     raw = np.frombuffer(signal_bytes, dtype="<i2").reshape(n_samples, n_leads).T
     mv = (raw.astype(np.float64) - np.array(offsets)[:, None]) / np.array(gains)[:, None]
     return EcgRecord(record_id=record_id, signals=mv, lead_names=tuple(names),
-                     fs=fs, age=age, sex=sex, dx_codes=frozenset(dx))
+                     fs=fs, dx_codes=frozenset(dx))
 
 
 def write_record(record: EcgRecord) -> tuple[str, bytes]:
@@ -241,10 +218,6 @@ def write_record(record: EcgRecord) -> tuple[str, bytes]:
     n_leads, n_samples = record.signals.shape
     lines = [f"{record.record_id} {n_leads} {record.fs} {n_samples}"]
     lines += [f"{WRITE_GAIN} 0 {name}" for name in record.lead_names]
-    if record.age is not None:
-        lines.append(f"# Age: {record.age}")
-    if record.sex != "unknown":
-        lines.append(f"# Sex: {record.sex}")
     if record.dx_codes:
         lines.append("# Dx: " + ",".join(sorted(record.dx_codes)))
     header = "\n".join(lines) + "\n"
@@ -283,48 +256,3 @@ def load_record(path_stem) -> EcgRecord:
     with open(path_stem + ".dat", "rb") as fh:
         payload = fh.read()
     return parse_record(header, payload)
-
-
-# ----------------------------------------------------------------------
-# lead arithmetic
-# ----------------------------------------------------------------------
-
-def derive_limb_leads(record: EcgRecord) -> EcgRecord:
-    """Reconstruct III, aVR, aVL, aVF from leads I and II.
-
-    Einthoven/Goldberger identities, samplewise::
-
-        III = II - I,  aVR = -(I + II)/2,  aVL = I - II/2,  aVF = II - I/2
-
-    Existing derived leads are replaced (the operation is idempotent).
-    """
-    for need in ("I", "II"):
-        if need not in record.lead_names:
-            raise RecordValidationError(
-                f"record {record.record_id!r}: lead {need} required to derive limb leads")
-    i, ii = record.lead("I"), record.lead("II")
-    derived = {
-        "III": ii - i,
-        "aVR": -(i + ii) / 2.0,
-        "aVL": i - ii / 2.0,
-        "aVF": ii - i / 2.0,
-    }
-    names = [n for n in record.lead_names if n not in DERIVED_LEADS]
-    rows = [record.lead(n) for n in names]
-    names += list(DERIVED_LEADS)
-    rows += [derived[n] for n in DERIVED_LEADS]
-    return EcgRecord(record_id=record.record_id, signals=np.vstack(rows),
-                     lead_names=tuple(names), fs=record.fs, age=record.age,
-                     sex=record.sex, dx_codes=record.dx_codes)
-
-
-def select_training_leads(record: EcgRecord) -> EcgRecord:
-    """Keep the 8 linearly independent leads (I, II, V1..V6), in that order."""
-    missing = [n for n in TRAINING_LEADS if n not in record.lead_names]
-    if missing:
-        raise RecordValidationError(
-            f"record {record.record_id!r}: missing training leads {missing}")
-    rows = np.vstack([record.lead(n) for n in TRAINING_LEADS])
-    return EcgRecord(record_id=record.record_id, signals=rows,
-                     lead_names=TRAINING_LEADS, fs=record.fs, age=record.age,
-                     sex=record.sex, dx_codes=record.dx_codes)

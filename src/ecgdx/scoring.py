@@ -201,15 +201,14 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True)
 class PerClassMetrics:
     auc: np.ndarray        # NaN marks classes without both a positive and a negative
-    f1: np.ndarray
-    f1_zero_denominator: np.ndarray  # True where F1 was reported as 0 by convention
+    f1: np.ndarray         # 0 where the precision or recall denominator is empty
 
 
 def per_class_metrics(probs, truths, labels) -> PerClassMetrics:
     """Columnwise ranking AUC (midranks for ties) and F1.
 
     F1 is computed at the binarized ``labels``; classes with an empty
-    precision or recall denominator report 0 and are flagged.
+    precision or recall denominator report 0.
     """
     p = np.atleast_2d(np.asarray(probs, dtype=np.float64))
     t = np.atleast_2d(np.asarray(truths)).astype(bool)
@@ -217,7 +216,6 @@ def per_class_metrics(probs, truths, labels) -> PerClassMetrics:
     n_classes = p.shape[1]
     auc = np.empty(n_classes)
     f1 = np.empty(n_classes)
-    zero_den = np.zeros(n_classes, dtype=bool)
     for k in range(n_classes):
         pos = t[:, k]
         n_pos = int(pos.sum())
@@ -233,7 +231,6 @@ def per_class_metrics(probs, truths, labels) -> PerClassMetrics:
         denom = 2 * tp + fp + fn
         if denom == 0:
             f1[k] = 0.0
-            zero_den[k] = True
         else:
             f1[k] = 2.0 * tp / denom
-    return PerClassMetrics(auc=auc, f1=f1, f1_zero_denominator=zero_den)
+    return PerClassMetrics(auc=auc, f1=f1)

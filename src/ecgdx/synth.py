@@ -14,8 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .records import (SINUS_RHYTHM_CODE, EcgRecord, derive_limb_leads,
-                      labels_from_codes)
+from .records import SINUS_RHYTHM_CODE, EcgRecord, labels_from_codes
 
 # per-lead template amplitude multipliers for (I, II, V1..V6)
 _LEAD_SCALE = {
@@ -113,6 +112,9 @@ def generate(spec: SynthSpec, record_id: str = "synth0"):
     sig = np.vstack([scale * base for scale in _LEAD_SCALE.values()])
     # noise draws always happen so the stream position is sigma-independent
     sig = sig + spec.noise_sigma * rng.standard_normal(sig.shape)
+    # the limb leads that leads I and II determine (Einthoven, Goldberger)
+    i, ii = sig[0], sig[1]
+    sig = np.vstack([sig, ii - i, -(i + ii) / 2.0, i - ii / 2.0, ii - i / 2.0])
 
     dx = set()
     if spec.bpm < 60:
@@ -124,12 +126,9 @@ def generate(spec: SynthSpec, record_id: str = "synth0"):
     if spec.ectopic_rate > 0:
         dx.add(_PVC_CODE)
 
-    age = int(rng.integers(20, 90))
-    sex = "male" if rng.integers(0, 2) == 0 else "female"
     rec = EcgRecord(record_id=record_id, signals=sig,
-                    lead_names=tuple(_LEAD_SCALE), fs=spec.fs,
-                    age=age, sex=sex, dx_codes=frozenset(dx))
-    rec = derive_limb_leads(rec)
+                    lead_names=(*_LEAD_SCALE, "III", "aVR", "aVL", "aVF"),
+                    fs=spec.fs, dx_codes=frozenset(dx))
     true_beats = np.array([int(round(bt * spec.fs)) for bt in final_times])
     labels = labels_from_codes(dx)
     return rec, true_beats, labels

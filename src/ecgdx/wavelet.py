@@ -7,7 +7,7 @@ times the binomial half-band polynomial, so the two-channel product is
 half-band and reconstruction is exact (not merely approximate).  The
 member named ``biorP.Q`` gives the analysis wavelet P vanishing moments
 and the synthesis wavelet Q; the module builds one bank, ``BANK``, for
-the paper's ``bior2.6``.
+the paper's ``bior2.6``, and decomposes to the paper's ``LEVEL`` 8.
 
 The forward transform extends the signal symmetrically and keeps the
 odd-phase samples of its full convolution, computing only those; the
@@ -25,8 +25,6 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
-
-from .errors import ConfigError
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -83,6 +81,7 @@ def _build(p: int, pt: int) -> FilterBank:
 
 NAME = "bior2.6"
 BANK = _build(2, 6)
+LEVEL = 8
 
 
 @dataclass
@@ -139,14 +138,12 @@ def _idwt_single(ca: np.ndarray, cd: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def wavedec(x, level: int) -> WaveletCoeffs:
-    """Decompose each row of ``x`` (one signal, or ``[rows, n]``)."""
-    if level < 1:
-        raise ConfigError(f"decomposition level must be >= 1, got {level}")
+def wavedec(x) -> WaveletCoeffs:
+    """Decompose each row of ``x`` (one signal, or ``[rows, n]``) LEVEL times."""
     approx = np.asarray(x, dtype=np.float64)
     details: list[np.ndarray] = []
     lengths: list[int] = []
-    for _ in range(level):
+    for _ in range(LEVEL):
         lengths.append(approx.shape[-1])
         approx, d = _dwt_single(approx)
         details.append(d)

@@ -7,7 +7,7 @@ import time
 
 import numpy as np
 
-from ecgdx.nn import SeResNetConfig, exact_match_accuracy, train
+from ecgdx.nn import SeResNetConfig, train
 from ecgdx.nn import autodiff as ad
 from ecgdx.preprocess import fix_length, wavelet_denoise
 from ecgdx.records import ClassMap, TRAINING_LEADS
@@ -17,6 +17,7 @@ from ecgdx.signloss import LossBatch, sign_loss, sign_loss_grad
 from ecgdx.synth import SynthSpec, generate
 from ecgdx.ensemble import apply_brady_veto, binarize, fuse, snr_postprocess
 from ecgdx import wavelet
+from test_train import exact_match_accuracy
 
 CMAP = ClassMap.default()
 
@@ -223,7 +224,7 @@ def test_criterion_5_wavelet():
     worst_pr = 0.0
     for n in (4096, 5000, 15000):
         x = rng.normal(size=n)
-        coeffs = wavelet.wavedec(x, 8)
+        coeffs = wavelet.wavedec(x)
         worst_pr = max(worst_pr, float(np.max(np.abs(wavelet.waverec(coeffs) - x))))
 
     improved = 0

@@ -514,17 +514,17 @@ class TestNoGrad:
         assert predict_kept < 0.01 * graph_kept, (predict_kept, graph_kept)
 
     def test_predict_peak_memory_is_the_stem_convolution(self):
-        """Without a graph the peak is the stem conv's: its im2col matrix,
-        the GEMM product and at most one (padded) input-sized buffer."""
+        """Without a graph the peak of the whole forward stays below the
+        stem conv's whole-batch im2col matrix (1.835 MB here), as every
+        conv builds one record's im2col panel at a time."""
         batch, t_in = 4, 2048
         x = np.random.default_rng(6).normal(size=(batch, 8, t_in))
         cfg = TestModelForward.CFG
         k, pad = cfg.stem_kernel, cfg.stem_kernel // 2
         t_out = (t_in + 2 * pad - k) // 2 + 1
-        stem_bytes = 8 * batch * (8 * k * t_out + cfg.stem_channels * t_out
-                                  + 8 * (t_in + 2 * pad))
+        stem_cols = 8 * (8 * k) * (batch * t_out)
         _, (_, predict_peak) = self._forward_memory(x)
-        assert predict_peak < 1.02 * stem_bytes, (predict_peak, stem_bytes)
+        assert predict_peak < stem_cols, (predict_peak, stem_cols)
 
     def test_conv1d_forward_never_holds_the_whole_batch_im2col(self):
         """The forward builds one record's im2col panel at a time, so its
@@ -690,9 +690,13 @@ def _edit_checkpoint(edit):
     return apply
 
 
-def _without(key):
-    return _edit_checkpoint(
-        lambda h, p: ({k: v for k, v in h.items() if k != key}, p))
+def _without(key, section=None):
+    """Drop ``key`` from the header, or from its ``section``."""
+    def drop(fields):
+        return {k: v for k, v in fields.items() if k != key}
+    if section is None:
+        return _edit_checkpoint(lambda h, p: (drop(h), p))
+    return _edit_checkpoint(lambda h, p: ({**h, section: drop(h[section])}, p))
 
 
 def _with_spec(**fields):
@@ -755,6 +759,8 @@ MALFORMED = {
         lambda h, p: ({**h, "format_version": 3}, p)),
     "missing-config": _without("config"),
     "missing-arrays": _without("arrays"),
+    "preprocess-missing-denoise": _without("denoise_enabled", "preprocess"),
+    "config-missing-seed": _without("seed", "config"),
     "unknown-preprocess-key": _with_spec(bogus=1),
     "spec-length-mismatch": _with_spec(target_fs=64),
     "shape-beyond-payload": _first_shape([10 ** 6]),
@@ -860,7 +866,7 @@ class TestCheckpoint:
                                "shape": list(table[name].shape)})
                 payload += table[name].astype("<f8").tobytes()
         header = json.dumps({"format_version": 1,
-                             "config": model.config.to_dict(),
+                             "config": dataclasses.asdict(model.config),
                              "arrays": arrays}).encode("utf-8")
         path = tmp_path / "v1.ckpt"
         path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + payload)
@@ -999,7 +1005,7 @@ class TestCheckpointProperties:
         self._load_edited(edit)
 
     @settings(max_examples=150, deadline=None)
-    @given(st.dictionaries(st.sampled_from(sorted(TestModelForward.CFG.to_dict())
+    @given(st.dictionaries(st.sampled_from(sorted(dataclasses.asdict(TestModelForward.CFG))
                                            + sorted(FIXED_CONFIG)),
                            JSON_VALUES, max_size=3),
            st.dictionaries(st.sampled_from(sorted(dataclasses.asdict(SPEC))

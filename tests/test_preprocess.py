@@ -10,6 +10,7 @@ from ecgdx import preprocess, wavelet
 from ecgdx.errors import ConfigError, UnsupportedRatioError
 from ecgdx.preprocess import (LEVEL, PreprocessConfig, fix_length,
                               make_example, resample, wavelet_denoise)
+from ecgdx.records import TRAINING_LEADS
 from ecgdx.synth import SynthSpec, generate
 
 
@@ -83,7 +84,7 @@ class TestWavelet:
     @pytest.mark.parametrize("n", [4096, 5000, 15000])
     def test_roundtrip_without_thresholding(self, n):
         x = np.random.default_rng(n).normal(size=n)
-        out = wavelet.waverec(wavelet.wavedec(x, LEVEL))
+        out = wavelet.waverec(wavelet.wavedec(x))
         assert len(out) == n
         assert np.max(np.abs(out - x)) < 1e-8
 
@@ -166,7 +167,7 @@ def _ref_denoise(x):
 def _assert_matches_reference(x):
     """Coefficients, round trip and denoising of every row of ``x``
     within 1e-12 of the reference."""
-    coeffs = wavelet.wavedec(x, LEVEL)
+    coeffs = wavelet.wavedec(x)
     back = wavelet.waverec(coeffs)
     den = wavelet_denoise(x)
     assert back.shape == den.shape == x.shape
@@ -197,11 +198,11 @@ class TestBatchedWavelet:
     def test_rows_equal_one_dimensional_calls(self, n):
         x = np.random.default_rng(n).normal(size=(8, n))
         batched = wavelet_denoise(x)
-        back = wavelet.waverec(wavelet.wavedec(x, LEVEL))
+        back = wavelet.waverec(wavelet.wavedec(x))
         for r, row in enumerate(x):
             np.testing.assert_array_equal(batched[r], wavelet_denoise(row))
             np.testing.assert_array_equal(
-                back[r], wavelet.waverec(wavelet.wavedec(row, LEVEL)))
+                back[r], wavelet.waverec(wavelet.wavedec(row)))
 
 
 class TestMakeExample:
@@ -222,11 +223,9 @@ class TestMakeExample:
 
     def test_identity_composition(self):
         rec, _, _ = generate(SynthSpec(bpm=72, fs=500, duration=30.0, seed=12))
-        from ecgdx.records import select_training_leads
-        rec8 = select_training_leads(rec)
         cfg = PreprocessConfig(window_seconds=30, denoise_enabled=False)
-        x, _ = make_example(rec8, cfg)
-        np.testing.assert_array_equal(x, rec8.signals)
+        x, _ = make_example(rec, cfg)
+        np.testing.assert_array_equal(x, np.vstack([rec.lead(n) for n in TRAINING_LEADS]))
 
     def test_denoises_all_leads_in_one_call(self, monkeypatch):
         calls = []

@@ -1,4 +1,5 @@
-"""Record container: parsing, writing, the class map, and lead arithmetic."""
+"""Record container: parsing, writing, the class map, and the leads the
+pipeline reads."""
 
 import numpy as np
 import pytest
@@ -7,9 +8,11 @@ from hypothesis import strategies as st
 
 from ecgdx.errors import (EcgdxError, HeaderParseError, RecordValidationError,
                           SignalTruncationError)
+from ecgdx import synth
+from ecgdx.preprocess import PreprocessConfig, make_example
 from ecgdx.records import (ClassMap, EcgRecord, TRAINING_LEADS,
-                           derive_limb_leads, labels_from_codes, parse_record,
-                           select_training_leads, write_record)
+                           labels_from_codes, parse_record, write_record)
+from ecgdx.synth import SynthSpec, generate
 
 AF_CODE = "164889003"
 SINUS_CODE = "426783006"
@@ -28,6 +31,12 @@ def _header(record_id="r0", n_leads=2, fs=500, n_samples=5000,
 def _bytes_for(raw):
     """raw [n_leads, n_samples] int -> interleaved int16 payload."""
     return np.asarray(raw).T.astype("<i2").tobytes()
+
+
+def _assert_same_record(a, b):
+    assert (a.record_id, a.lead_names, a.fs, a.dx_codes) == \
+        (b.record_id, b.lead_names, b.fs, b.dx_codes)
+    np.testing.assert_array_equal(a.signals, b.signals)
 
 
 class TestParseRecord:
@@ -70,18 +79,24 @@ class TestParseRecord:
             parse_record(f"r0 1 500 10\n{gain} 0 I\n", b"\0" * 20)
 
     def test_age_sex_comments(self):
-        raw = np.zeros((2, 4), dtype=int)
-        text = _header(n_samples=4) + "# Age: 63\n# Sex: female\n"
-        rec = parse_record(text, _bytes_for(raw))
-        assert rec.age == 63 and rec.sex == "female"
+        """``# Age:`` and ``# Sex:`` lines are comments like any other: the
+        header parses to the record it gives without them."""
+        raw = np.arange(8).reshape(2, 4)
+        bare = _header(n_samples=4, dx=SINUS_CODE)
+        text = bare + "# Age: 63\n# Sex: female\n"
+        _assert_same_record(parse_record(text, _bytes_for(raw)),
+                            parse_record(bare, _bytes_for(raw)))
 
     @pytest.mark.parametrize("value", ["\u00b2", "9" * 5000, "-5", "six"],
                              ids=["superscript-two", "5000-digits", "negative",
                                   "word"])
     def test_unparsable_age_is_unknown(self, value):
+        """An age no integer parse accepts is skipped, not parsed."""
         raw = np.zeros((2, 4), dtype=int)
-        text = _header(n_samples=4) + f"# Age: {value}\n"
-        assert parse_record(text, _bytes_for(raw)).age is None
+        bare = _header(n_samples=4)
+        _assert_same_record(
+            parse_record(bare + f"# Age: {value}\n", _bytes_for(raw)),
+            parse_record(bare, _bytes_for(raw)))
 
 
 FIELDS = (st.integers(-2, 4).map(str) | st.text(max_size=4)
@@ -133,8 +148,8 @@ class TestWriteRecord:
         rng = np.random.default_rng(0)
         raw = rng.integers(-3000, 3000, size=(3, 200))
         rec = EcgRecord(record_id="rt", signals=raw / 1000.0,
-                        lead_names=("I", "II", "V1"), fs=250, age=40,
-                        sex="male", dx_codes=frozenset({AF_CODE, "999"}))
+                        lead_names=("I", "II", "V1"), fs=250,
+                        dx_codes=frozenset({AF_CODE, "999"}))
         header, payload = write_record(rec)
         header2, payload2 = write_record(parse_record(header, payload))
         assert header2 == header
@@ -226,59 +241,75 @@ class TestClassMap:
 
 
 class TestLeadArithmetic:
-    def _record(self, i, ii):
-        sig = np.vstack([i, ii]).astype(float)
-        return EcgRecord("la", sig, ("I", "II"), 500)
+    """The 12 leads ``synth`` writes and the 8 ``make_example`` reads."""
+
+    def _generate(self, monkeypatch, lead_i, lead_ii):
+        """A noiseless record whose leads I and II are ``lead_i`` and
+        ``lead_ii`` times the same beat template."""
+        monkeypatch.setitem(synth._LEAD_SCALE, "I", lead_i)
+        monkeypatch.setitem(synth._LEAD_SCALE, "II", lead_ii)
+        rec, _, _ = generate(SynthSpec(bpm=70, fs=100, duration=3.0))
+        return rec
 
     def test_lead_three_identity(self):
-        rec = derive_limb_leads(self._record([1, 1], [2, 2]))
-        np.testing.assert_array_equal(rec.lead("III"), [1.0, 1.0])
+        rec, _, _ = generate(SynthSpec(bpm=80, duration=10.0, noise_sigma=0.05,
+                                       seed=4))
+        np.testing.assert_array_equal(rec.lead("III"), rec.lead("II") - rec.lead("I"))
 
-    def test_zero_input_zero_derived(self):
-        rec = derive_limb_leads(self._record([0, 0], [0, 0]))
+    def test_zero_input_zero_derived(self, monkeypatch):
+        rec = self._generate(monkeypatch, 0.0, 0.0)
         for name in ("III", "aVR", "aVL", "aVF"):
-            np.testing.assert_array_equal(rec.lead(name), [0.0, 0.0])
+            np.testing.assert_array_equal(rec.lead(name), np.zeros(300))
 
-    def test_goldberger_hand_values(self):
-        rec = derive_limb_leads(self._record([2], [1]))
-        assert rec.lead("aVR")[0] == -1.5
-        assert rec.lead("aVL")[0] == 1.5
-        assert rec.lead("aVF")[0] == 0.0
-
-    def test_missing_input_lead(self):
-        rec = EcgRecord("m", np.zeros((1, 4)), ("I",), 500)
-        with pytest.raises(RecordValidationError):
-            derive_limb_leads(rec)
+    def test_goldberger_hand_values(self, monkeypatch):
+        rec = self._generate(monkeypatch, 2.0, 1.0)
+        template = rec.lead("II")
+        assert np.max(template) > 0.5
+        np.testing.assert_array_equal(rec.lead("III"), -template)
+        np.testing.assert_array_equal(rec.lead("aVR"), -1.5 * template)
+        np.testing.assert_array_equal(rec.lead("aVL"), 1.5 * template)
+        np.testing.assert_array_equal(rec.lead("aVF"), np.zeros(300))
 
     def _full12(self):
-        rng = np.random.default_rng(3)
-        sig = rng.normal(size=(8, 50))
-        base = EcgRecord("f", sig, TRAINING_LEADS, 500)
-        return derive_limb_leads(base)
+        rec, _, _ = generate(SynthSpec(bpm=75, fs=100, duration=10.0,
+                                       noise_sigma=0.05, seed=3))
+        return rec
+
+    def _rows(self, rec):
+        """``make_example``'s features: the 8 leads at the record's rate."""
+        x, _ = make_example(rec, PreprocessConfig(target_fs=rec.fs, window_seconds=10,
+                                                  denoise_enabled=False))
+        return x
 
     def test_select_drops_derived_leads(self):
-        rec8 = select_training_leads(self._full12())
-        assert rec8.lead_names == TRAINING_LEADS
+        full = self._full12()
+        assert full.lead_names[8:] == ("III", "aVR", "aVL", "aVF")
+        np.testing.assert_array_equal(
+            self._rows(full), np.vstack([full.lead(n) for n in TRAINING_LEADS]))
 
     def test_select_idempotent(self):
-        rec8 = select_training_leads(self._full12())
-        again = select_training_leads(rec8)
-        np.testing.assert_array_equal(again.signals, rec8.signals)
+        """A record of only the 8 leads, in another order, gives the same
+        features."""
+        full = self._full12()
+        names = TRAINING_LEADS[::-1]
+        rec8 = EcgRecord("f8", np.vstack([full.lead(n) for n in names]), names,
+                         full.fs)
+        np.testing.assert_array_equal(self._rows(rec8), self._rows(full))
 
     def test_select_then_derive_reproduces_originals(self):
         full = self._full12()
-        rebuilt = derive_limb_leads(select_training_leads(full))
-        for name in full.lead_names:
-            assert np.max(np.abs(rebuilt.lead(name) - full.lead(name))) < 1e-9
+        i, ii = self._rows(full)[:2]
+        for name, derived in (("III", ii - i), ("aVR", -(i + ii) / 2),
+                              ("aVL", i - ii / 2), ("aVF", ii - i / 2)):
+            np.testing.assert_array_equal(derived, full.lead(name))
 
-    def test_derive_select_derive_fixpoint(self):
-        full = self._full12()
-        once = derive_limb_leads(select_training_leads(derive_limb_leads(full)))
-        twice = derive_limb_leads(select_training_leads(once))
-        for name in once.lead_names:
-            assert np.max(np.abs(twice.lead(name) - once.lead(name))) < 1e-9
+    def test_missing_input_lead(self):
+        rec = EcgRecord("m", np.zeros((1, 4)), ("V1",), 500)
+        with pytest.raises(RecordValidationError,
+                           match=r"missing training leads \['I', 'II', 'V2'"):
+            make_example(rec)
 
     def test_select_missing_chest_lead(self):
         rec = EcgRecord("p", np.zeros((2, 4)), ("I", "II"), 500)
         with pytest.raises(RecordValidationError, match="V1"):
-            select_training_leads(rec)
+            make_example(rec)

@@ -345,10 +345,9 @@ class TestPerClassMetrics:
         m = per_class_metrics(probs, truths, probs >= 0.36)
         assert np.isnan(m.auc[0])
 
-    def test_zero_denominator_f1_flagged(self):
+    def test_zero_denominator_f1_is_zero(self):
         probs = np.array([[0.1], [0.2]])
         truths = np.array([[0], [0]])
         m = per_class_metrics(probs, truths, probs >= 0.36)
         assert m.f1[0] == 0.0
-        assert bool(m.f1_zero_denominator[0]) is True
         assert isinstance(m, PerClassMetrics)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ecgdx.errors import TrainingDivergedError
-from ecgdx.nn import SeResNetConfig, exact_match_accuracy, train
+from ecgdx.nn import SeResNetConfig, train
 from ecgdx.preprocess import fix_length
 from ecgdx.records import TRAINING_LEADS
 from ecgdx.synth import SynthSpec, generate
@@ -29,6 +29,16 @@ def make_dataset(n=40, fs=128, seconds=2, seed0=500):
 
 
 CFG = SeResNetConfig.small(input_length=256, seed=1)
+
+
+def exact_match_accuracy(model, x, y, threshold=0.5, batch_size=64):
+    """Fraction of records whose full binarized label set matches exactly."""
+    hits = 0
+    for start in range(0, x.shape[0], batch_size):
+        probs = model.predict_probs(x[start:start + batch_size])
+        pred = (probs >= threshold).astype(np.uint8)
+        hits += int(np.all(pred == y[start:start + batch_size], axis=1).sum())
+    return hits / x.shape[0]
 
 
 class TestTraining:
