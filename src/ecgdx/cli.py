@@ -196,17 +196,22 @@ def _load_truth(truth_dir: str) -> dict[str, np.ndarray]:
 
 
 def _aligned_arrays(pred_file: str, truth_dir: str):
-    preds = read_predictions(read_text(pred_file))
+    """Predicted labels and probabilities and the true labels, one row per
+    truth record in truth order.  Each truth record needs one prediction
+    row, and each row a truth record."""
+    preds = {p.record_id: p for p in read_predictions(read_text(pred_file))}
     if not preds:
         raise EcgdxError(f"{pred_file}: no prediction rows")
     truth_by_id = _load_truth(truth_dir)
-    missing = [p.record_id for p in preds if p.record_id not in truth_by_id]
+    missing = [rid for rid in preds if rid not in truth_by_id]
     if missing:
         raise EcgdxError(f"predictions reference unknown records: {missing}")
-    truths = np.stack([truth_by_id[p.record_id] for p in preds])
-    labels = np.stack([p.labels for p in preds])
-    probs = np.stack([p.probs for p in preds])
-    return labels, probs, truths
+    unscored = [rid for rid in truth_by_id if rid not in preds]
+    if unscored:
+        raise EcgdxError(f"truth records without a prediction row: {unscored}")
+    labels = np.stack([preds[rid].labels for rid in truth_by_id])
+    probs = np.stack([preds[rid].probs for rid in truth_by_id])
+    return labels, probs, np.stack(list(truth_by_id.values()))
 
 
 def _default_weights() -> RewardMatrix:
@@ -392,8 +397,9 @@ def dispatch(argv: list[str]) -> int:
         return code
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else 0
-    except (EcgdxError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (EcgdxError, OSError, MemoryError) as exc:
+        # a bare MemoryError has no message of its own
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -16,7 +16,7 @@ from itertools import zip_longest
 
 import numpy as np
 
-from .errors import RecordValidationError
+from .errors import EcgdxError
 from .records import ClassMap, EcgRecord
 from .rpeaks import brady_rule, detect_rpeaks
 
@@ -36,11 +36,11 @@ class PredictionSet:
         p = np.asarray(self.probs, dtype=np.float64)
         lab = np.asarray(self.labels)
         if p.shape != lab.shape or p.ndim != 1:
-            raise RecordValidationError("probs and labels must be aligned vectors")
+            raise EcgdxError("probs and labels must be aligned vectors")
         if not np.all((lab == 0) | (lab == 1)):
-            raise RecordValidationError("labels must be 0 or 1")
+            raise EcgdxError("labels must be 0 or 1")
         if not np.all((p >= 0) & (p <= 1)):   # also false for NaN
-            raise RecordValidationError("probabilities must be finite and in [0, 1]")
+            raise EcgdxError("probabilities must be finite and in [0, 1]")
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "labels", lab.astype(np.uint8))
 
@@ -50,7 +50,7 @@ def fuse(p_short, p_long) -> np.ndarray:
     a = np.asarray(p_short, dtype=np.float64)
     b = np.asarray(p_long, dtype=np.float64)
     if a.shape != b.shape:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"cannot fuse probability vectors of shapes {a.shape} and {b.shape}")
     return 0.5 * a + 0.5 * b
 
@@ -58,7 +58,7 @@ def fuse(p_short, p_long) -> np.ndarray:
 def binarize(probs, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
     """Label = 1 iff probability >= threshold (closed lower bound)."""
     if not (0.0 < threshold < 1.0):
-        raise RecordValidationError(f"threshold {threshold} outside (0, 1)")
+        raise EcgdxError(f"threshold {threshold} outside (0, 1)")
     return (np.asarray(probs, dtype=np.float64) >= threshold).astype(np.uint8)
 
 
@@ -147,19 +147,19 @@ def write_predictions(pred_sets, cmap: ClassMap | None = None) -> str:
 
 def read_predictions(text: str) -> list[PredictionSet]:
     """Parse a predictions file; a header other than ``write_predictions``'s,
-    a record listed twice or any malformed cell raises RecordValidationError."""
+    a record listed twice or any malformed cell raises EcgdxError."""
     abbrs = ClassMap.default().abbreviations
     n = len(abbrs)
     try:
         rows = list(csv.reader(io.StringIO(text)))
     except csv.Error as exc:
-        raise RecordValidationError(f"prediction file is not valid CSV: {exc}") from None
+        raise EcgdxError(f"prediction file is not valid CSV: {exc}") from None
     header = rows[0] if rows else []
     # None marks a column the file lacks, or one it should not have
     for column, (got, want) in enumerate(
             zip_longest(header, ["record_id", *abbrs, *abbrs]), start=1):
         if got != want:
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"prediction file header column {column} is {got!r},"
                 f" expected {want!r}")
     out = []
@@ -167,10 +167,10 @@ def read_predictions(text: str) -> list[PredictionSet]:
     for number, row in enumerate(rows[1:], start=2):
         try:
             if len(row) != 1 + 2 * n:
-                raise RecordValidationError(
+                raise EcgdxError(
                     f"{len(row)} columns, expected {1 + 2 * n}")
             if row[0] in first_row:
-                raise RecordValidationError(
+                raise EcgdxError(
                     f"record {row[0]!r} is listed again"
                     f" (first on row {first_row[row[0]]})")
             first_row[row[0]] = number
@@ -178,5 +178,5 @@ def read_predictions(text: str) -> list[PredictionSet]:
             probs = np.array([float(v) for v in row[1 + n:]])
             out.append(PredictionSet(record_id=row[0], probs=probs, labels=labels))
         except ValueError as exc:
-            raise RecordValidationError(f"prediction file row {number}: {exc}") from None
+            raise EcgdxError(f"prediction file row {number}: {exc}") from None
     return out

@@ -1,37 +1,6 @@
-"""Exception types shared across the package."""
+"""The package's one exception type."""
 
 
-class EcgdxError(Exception):
-    """Base class for all package-specific errors."""
-
-
-class HeaderParseError(EcgdxError, ValueError):
-    """Record header text could not be parsed; message names the line."""
-
-
-class SignalTruncationError(EcgdxError, ValueError):
-    """Signal byte payload does not match the size declared in the header."""
-
-
-class RecordValidationError(EcgdxError, ValueError):
-    """A record or derived quantity violates a structural invariant."""
-
-
-class ConfigError(EcgdxError, ValueError):
-    """A configuration value is out of range or names an unknown option."""
-
-
-class UnsupportedRatioError(ConfigError):
-    """Resampling requested for a non-integer rate ratio."""
-
-
-class SignalTooShortError(EcgdxError, ValueError):
-    """Input signal is shorter than the minimum an operation requires."""
-
-
-class DegenerateDatasetError(EcgdxError, ValueError):
-    """Scoring cannot be normalized (correct and inactive scores coincide)."""
-
-
-class TrainingDivergedError(EcgdxError, RuntimeError):
-    """Training aborted because the loss became non-finite."""
+class EcgdxError(ValueError):
+    """Malformed input or an impossible request; ``dispatch`` prints its
+    message as one ``error:`` line and exits 1."""

@@ -19,7 +19,7 @@ import contextlib
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from ..errors import RecordValidationError
+from ..errors import EcgdxError
 
 BN_MOMENTUM = 0.1   # weight of a batch's statistics in the running buffers
 BN_EPS = 1e-5       # added to the variance before its square root
@@ -109,7 +109,7 @@ def _as_var(x) -> Var:
 def add(a: Var, b: Var) -> Var:
     a, b = _as_var(a), _as_var(b)
     if a.value.shape != b.value.shape:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"add shape mismatch {a.value.shape} vs {b.value.shape}")
     return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
@@ -201,11 +201,11 @@ def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
     batch, c_in, t_in = xv.shape
     c_out, c_in_w, k = w.value.shape
     if c_in_w != c_in:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"conv1d channel mismatch: input {c_in}, weight {c_in_w}")
     t_pad = t_in + 2 * padding
     if k > t_pad:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"kernel {k} longer than padded input {t_pad}")
     t_out = (t_pad - k) // stride + 1
     w2 = w.value.reshape(c_out, c_in * k)

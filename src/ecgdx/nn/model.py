@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from ..errors import ConfigError, RecordValidationError
+from ..errors import EcgdxError
 from ..records import TRAINING_LEADS, ClassMap
 
 # fixed widths: leads in, scored classes out, SE ratio, block kernel
@@ -46,20 +46,20 @@ class SeResNetConfig:
         fields = (self.input_length, self.stem_channels, self.stem_kernel, self.seed,
                   *self.blocks_per_stage, *self.channels_per_stage)
         if any(type(n) is not int for n in fields):
-            raise ConfigError(f"lengths, widths, block counts and seed must be ints,"
-                              f" got {self}")
+            raise EcgdxError(f"lengths, widths, block counts and seed must be ints,"
+                             f" got {self}")
         if len(self.blocks_per_stage) != len(self.channels_per_stage):
-            raise ConfigError("blocks_per_stage and channels_per_stage lengths differ")
+            raise EcgdxError("blocks_per_stage and channels_per_stage lengths differ")
         if not self.blocks_per_stage:
-            raise ConfigError("need at least one stage")
+            raise EcgdxError("need at least one stage")
         if min(self.input_length, self.stem_channels, self.stem_kernel,
                *self.channels_per_stage) <= 0:
-            raise ConfigError("all dimensions must be positive")
+            raise EcgdxError("all dimensions must be positive")
         if self.seed < 0:
-            raise ConfigError(f"seed must be non-negative, got {self.seed}")
+            raise EcgdxError(f"seed must be non-negative, got {self.seed}")
         for c in self.channels_per_stage:
             if c % SE_REDUCTION != 0:
-                raise ConfigError(
+                raise EcgdxError(
                     f"se reduction {SE_REDUCTION} does not divide channels {c}")
 
     @classmethod
@@ -184,7 +184,7 @@ class SeResNet:
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != INPUT_LEADS:
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"expected input [B, {INPUT_LEADS}, T], got {x.shape}")
         pvars = {name: ad.Var(value) for name, value in self.params.items()}
         h = ad.conv1d(x, pvars["stem.conv.w"], stride=2,

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .model import SeResNet, SeResNetConfig
 from .optim import Adam, lr_for_epoch
-from ..errors import ConfigError, TrainingDivergedError
+from ..errors import EcgdxError
 from ..signloss import LossBatch, sign_loss, sign_loss_grad
 
 logger = logging.getLogger(__name__)
@@ -36,25 +36,25 @@ class TrainResult:
 
 
 def check_schedule(epochs: int, batch_size: int) -> None:
-    """Raise ConfigError unless ``epochs`` and ``batch_size`` are at least 1."""
+    """Raise EcgdxError unless ``epochs`` and ``batch_size`` are at least 1."""
     if batch_size < 1 or epochs < 1:
-        raise ConfigError(f"batch size ({batch_size}) and epochs ({epochs})"
-                          " must be at least 1")
+        raise EcgdxError(f"batch size ({batch_size}) and epochs ({epochs})"
+                         " must be at least 1")
 
 
 def train(x, y, config: SeResNetConfig, epochs: int = 19,
           batch_size: int = 16) -> TrainResult:
     """Train a model on (x [N, leads, T], y [N, n_classes]).
 
-    Aborts with :class:`TrainingDivergedError` if the loss goes
-    non-finite.  The history records the per-epoch mean loss and the
-    learning rate actually applied.
+    Aborts with :class:`EcgdxError` if the loss goes non-finite.  The
+    history records the per-epoch mean loss and the learning rate actually
+    applied.
     """
     check_schedule(epochs, batch_size)
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape[0] == 0:
-        raise TrainingDivergedError("empty dataset")
+        raise EcgdxError("empty dataset")
     model = SeResNet(config)
     optimizer = Adam()
     shuffle_rng = np.random.default_rng(np.random.PCG64(config.seed + 0x5eed))
@@ -69,7 +69,7 @@ def train(x, y, config: SeResNetConfig, epochs: int = 19,
             probs = ad.sigmoid(logits)
             value, dprobs = sign_loss_pair(probs.value, y[idx])
             if not np.isfinite(value):
-                raise TrainingDivergedError(
+                raise EcgdxError(
                     f"loss became {value} at epoch {epoch}, "
                     f"batch starting {start} (lr={lr})")
             ad.backward(probs, seed=dprobs)

@@ -9,13 +9,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dsp, wavelet
-from .errors import ConfigError, RecordValidationError, UnsupportedRatioError
+from .errors import EcgdxError
 from .records import TRAINING_LEADS, EcgRecord, labels_from_codes
-
-# the paper's denoiser: bior2.6 wavelet, 8 decomposition levels; older
-# checkpoints' ``wavelet`` and ``decomposition_level`` are checked against these
-WAVELET = wavelet.NAME
-LEVEL = wavelet.LEVEL
 
 
 @dataclass
@@ -28,12 +23,12 @@ class PreprocessConfig:
         # exact types: a bool is no rate or length, and only a bool is a flag
         if (type(self.target_fs) is not int or type(self.denoise_enabled) is not bool
                 or type(self.window_seconds) not in (int, float)):
-            raise ConfigError("need an int target_fs, a numeric window_seconds and"
-                              f" a bool denoise_enabled, got {self}")
+            raise EcgdxError("need an int target_fs, a numeric window_seconds and"
+                             f" a bool denoise_enabled, got {self}")
         if self.target_fs <= 0:
-            raise ConfigError(f"target_fs must be positive, got {self.target_fs}")
+            raise EcgdxError(f"target_fs must be positive, got {self.target_fs}")
         if self.window_seconds <= 0:
-            raise ConfigError(f"window_seconds must be positive, got {self.window_seconds}")
+            raise EcgdxError(f"window_seconds must be positive, got {self.window_seconds}")
 
     @property
     def window_samples(self) -> int:
@@ -50,11 +45,11 @@ def resample(signal, from_fs: int, to_fs: int) -> np.ndarray:
     """
     x = np.asarray(signal, dtype=np.float64)
     if from_fs <= 0 or to_fs <= 0:
-        raise ConfigError(f"sampling rates must be positive ({from_fs} -> {to_fs})")
+        raise EcgdxError(f"sampling rates must be positive ({from_fs} -> {to_fs})")
     if from_fs == to_fs:
         return x.copy()
     if from_fs % to_fs != 0:
-        raise UnsupportedRatioError(
+        raise EcgdxError(
             f"resampling {from_fs} Hz -> {to_fs} Hz is not an integer ratio")
     q = from_fs // to_fs
     # zero-phase FIR low-pass at the new Nyquist, then decimate
@@ -109,12 +104,12 @@ def make_example(record: EcgRecord,
     config = config or PreprocessConfig()
     missing = [n for n in TRAINING_LEADS if n not in record.lead_names]
     if missing:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"record {record.record_id!r}: missing training leads {missing}")
     x = np.vstack([resample(record.lead(n), record.fs, config.target_fs)
                    for n in TRAINING_LEADS])
     if x.shape[1] == 0:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"record {record.record_id!r}: {record.signals.shape[1]} sample(s) at"
             f" {record.fs} Hz resample to none at {config.target_fs} Hz")
     if config.denoise_enabled:

@@ -23,8 +23,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .errors import (EcgdxError, HeaderParseError, RecordValidationError,
-                     SignalTruncationError)
+from .errors import EcgdxError
 
 #: The 8 linearly independent leads kept for model input.
 TRAINING_LEADS = ("I", "II", "V1", "V2", "V3", "V4", "V5", "V6")
@@ -49,20 +48,20 @@ class EcgRecord:
     def __post_init__(self):
         sig = np.asarray(self.signals, dtype=np.float64)
         if sig.ndim != 2 or sig.shape[1] < 1:
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"record {self.record_id!r}: signals must be a 2-D matrix with >= 1 sample")
         if len(self.lead_names) != sig.shape[0]:
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"record {self.record_id!r}: {len(self.lead_names)} lead names "
                 f"for {sig.shape[0]} signal rows")
         if len(set(self.lead_names)) != len(self.lead_names):
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"record {self.record_id!r}: duplicate lead names")
         if self.fs <= 0:
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"record {self.record_id!r}: non-positive sampling frequency {self.fs}")
         if not np.all(np.isfinite(sig)):
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"record {self.record_id!r}: non-finite sample values")
         sig.flags.writeable = False
         object.__setattr__(self, "signals", sig)
@@ -73,7 +72,7 @@ class EcgRecord:
         try:
             return self.signals[self.lead_names.index(name)]
         except ValueError:
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"record {self.record_id!r} has no lead {name!r}") from None
 
 
@@ -140,46 +139,46 @@ def labels_from_codes(dx_codes: Iterable[str]) -> np.ndarray:
 def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
     """Parse a header/signal pair into an :class:`EcgRecord`.
 
-    Raises :class:`HeaderParseError` (naming the offending line),
-    :class:`SignalTruncationError` on byte-count mismatch, and
-    :class:`RecordValidationError` for out-of-range declared values.
+    Raises :class:`EcgdxError` for a malformed header line (naming it),
+    a byte count other than the header declares, or an out-of-range
+    declared value.
     """
     lines = header_text.splitlines()
     if not lines or not lines[0].strip():
-        raise HeaderParseError("line 1: empty header")
+        raise EcgdxError("line 1: empty header")
     head = lines[0].split()
     if len(head) != 4:
-        raise HeaderParseError(
+        raise EcgdxError(
             f"line 1: expected 'record_id n_leads fs n_samples', got {lines[0]!r}")
     record_id = head[0]
     try:
         n_leads, fs, n_samples = int(head[1]), int(head[2]), int(head[3])
     except ValueError:
-        raise HeaderParseError(f"line 1: non-integer field in {lines[0]!r}") from None
+        raise EcgdxError(f"line 1: non-integer field in {lines[0]!r}") from None
     if fs <= 0:
-        raise RecordValidationError(f"non-positive sampling frequency {fs}")
+        raise EcgdxError(f"non-positive sampling frequency {fs}")
     if n_leads <= 0 or n_samples <= 0:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"non-positive lead count ({n_leads}) or sample count ({n_samples})")
 
     gains, offsets, names = [], [], []
     if len(lines) < 1 + n_leads:
-        raise HeaderParseError(
+        raise EcgdxError(
             f"line {len(lines) + 1}: header ends before {n_leads} lead lines")
     for k in range(n_leads):
         lineno = 2 + k
         parts = lines[1 + k].split()
         if len(parts) != 3:
-            raise HeaderParseError(
+            raise EcgdxError(
                 f"line {lineno}: expected 'gain offset lead_name', got {lines[1 + k]!r}")
         try:
             gains.append(float(parts[0]))
             offsets.append(int(parts[1]))
         except ValueError:
-            raise HeaderParseError(
+            raise EcgdxError(
                 f"line {lineno}: bad gain/offset in {lines[1 + k]!r}") from None
         if gains[-1] == 0 or not np.isfinite(gains[-1]):
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"line {lineno}: gain {parts[0]} is not finite and non-zero")
         names.append(parts[2])
 
@@ -189,7 +188,7 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
         if not line:
             continue
         if not line.startswith("#"):
-            raise HeaderParseError(f"line {k + 1}: unexpected non-comment line {line!r}")
+            raise EcgdxError(f"line {k + 1}: unexpected non-comment line {line!r}")
         body = line[1:].strip()
         if body.lower().startswith("dx:"):
             codes = body[3:].strip()
@@ -198,7 +197,7 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
 
     expected = n_leads * n_samples * 2
     if len(signal_bytes) != expected:
-        raise SignalTruncationError(
+        raise EcgdxError(
             f"record {record_id!r}: expected {expected} signal bytes "
             f"({n_leads} leads x {n_samples} samples x 2), got {len(signal_bytes)}")
     raw = np.frombuffer(signal_bytes, dtype="<i2").reshape(n_samples, n_leads).T
@@ -224,7 +223,7 @@ def write_record(record: EcgRecord) -> tuple[str, bytes]:
 
     raw = np.rint(record.signals * WRITE_GAIN)
     if raw.min() < -32768 or raw.max() > 32767:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"record {record.record_id!r}: samples exceed int16 range at "
             f"{WRITE_GAIN} units/mV; rescale before writing")
     return header, raw.T.astype("<i2").tobytes()

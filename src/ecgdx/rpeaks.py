@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import dsp
-from .errors import RecordValidationError, SignalTooShortError
+from .errors import EcgdxError
 
 
 BAND_LOW_HZ = 5.0
@@ -43,9 +43,9 @@ def detect_rpeaks(lead_i, fs: int) -> np.ndarray:
     """
     x = np.asarray(lead_i, dtype=np.float64)
     if not (100 <= fs <= 1000):
-        raise RecordValidationError(f"fs {fs} outside supported range [100, 1000]")
+        raise EcgdxError(f"fs {fs} outside supported range [100, 1000]")
     if x.size < 2 * fs:
-        raise SignalTooShortError(
+        raise EcgdxError(
             f"need at least 2 s of signal ({2 * fs} samples), got {x.size}")
     if np.ptp(x) == 0.0:
         return np.array([], dtype=np.int64)
@@ -121,6 +121,6 @@ def brady_rule(rr_intervals) -> bool:
     if rr.size == 0:
         return False
     if np.any(rr < 0):
-        raise RecordValidationError("rr intervals must be non-negative")
+        raise EcgdxError("rr intervals must be non-negative")
     in_band = np.count_nonzero((rr >= 1.0) & (rr <= 1.6))
     return bool(in_band / rr.size >= 0.5)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateDatasetError, RecordValidationError
+from .errors import EcgdxError
 from .records import ClassMap, read_text
 
 logger = logging.getLogger(__name__)
@@ -39,14 +39,14 @@ class RewardMatrix:
         w = np.asarray(self.values, dtype=np.float64)
         n = len(self.abbreviations)
         if w.shape != (n, n):
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"reward matrix shape {w.shape} does not match {n} categories")
         if not np.allclose(np.diag(w), 1.0, atol=0):
-            raise RecordValidationError("reward matrix diagonal must be exactly 1")
+            raise EcgdxError("reward matrix diagonal must be exactly 1")
         if not np.all(np.isfinite(w)):
-            raise RecordValidationError("reward matrix entries must be finite")
+            raise EcgdxError("reward matrix entries must be finite")
         if np.any(w > 1.0):
-            raise RecordValidationError("reward matrix entries must be <= 1")
+            raise EcgdxError("reward matrix entries must be <= 1")
         object.__setattr__(self, "values", w)
         object.__setattr__(self, "abbreviations", tuple(self.abbreviations))
 
@@ -54,18 +54,18 @@ class RewardMatrix:
     def from_csv(cls, text: str) -> "RewardMatrix":
         rows = list(csv.reader(io.StringIO(text)))
         if len(rows) < 2:
-            raise RecordValidationError("reward matrix CSV needs header + rows")
+            raise EcgdxError("reward matrix CSV needs header + rows")
         abbrs = tuple(h.strip() for h in rows[0][1:])
         values = []
         for number, row in enumerate(rows[1:], start=2):
             if len(row) != len(rows[0]):
-                raise RecordValidationError(
+                raise EcgdxError(
                     f"reward matrix row {number}: {len(row)} columns,"
                     f" expected {len(rows[0])}")
             try:
                 values.append([float(v) for v in row[1:]])
             except ValueError as exc:
-                raise RecordValidationError(
+                raise EcgdxError(
                     f"reward matrix row {number}: {exc}") from None
         return cls(values=np.array(values), abbreviations=abbrs)
 
@@ -104,7 +104,7 @@ def confusion(pred_merged, truth_merged) -> np.ndarray:
     pred = np.atleast_2d(np.asarray(pred_merged)).astype(bool)
     truth = np.atleast_2d(np.asarray(truth_merged)).astype(bool)
     if pred.shape != truth.shape:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"prediction matrix {pred.shape} does not align with truth {truth.shape}")
     union = np.count_nonzero(pred | truth, axis=1)
     for r in np.flatnonzero(union == 0):
@@ -151,13 +151,13 @@ def challenge_score(pred_labels27, truth_labels27, w: RewardMatrix,
     """
     cmap = cmap or ClassMap.default()
     if w.abbreviations != cmap.merged_abbreviations:
-        raise RecordValidationError(
+        raise EcgdxError(
             "reward matrix categories must be the merged abbreviations in order: "
             + ",".join(cmap.merged_abbreviations))
     pred = np.atleast_2d(np.asarray(pred_labels27))
     truth = np.atleast_2d(np.asarray(truth_labels27))
     if pred.shape != truth.shape:
-        raise RecordValidationError(
+        raise EcgdxError(
             f"predictions {pred.shape} do not align with truths {truth.shape}")
     pred_m = merge_pairs(pred)
     truth_m = merge_pairs(truth)
@@ -168,7 +168,7 @@ def challenge_score(pred_labels27, truth_labels27, w: RewardMatrix,
     inactive_pred[:, int(cmap.merged_index[cmap.sinus_rhythm_index])] = 1
     inactive = _weighted(confusion(inactive_pred, truth_m), w)
     if correct == inactive:
-        raise DegenerateDatasetError(
+        raise EcgdxError(
             f"correct and inactive scores coincide ({correct}); "
             f"the dataset cannot calibrate the metric")
     normalized = (unnormalized - inactive) / (correct - inactive)

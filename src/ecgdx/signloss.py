@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RecordValidationError
+from .errors import EcgdxError
 
 #: probabilities are clamped to [EPS, 1 - EPS] before any logarithm
 EPS = 1e-7
@@ -30,10 +30,10 @@ class LossBatch:
         p = np.asarray(self.probs, dtype=np.float64)
         y = np.asarray(self.targets, dtype=np.float64)
         if p.shape != y.shape:
-            raise RecordValidationError(
+            raise EcgdxError(
                 f"probability shape {p.shape} != target shape {y.shape}")
         if not np.all((y == 0) | (y == 1)):
-            raise RecordValidationError("targets must be binary")
+            raise EcgdxError("targets must be binary")
         p = np.clip(p, EPS, 1.0 - EPS)
         object.__setattr__(self, "probs", p)
         object.__setattr__(self, "targets", y)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import EcgdxError
 from .records import SINUS_RHYTHM_CODE, EcgRecord, labels_from_codes
 
 # per-lead template amplitude multipliers for (I, II, V1..V6)
@@ -52,19 +52,19 @@ class SynthSpec:
         # a NaN or infinite duration would pass the length check below
         for name, value in (("bpm", self.bpm), ("duration", self.duration)):
             if not math.isfinite(value):
-                raise ConfigError(f"{name} {value} is not finite")
+                raise EcgdxError(f"{name} {value} is not finite")
         if not (20 <= self.bpm <= 250):
-            raise ConfigError(f"bpm {self.bpm} outside [20, 250]")
+            raise EcgdxError(f"bpm {self.bpm} outside [20, 250]")
         if self.fs <= 0:
-            raise ConfigError(f"non-positive fs {self.fs}")
+            raise EcgdxError(f"non-positive fs {self.fs}")
         if self.duration * self.fs < 2 * self.fs:
-            raise ConfigError(f"duration {self.duration}s shorter than 2 s")
+            raise EcgdxError(f"duration {self.duration}s shorter than 2 s")
         if not (0.0 <= self.ectopic_rate <= 1.0):
-            raise ConfigError(f"ectopic_rate {self.ectopic_rate} outside [0, 1]")
+            raise EcgdxError(f"ectopic_rate {self.ectopic_rate} outside [0, 1]")
         if self.noise_sigma < 0:
-            raise ConfigError(f"negative noise_sigma {self.noise_sigma}")
+            raise EcgdxError(f"negative noise_sigma {self.noise_sigma}")
         if self.seed < 0:
-            raise ConfigError(f"negative seed {self.seed}")
+            raise EcgdxError(f"negative seed {self.seed}")
 
 
 def _bump(t: np.ndarray, center: float, sigma: float, amp: float) -> np.ndarray:

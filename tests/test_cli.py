@@ -1,6 +1,8 @@
 """End-to-end command-line workflows on synthetic data."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import shutil
@@ -46,6 +48,20 @@ class TestUsage:
                            "--out", str(tmp_path / "o"))
         assert code == 1
         assert "error" in err
+
+    @pytest.mark.parametrize("exc, message", [
+        (MemoryError("Unable to allocate 7.28 TiB for an array"),
+         "Unable to allocate 7.28 TiB for an array"),
+        (MemoryError(), "MemoryError")], ids=["numpy-message", "bare"])
+    def test_out_of_memory_exits_1(self, capsys, monkeypatch, tmp_path, exc,
+                                   message):
+        """As ``synth --duration 1e9`` runs out; no test allocates that much."""
+        def exhausted(args):
+            raise exc
+        monkeypatch.setattr(cli, "_cmd_synth", exhausted)
+        code, _, err = run(capsys, "synth", "--out", str(tmp_path / "d"))
+        assert code == 1
+        assert err == f"error: {message}\n"
 
     def test_python_dash_m_runs_the_cli(self):
         src = Path(__file__).resolve().parent.parent / "src"
@@ -374,6 +390,31 @@ class TestTrainPredictScore:
             self, capsys, pipeline_dirs, tmp_path, key, value):
         self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
                                         "config", key, value)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("config", "se_reduction", 4), ("preprocess", "wavelet", "bior2.6")])
+    def test_checkpoint_listing_a_fixed_value_exits_1(
+            self, capsys, pipeline_dirs, tmp_path, section, key, value):
+        """Only files that list exactly the current fields are read, even
+        when an older file's extra key holds the fixed value."""
+        self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
+                                        section, key, value)
+
+    @pytest.mark.parametrize("command, written", [("score", "report.json"),
+                                                  ("report", "plot_data.csv")])
+    def test_predictions_missing_truth_records_exit_1(
+            self, capsys, pipeline_dirs, tmp_path, command, written):
+        """Scoring only the listed records would be a silently wrong score."""
+        data, _, preds = pipeline_dirs
+        lines = preds.read_text().splitlines()
+        cut = tmp_path / "cut.csv"
+        cut.write_text("\n".join(lines[:2]) + "\n")
+        code, _, err = run(capsys, command, "--truth", str(data),
+                           "--pred", str(cut), "--out", str(tmp_path / "s"))
+        assert code == 1
+        unscored = [line.split(",")[0] for line in lines[2:]]
+        assert err == f"error: truth records without a prediction row: {unscored}\n"
+        assert not (tmp_path / "s" / written).exists()
 
     @pytest.mark.parametrize("first, second", [(1, 2), (28, 29)],
                              ids=["labels", "probabilities"])
@@ -824,6 +865,51 @@ class TestConfigFile:
         code, _, err = run(capsys, "synth", "--out", str(tmp_path), "--config")
         assert code == 1
         assert err == "error: --config needs a file path\n"
+
+
+class TestScoreRowsProperties:
+    """``score`` reads a ``--pred`` file whose rows are exactly the truth
+    records, in any order, and exits 1 on any other set of rows."""
+
+    @pytest.fixture(scope="class")
+    def reference(self, pipeline_dirs, tmp_path_factory):
+        data, _, preds = pipeline_dirs
+        out = tmp_path_factory.mktemp("reference")
+        assert dispatch(["score", "--truth", str(data), "--pred", str(preds),
+                         "--out", str(out)]) == 0
+        lines = preds.read_text().splitlines()
+        return data, lines[0], lines[1:], (out / "report.json").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_subset_superset_or_reordering(self, reference, data):
+        truth, header, rows, report = reference
+        kind = data.draw(st.sampled_from(["subset", "superset", "reordering"]))
+        drawn = data.draw(st.permutations(rows))
+        if kind == "subset":
+            drawn = drawn[:data.draw(st.integers(0, len(rows) - 1))]
+        elif kind == "superset":
+            probs = rows[0].split(",", 1)[1]
+            extra = [f"extra{k},{probs}" for k in range(data.draw(st.integers(1, 2)))]
+            drawn = data.draw(st.permutations(drawn + extra))
+        with tempfile.TemporaryDirectory() as tmp:
+            pred = os.path.join(tmp, "pred.csv")
+            with open(pred, "w") as fh:
+                fh.write("".join(line + "\n" for line in [header, *drawn]))
+            out = os.path.join(tmp, "s")
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                code = dispatch(["score", "--truth", str(truth), "--pred", pred,
+                                 "--out", out])
+            if kind == "reordering":
+                assert code == 0
+                with open(os.path.join(out, "report.json"), "rb") as fh:
+                    assert fh.read() == report
+            else:
+                assert code == 1
+                message = err.getvalue()
+                assert message.startswith("error:") and message.count("\n") == 1
+                assert not os.path.exists(out)
 
 
 class TestConfigFileProperties:

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from ecgdx.ensemble import (PredictionSet, apply_brady_veto, binarize, fuse,
                             postprocess, read_predictions, relabel_pseudo,
                             snr_postprocess, write_predictions)
-from ecgdx.errors import EcgdxError, RecordValidationError
+from ecgdx.errors import EcgdxError
 from ecgdx.records import ClassMap
 from ecgdx.synth import SynthSpec, generate
 
@@ -32,7 +32,7 @@ class TestFuse:
         np.testing.assert_allclose(fuse(fuse(p, p), p), fuse(p, p))
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match="cannot fuse"):
             fuse(np.zeros(27), np.zeros(24))
 
 
@@ -47,9 +47,9 @@ class TestBinarize:
         np.testing.assert_array_equal(binarize(np.full(27, 0.9)), 1)
 
     def test_threshold_domain(self):
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match=r"outside \(0, 1\)"):
             binarize(np.zeros(27), threshold=0.0)
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match=r"outside \(0, 1\)"):
             binarize(np.zeros(27), threshold=1.0)
 
 
@@ -129,7 +129,7 @@ class TestPipeline:
 
 class TestPredictionSet:
     def test_probability_range_checked(self):
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match=r"in \[0, 1\]"):
             PredictionSet("x", np.full(27, 1.5), np.zeros(27, dtype=np.uint8))
 
     def test_csv_roundtrip(self):
@@ -151,7 +151,7 @@ class TestPredictionSet:
         row = ["r0"] + ["0"] * 27 + ["0.5"] * 27
         row[column] = cell
         text = write_predictions([], CMAP) + ",".join(row) + "\n"
-        with pytest.raises(RecordValidationError, match="row 2"):
+        with pytest.raises(EcgdxError, match="row 2"):
             read_predictions(text)
 
     @pytest.mark.parametrize("header, column", [
@@ -162,19 +162,19 @@ class TestPredictionSet:
     def test_header_names_checked(self, header, column):
         row = ["r0"] + ["0"] * 27 + ["0.5"] * 27
         text = ",".join(header) + "\n" + ",".join(row) + "\n"
-        with pytest.raises(RecordValidationError, match=f"header column {column} "):
+        with pytest.raises(EcgdxError, match=f"header column {column} "):
             read_predictions(text)
 
     def test_short_row_rejected(self):
         text = write_predictions([], CMAP) + "r0,1,0.5\n"
-        with pytest.raises(RecordValidationError, match="3 columns"):
+        with pytest.raises(EcgdxError, match="3 columns"):
             read_predictions(text)
 
     def test_repeated_record_rejected(self):
         """A record listed twice would weigh twice in the score."""
         sets = [PredictionSet(rid, np.full(27, 0.5), np.zeros(27, dtype=np.uint8))
                 for rid in ("r0", "r1", "r0")]
-        with pytest.raises(RecordValidationError,
+        with pytest.raises(EcgdxError,
                            match=r"row 4: record 'r0' is listed again \(first on row 2\)"):
             read_predictions(write_predictions(sets, CMAP))
 

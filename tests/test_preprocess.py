@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ecgdx import preprocess, wavelet
-from ecgdx.errors import ConfigError, UnsupportedRatioError
-from ecgdx.preprocess import (LEVEL, PreprocessConfig, fix_length,
-                              make_example, resample, wavelet_denoise)
+from ecgdx.errors import EcgdxError
+from ecgdx.preprocess import (PreprocessConfig, fix_length, make_example,
+                              resample, wavelet_denoise)
 from ecgdx.records import TRAINING_LEADS
 from ecgdx.synth import SynthSpec, generate
 
@@ -36,7 +36,7 @@ class TestResample:
         assert abs(amp - 1.0) < 0.01
 
     def test_non_integer_ratio_rejected(self):
-        with pytest.raises(UnsupportedRatioError):
+        with pytest.raises(EcgdxError, match="integer ratio"):
             resample(np.zeros(1000), 1000, 300)
 
     def test_cascade_commutes_on_passband(self):
@@ -138,7 +138,7 @@ def _ref_idwt(ca, cd, fb, n):
     return out[start:start + n]
 
 
-def _ref_wavedec(x, level=LEVEL):
+def _ref_wavedec(x, level=wavelet.LEVEL):
     fb = wavelet.BANK
     approx, details, lengths = x, [], []
     for _ in range(level):
@@ -243,7 +243,7 @@ class TestMakeExample:
 
 class TestPreprocessConfig:
     def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(EcgdxError, match="target_fs must be positive"):
             PreprocessConfig(target_fs=0)
-        with pytest.raises(ConfigError):
+        with pytest.raises(EcgdxError, match="window_seconds must be positive"):
             PreprocessConfig(window_seconds=0)

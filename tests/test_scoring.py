@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ecgdx.errors import DegenerateDatasetError, RecordValidationError
+from ecgdx.errors import EcgdxError
 from ecgdx.records import ClassMap
 from ecgdx.scoring import (PerClassMetrics, RewardMatrix, challenge_score,
                            confusion, merge_pairs, per_class_metrics)
@@ -284,11 +284,11 @@ class TestChallengeScore:
     def test_degenerate_dataset_rejected(self):
         truth = np.zeros((3, 27), dtype=np.uint8)
         truth[:, CMAP.sinus_rhythm_index] = 1
-        with pytest.raises(DegenerateDatasetError):
+        with pytest.raises(EcgdxError, match="correct and inactive scores coincide"):
             challenge_score(truth, truth, self.W_ID, cmap=CMAP)
 
     def test_alignment_checked(self):
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match="do not align"):
             challenge_score(np.zeros((2, 27)), np.zeros((3, 27)), self.W_ID,
                             cmap=CMAP)
 
@@ -302,13 +302,13 @@ class TestRewardMatrix:
     def test_diagonal_must_be_one(self):
         w = np.eye(24)
         w[0, 0] = 0.9
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match="diagonal must be exactly 1"):
             RewardMatrix(values=w, abbreviations=CMAP.merged_abbreviations)
 
     def test_entries_capped_at_one(self):
         w = np.eye(24)
         w[1, 2] = 1.5
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match="must be <= 1"):
             RewardMatrix(values=w, abbreviations=CMAP.merged_abbreviations)
 
     def test_packaged_default_loads(self):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ecgdx.errors import RecordValidationError
+from ecgdx.errors import EcgdxError
 from ecgdx.signloss import EPS, LossBatch, sign_coeff, sign_loss, sign_loss_grad
 
 
@@ -86,11 +86,11 @@ class TestSignLoss:
         assert abs(total - per_label.sum(axis=1).mean()) < 1e-15
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match="!= target shape"):
             LossBatch(np.zeros((2, 3)), np.zeros((2, 4)))
 
     def test_non_binary_targets_rejected(self):
-        with pytest.raises(RecordValidationError):
+        with pytest.raises(EcgdxError, match="targets must be binary"):
             LossBatch(np.full((1, 2), 0.5), np.full((1, 2), 0.5))
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from ecgdx.errors import ConfigError
+from ecgdx.errors import EcgdxError
 from ecgdx.records import ClassMap
 from ecgdx.synth import SynthSpec, generate
 
@@ -70,23 +70,23 @@ class TestLabels:
 
 class TestSpecValidation:
     def test_bpm_bounds(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(EcgdxError, match="bpm 10 outside"):
             SynthSpec(bpm=10)
-        with pytest.raises(ConfigError):
+        with pytest.raises(EcgdxError, match="bpm 300 outside"):
             SynthSpec(bpm=300)
 
     def test_duration_minimum(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(EcgdxError, match="shorter than 2 s"):
             SynthSpec(bpm=60, duration=1.0)
 
     def test_ectopic_rate_range(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(EcgdxError, match="ectopic_rate 1.5 outside"):
             SynthSpec(bpm=60, ectopic_rate=1.5)
 
     @pytest.mark.parametrize("field", ["bpm", "duration"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, value):
-        with pytest.raises(ConfigError, match=f"{field} {value} is not finite"):
+        with pytest.raises(EcgdxError, match=f"{field} {value} is not finite"):
             SynthSpec(**{"bpm": 60.0, field: value})
 
 

@@ -5,7 +5,7 @@ import importlib
 import numpy as np
 import pytest
 
-from ecgdx.errors import TrainingDivergedError
+from ecgdx.errors import EcgdxError
 from ecgdx.nn import SeResNetConfig, train
 from ecgdx.preprocess import fix_length
 from ecgdx.records import TRAINING_LEADS
@@ -79,11 +79,11 @@ class TestTraining:
             return float("nan"), np.zeros_like(probs)
 
         monkeypatch.setattr(train_module, "sign_loss_pair", exploding)
-        with pytest.raises(TrainingDivergedError, match="epoch 1"):
+        with pytest.raises(EcgdxError, match="epoch 1"):
             train(x, y, CFG, epochs=1, batch_size=8)
 
     def test_empty_dataset_rejected(self):
-        with pytest.raises(TrainingDivergedError, match="empty"):
+        with pytest.raises(EcgdxError, match="empty"):
             train(np.zeros((0, 8, 256)), np.zeros((0, 27)), CFG)
 
 
