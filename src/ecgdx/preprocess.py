@@ -86,10 +86,15 @@ def wavelet_denoise(signal) -> np.ndarray:
     """
     x = np.asarray(signal, dtype=np.float64)
     coeffs = wavelet.wavedec(x)
-    sigma = np.median(np.abs(coeffs.details[0]), axis=-1, keepdims=True) / 0.6745
+    sigma = np.median(np.abs(coeffs.details[0]), axis=-1, keepdims=True,
+                      overwrite_input=True) / 0.6745
     thr = sigma * np.sqrt(2.0 * np.log(max(x.shape[-1], 2)))
-    coeffs.details = [np.sign(d) * np.maximum(np.abs(d) - thr, 0.0)
-                      for d in coeffs.details]
+    for d in coeffs.details:   # d = sign(d) * max(|d| - thr, 0), in place
+        sign = np.sign(d)
+        np.abs(d, out=d)
+        d -= thr
+        np.maximum(d, 0.0, out=d)
+        d *= sign
     return wavelet.waverec(coeffs)
 
 

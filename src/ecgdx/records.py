@@ -201,7 +201,9 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
             f"record {record_id!r}: expected {expected} signal bytes "
             f"({n_leads} leads x {n_samples} samples x 2), got {len(signal_bytes)}")
     raw = np.frombuffer(signal_bytes, dtype="<i2").reshape(n_samples, n_leads).T
-    mv = (raw.astype(np.float64) - np.array(offsets)[:, None]) / np.array(gains)[:, None]
+    mv = raw.astype(np.float64)
+    mv -= np.array(offsets, dtype=np.float64)[:, None]
+    mv /= np.array(gains)[:, None]
     return EcgRecord(record_id=record_id, signals=mv, lead_names=tuple(names),
                      fs=fs, dx_codes=frozenset(dx))
 

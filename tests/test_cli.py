@@ -1,9 +1,11 @@
 """End-to-end command-line workflows on synthetic data."""
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import io
 import json
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -705,6 +707,122 @@ class TestRepeatedRecordIds:
         assert not (tmp_path / "s" / "report.json").exists()
 
 
+class TestFeatureWorkers:
+    """``preprocess`` and ``train`` build features in one worker process per
+    CPU of the affinity mask (in-process for one); the outputs and the error
+    do not depend on the count, and no worker outlives the command."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the affinity mask's size; record each pool's worker count."""
+        pools = []
+        real = concurrent.futures.ProcessPoolExecutor
+        def pool(workers, **kwargs):
+            pools.append(workers)
+            return real(workers, **kwargs)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", pool)
+        def set_cpus(count):
+            monkeypatch.setattr(os, "sched_getaffinity",
+                                lambda pid: set(range(count)))
+            return pools
+        return set_cpus
+
+    @staticmethod
+    def _records(directory, ids, lead_names=None):
+        os.makedirs(directory, exist_ok=True)
+        for seed, record_id in enumerate(ids):
+            rec, _, _ = generate(SynthSpec(bpm=60 + 10 * seed, fs=128, duration=4,
+                                           noise_sigma=0.05, seed=seed),
+                                 record_id=record_id)
+            if lead_names is not None:
+                rec = dataclasses.replace(rec, lead_names=lead_names(rec.lead_names))
+            save_record(rec, directory)
+
+    def _ends_alone(self, code, err, expected):
+        assert code == 1
+        assert err == expected
+        assert multiprocessing.active_children() == []
+
+    def test_outputs_byte_identical_for_any_worker_count(self, capsys, tmp_path,
+                                                         cpus):
+        data = tmp_path / "d"
+        self._records(data, [f"r{i}" for i in range(5)])
+        digests = {}
+        for count in (1, 3):
+            pools = cpus(count)
+            out = tmp_path / f"cpus{count}"
+            code, _, err = run(capsys, "preprocess", "--data", str(data), "--out",
+                               str(out / "f"), "--window", "10", "--target-fs", "128")
+            assert code == 0, err
+            code, _, err = run(capsys, "train", "--data", str(data), "--out",
+                               str(out / "m.ckpt"), "--window", "10", "--target-fs",
+                               "128", "--preset", "small", "--epochs", "2",
+                               "--batch-size", "2")
+            assert code == 0, err
+            assert pools == ([] if count == 1 else [3, 3])
+            pools.clear()
+            assert multiprocessing.active_children() == []
+            digests[count] = [(out / name).read_bytes() for name in
+                              ("f/features.npz", "m.ckpt", "m.ckpt.history.csv")]
+        assert digests[1] == digests[3]
+
+    @pytest.mark.parametrize("count", [1, 3])
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_first_failure_in_stem_order_decides(self, capsys, tmp_path, cpus,
+                                                 command, count):
+        cpus(count)
+        out = tmp_path / "out"
+        argv = [command, "--out", str(out), "--window", "10", "--target-fs", "128"]
+        if command == "train":
+            argv += ["--preset", "small", "--epochs", "1"]
+        no_v6 = lambda names: tuple("X" if n == "V6" else n for n in names)
+        # a record without V6 before a repeated id, then the other way round,
+        # followed by a record that fails to load
+        first, second = tmp_path / "lead_first", tmp_path / "repeat_first"
+        self._records(first, ["a", "b", "d", "e"])
+        self._records(first, ["c"], lead_names=no_v6)
+        shutil.copy(first / "a.hea", first / "f.hea")
+        shutil.copy(first / "a.dat", first / "f.dat")
+        code, _, err = run(capsys, *argv, "--data", str(first))
+        self._ends_alone(code, err,
+                         "error: record 'c': missing training leads ['V6']\n")
+        self._records(second, ["a", "b", "d"])
+        self._records(second, ["e"], lead_names=no_v6)
+        shutil.copy(second / "a.hea", second / "c.hea")
+        shutil.copy(second / "a.dat", second / "c.dat")
+        self._records(second, ["g"])
+        (second / "g.dat").write_bytes(b"")
+        code, _, err = run(capsys, *argv, "--data", str(second))
+        self._ends_alone(code, err, f"error: {second / 'a'}.hea and {second / 'c'}.hea"
+                                    " both carry record id 'a'\n")
+        # a file repeating an id is reported as repeated, whatever its leads
+        for ext in (".hea", ".dat"):
+            (second / f"c{ext}").unlink()
+        (second / "e.hea").write_text(
+            (second / "e.hea").read_text().replace("e ", "b ", 1))
+        code, _, err = run(capsys, *argv, "--data", str(second))
+        self._ends_alone(code, err, f"error: {second / 'b'}.hea and {second / 'e'}.hea"
+                                    " both carry record id 'b'\n")
+        assert not out.exists() or list(out.iterdir()) == []   # preprocess's dir
+
+    def test_killed_worker_exits_1(self, capsys, tmp_path, cpus, monkeypatch):
+        cpus(2)
+        data = tmp_path / "d"
+        self._records(data, [f"r{i}" for i in range(4)])
+        real, parent = cli.make_example, os.getpid()
+        def dies_on_r2(rec, config):
+            if rec.record_id == "r2" and os.getpid() != parent:   # never pytest
+                os._exit(3)
+            return real(rec, config)
+        monkeypatch.setattr(cli, "make_example", dies_on_r2)
+        out = tmp_path / "out"
+        code, _, err = run(capsys, "preprocess", "--data", str(data), "--out",
+                           str(out), "--window", "10", "--target-fs", "128")
+        self._ends_alone(code, err, f"error: a worker process building features"
+                                    f" of {data} ended abruptly\n")
+        assert not (out / "features.npz").exists()
+
+
 class TestNumpyOnlyRuntime:
     """The package runs without scipy: every import of it fails here."""
 
@@ -762,19 +880,27 @@ class TestPreprocessSpec:
         data = tmp_path / "d"
         run(capsys, "synth", "--count", "2", "--duration", "12",
             "--noise-sigma", "0.05", "--out", str(data))
+        # worker processes build the training features, so record the rows
+        # ``train`` receives, in file-stem order (synth names files by id)
         features = {}
-        real = cli.make_example
-        def recording(rec, config):
-            x, y = real(rec, config)
-            features[rec.record_id] = x
-            return x, y
-        monkeypatch.setattr(cli, "make_example", recording)
+        real_train = cli.train
+        def training(x, y, *args, **kwargs):
+            ids = sorted(path.stem for path in data.glob("*.hea"))
+            features.update(zip(ids, np.array(x)))
+            return real_train(x, y, *args, **kwargs)
+        monkeypatch.setattr(cli, "train", training)
         ckpt = tmp_path / "m.ckpt"
         code, _, _ = run(capsys, "train", "--data", str(data), "--out", str(ckpt),
                          "--window", "10", "--preset", "small", "--epochs", "1")
         assert code == 0
         seen_in_training = dict(features)
         features.clear()
+        real = cli.make_example
+        def recording(rec, config):
+            x, y = real(rec, config)
+            features[rec.record_id] = x
+            return x, y
+        monkeypatch.setattr(cli, "make_example", recording)
         code, _, _ = run(capsys, "predict", "--data", str(data),
                          "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.csv"))
         assert code == 0

@@ -3,7 +3,7 @@ pipeline reads."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecgdx.errors import EcgdxError
@@ -138,6 +138,7 @@ class TestParseRecordProperties:
 
     @settings(max_examples=300, deadline=None)
     @given(headers_and_payloads())
+    @example(("r0 1 500 1\n1000 999999999999999999999999999999 I\n", b"\x00\x00"))
     def test_near_valid_headers(self, pair):
         _parses_or_package_error(*pair)
 
