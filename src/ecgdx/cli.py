@@ -65,10 +65,10 @@ def _check_id(file_of: dict[str, str], record_id: str, path: str) -> None:
                          f" {record_id!r}")
 
 
-def _load_records(data_dir: str):
-    """Yield the records of ``data_dir`` one at a time, in file-stem order."""
+def _load_records(paths: list[str]):
+    """Yield the records at the path stems ``paths`` one at a time."""
     file_of: dict[str, str] = {}
-    for path in _record_paths(data_dir):
+    for path in paths:
         rec = load_record(path)
         _check_id(file_of, rec.record_id, path)
         yield rec
@@ -223,40 +223,76 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _ensemble_probs(args):
-    """Records and their short/long-window probabilities; each distinct
-    checkpoint runs once, on features built with the spec it carries, one
-    32-record batch at a time."""
+def _run_checkpoint(path: str, paths: list[str], keep_records: bool,
+                    on_batch) -> None:
+    """Run the checkpoint at ``path`` over the records at ``paths``.
+
+    For each batch of up to 32 records, in order, it calls
+    ``on_batch(held, probs)`` with the model's probabilities; ``held``
+    lists the batch's records if ``keep_records``, else it is empty.
+    Each record's features, built with the spec the checkpoint carries,
+    are written into one reused batch array as the record loads, and
+    nothing holds a batch's records once ``on_batch`` returns.
+    """
+    model = load_checkpoint(path)
+    spec = model.preprocess
+    records = _load_records(paths)
+    x = np.empty((min(len(paths), 32), len(TRAINING_LEADS), spec.window_samples))
+    for start in range(0, len(paths), 32):
+        batch = x[:min(32, len(paths) - start)]
+        held = []
+        for row in batch:
+            rec = next(records)
+            row[...] = make_example(rec, spec)[0]
+            if keep_records:
+                held.append(rec)
+        del rec   # not held through the forward
+        on_batch(held, model.predict_probs(batch))
+
+
+def _ensemble(args, on_batch) -> None:
+    """Call ``on_batch(records, p_short, p_long)`` for each batch of up to
+    32 ``--data`` records, in file-stem order, with their short- and
+    long-window probabilities.
+
+    Every checkpoint file is opened first, so a missing one exits before
+    any record is read.  Each distinct checkpoint then makes one pass over
+    the records, and only the one being run is loaded: the long window's
+    pass keeps only its probabilities, and the short window's pass, last,
+    hands on each batch with its records.  So memory does not grow with
+    the record count, beyond the probabilities.
+    """
     long_path = args.checkpoint_long or args.checkpoint
     short_path = args.checkpoint_short or args.checkpoint
     if not long_path or not short_path:
         raise EcgdxError("provide --checkpoint or both --checkpoint-long and "
                          "--checkpoint-short")
-    records = list(_load_records(args.data))
-    probs = {}
-    for path in dict.fromkeys((long_path, short_path)):
-        model = load_checkpoint(path)
-        probs[path] = np.concatenate([
-            model.predict_probs(np.stack([make_example(rec, model.preprocess)[0]
-                                          for rec in records[i:i + 32]]))
-            for i in range(0, len(records), 32)])
-    return records, probs[short_path], probs[long_path]
+    for path in (long_path, short_path):
+        open(path, "rb").close()
+    paths = _record_paths(args.data)
+    p_long = []   # one array per batch; the two passes split the records alike
+    if long_path != short_path:
+        _run_checkpoint(long_path, paths, False, lambda _, probs: p_long.append(probs))
+    long_batches = iter(p_long)   # empty for one checkpoint: p_long is p_short
+    _run_checkpoint(short_path, paths, True, lambda records, probs:
+                    on_batch(records, probs, next(long_batches, probs)))
 
 
 def _cmd_predict(args) -> int:
-    records, p_short, p_long = _ensemble_probs(args)
-    pred_sets = [postprocess(p_short[i], p_long[i], rec, threshold=args.threshold)
-                 for i, rec in enumerate(records)]
+    pred_sets = []
+    post = partial(postprocess, threshold=args.threshold)
+    _ensemble(args, lambda records, p_short, p_long:
+              pred_sets.extend(map(post, p_short, p_long, records)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(write_predictions(pred_sets))
     return 0
 
 
 def _cmd_relabel(args) -> int:
-    records, p_short, p_long = _ensemble_probs(args)
     original = {c.strip() for c in args.original_codes.split(",") if c.strip()}
-    report = relabel_pseudo([rec.record_id for rec in records],
-                            fuse(p_short, p_long), original)
+    report = []
+    _ensemble(args, lambda records, p_short, p_long: report.extend(relabel_pseudo(
+        [rec.record_id for rec in records], fuse(p_short, p_long), original)))
     with open(args.out, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_id", "code", "abbreviation", "prob", "needs_review"])
@@ -268,7 +304,7 @@ def _cmd_relabel(args) -> int:
 
 def _load_truth(truth_dir: str) -> dict[str, np.ndarray]:
     return {rec.record_id: labels_from_codes(rec.dx_codes)
-            for rec in _load_records(truth_dir)}
+            for rec in _load_records(_record_paths(truth_dir))}
 
 
 def _aligned_arrays(pred_file: str, truth_dir: str):
@@ -307,7 +343,8 @@ def _write_per_class(path: str, aucs, f1s) -> None:
 
 def _cmd_score(args) -> int:
     labels, probs, truths = _aligned_arrays(args.pred, args.truth)
-    weights = RewardMatrix.load(args.weights) if args.weights else _default_weights()
+    weights = (RewardMatrix.from_csv(read_text(args.weights)) if args.weights
+               else _default_weights())
     report = challenge_score(labels, truths, weights, probs27=probs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:

@@ -255,7 +255,8 @@ def channel_scale(x: Var, s: Var) -> Var:
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
-              running_var: np.ndarray, training: bool) -> Var:
+              running_var: np.ndarray, training: bool, *,
+              reuse_input: bool = False) -> Var:
     """Per-channel batch normalization over (batch, time), then a ReLU.
 
     Training mode normalizes with (biased) batch statistics and updates
@@ -268,7 +269,10 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     array alive for the backward.  When no graph is recorded (inside
     :func:`no_grad`), no vjp will read ``xhat``, so it is scaled by gamma
     in place and becomes the output: the same arithmetic, one array of
-    the input's size fewer.
+    the input's size fewer.  There ``reuse_input=True``, the caller's
+    promise that nothing reads ``x`` after this call, also writes ``x -
+    mu`` into x's own buffer, so the op allocates no array of that size
+    at all.  With a graph, ``reuse_input`` changes nothing.
 
     The vjp first masks the cotangent, ``g = g * (out > 0)``.  The
     training backward is then the closed form over the ``N = B*T``
@@ -279,17 +283,17 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     """
     x, gamma, beta = _as_var(x), _as_var(gamma), _as_var(beta)
     v = x.value
+    mu = v.mean(axis=(0, 2)) if training else running_mean
+    xhat = np.subtract(v, mu[None, :, None],
+                       out=v if reuse_input and not _grad_enabled else None)
     if training:
-        mu = v.mean(axis=(0, 2))
-        xhat = v - mu[None, :, None]
         var = np.square(xhat).mean(axis=(0, 2))   # == v.var(axis=(0, 2))
         running_mean *= (1.0 - BN_MOMENTUM)
         running_mean += BN_MOMENTUM * mu
         running_var *= (1.0 - BN_MOMENTUM)
         running_var += BN_MOMENTUM * var
     else:
-        mu, var = running_mean, running_var
-        xhat = v - mu[None, :, None]
+        var = running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
     if _grad_enabled:

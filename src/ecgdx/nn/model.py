@@ -149,30 +149,11 @@ class SeResNet:
 
     # -- forward ------------------------------------------------------------
 
-    def _bn_relu(self, x, name, pvars, training):
+    def _bn_relu(self, x, name, pvars, training, reuse_input):
         return ad.batchnorm(x, pvars[name + ".gamma"], pvars[name + ".beta"],
                             self.buffers[name + ".running_mean"],
-                            self.buffers[name + ".running_var"], training)
-
-    def _block(self, x, prefix, pvars, training, stride):
-        k = BLOCK_KERNEL
-        pre = self._bn_relu(x, prefix + ".bn1", pvars, training)
-        if stride != 1:   # a stage's first block: a conv shortcut
-            short = ad.conv1d(pre, pvars[prefix + ".short.w"], stride=stride,
-                              padding=0)
-        else:
-            short = x
-        h = ad.conv1d(pre, pvars[prefix + ".conv1.w"], stride=stride,
-                      padding=k // 2)
-        h = self._bn_relu(h, prefix + ".bn2", pvars, training)
-        h = ad.conv1d(h, pvars[prefix + ".conv2.w"], pvars[prefix + ".conv2.b"],
-                      stride=1, padding=k // 2)
-        se_params = {"fc1_w": pvars[prefix + ".se.fc1.w"],
-                     "fc1_b": pvars[prefix + ".se.fc1.b"],
-                     "fc2_w": pvars[prefix + ".se.fc2.w"],
-                     "fc2_b": pvars[prefix + ".se.fc2.b"]}
-        h = ad.se_block(h, se_params)
-        return ad.add(h, short)
+                            self.buffers[name + ".running_var"], training,
+                            reuse_input=reuse_input)
 
     def forward(self, x, training: bool = False) -> tuple[ad.Var, dict]:
         """Build the graph for a batch x [B, leads, T].
@@ -181,20 +162,50 @@ class SeResNet:
         Vars whose ``.grad`` fields are populated by ``backward``.  The
         batch enters the stem conv as a plain array, so the backward
         computes no gradient for it.
+
+        Without a graph (inside ``no_grad``), every batch normalization
+        whose input nothing reads again writes into that input: the
+        stem's, each ``bn2``, the head's, and the ``bn1`` of a stage's
+        first block, whose shortcut conv reads the normalized array.  A
+        later block's identity shortcut reads its input, so its ``bn1``
+        allocates.  The block input and ``pre`` are dropped as soon as
+        nothing reads them, so their buffers are freed mid-block.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != INPUT_LEADS:
             raise EcgdxError(
                 f"expected input [B, {INPUT_LEADS}, T], got {x.shape}")
         pvars = {name: ad.Var(value) for name, value in self.params.items()}
+        k = BLOCK_KERNEL
         h = ad.conv1d(x, pvars["stem.conv.w"], stride=2,
                       padding=self.config.stem_kernel // 2)
-        h = self._bn_relu(h, "stem.bn", pvars, training)
+        h = self._bn_relu(h, "stem.bn", pvars, training, reuse_input=True)
         for s, n_blocks in enumerate(self.config.blocks_per_stage):
             for b in range(n_blocks):
-                h = self._block(h, f"stage{s}.block{b}", pvars, training,
-                                stride=2 if b == 0 else 1)
-        h = self._bn_relu(h, "head.bn", pvars, training)
+                prefix = f"stage{s}.block{b}"
+                stride = 2 if b == 0 else 1   # a stage's first block downsamples
+                pre = self._bn_relu(h, prefix + ".bn1", pvars, training,
+                                    reuse_input=stride != 1)
+                if stride != 1:   # a conv shortcut, of the normalized input
+                    short = ad.conv1d(pre, pvars[prefix + ".short.w"],
+                                      stride=stride, padding=0)
+                else:
+                    short = h
+                h = ad.conv1d(pre, pvars[prefix + ".conv1.w"], stride=stride,
+                              padding=k // 2)
+                del pre
+                h = self._bn_relu(h, prefix + ".bn2", pvars, training,
+                                  reuse_input=True)
+                h = ad.conv1d(h, pvars[prefix + ".conv2.w"], pvars[prefix + ".conv2.b"],
+                              stride=1, padding=k // 2)
+                se_params = {"fc1_w": pvars[prefix + ".se.fc1.w"],
+                             "fc1_b": pvars[prefix + ".se.fc1.b"],
+                             "fc2_w": pvars[prefix + ".se.fc2.w"],
+                             "fc2_b": pvars[prefix + ".se.fc2.b"]}
+                h = ad.se_block(h, se_params)
+                h = ad.add(h, short)
+                del short
+        h = self._bn_relu(h, "head.bn", pvars, training, reuse_input=True)
         pooled = ad.mean_last(h)
         logits = ad.dense(pooled, pvars["head.fc.w"], pvars["head.fc.b"])
         return logits, pvars

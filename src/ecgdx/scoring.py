@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EcgdxError
-from .records import ClassMap, read_text
+from .records import ClassMap
 
 logger = logging.getLogger(__name__)
 
@@ -68,10 +68,6 @@ class RewardMatrix:
                 raise EcgdxError(
                     f"reward matrix row {number}: {exc}") from None
         return cls(values=np.array(values), abbreviations=abbrs)
-
-    @classmethod
-    def load(cls, path) -> "RewardMatrix":
-        return cls.from_csv(read_text(path))
 
     @classmethod
     def identity(cls, cmap: ClassMap | None = None) -> "RewardMatrix":

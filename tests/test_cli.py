@@ -11,6 +11,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
@@ -662,6 +663,106 @@ class TestTrainPredictScore:
                            "--weights", str(weights), "--out", str(tmp_path / "s"))
         assert code == 1
         assert err == f"error: {target}: not valid UTF-8 text\n"
+
+
+@pytest.fixture(scope="module")
+def stream_inputs(tmp_path_factory):
+    """96 noisy 12 s 500 Hz records, and a 30 s and a 10 s small-preset
+    checkpoint at 500 Hz without denoising."""
+    from ecgdx.nn import SeResNet, SeResNetConfig, save_checkpoint
+    from ecgdx.preprocess import PreprocessConfig
+    root = tmp_path_factory.mktemp("stream")
+    assert dispatch(["synth", "--count", "96", "--duration", "12",
+                     "--noise-sigma", "0.05", "--seed", "5",
+                     "--out", str(root / "records")]) == 0
+    ckpts = []
+    for name, window, seed in (("long", 30, 1), ("short", 10, 2)):
+        model = SeResNet(SeResNetConfig.small(input_length=500 * window, seed=seed),
+                         preprocess=PreprocessConfig(window_seconds=window,
+                                                     denoise_enabled=False))
+        ckpts.append(root / f"{name}.ckpt")
+        save_checkpoint(ckpts[-1], model)
+    return root, *ckpts
+
+
+class TestStreamingPredict:
+    """``predict`` runs one pass per checkpoint over 32-record batches and
+    keeps no record past its batch."""
+
+    @staticmethod
+    def _first(stream_inputs, n):
+        root, _, _ = stream_inputs
+        part = root / f"first{n}"
+        if not part.exists():
+            os.makedirs(part)
+            for i in range(n):
+                for ext in (".hea", ".dat"):
+                    shutil.copy(root / "records" / f"rec{i:03d}{ext}", part)
+        return part
+
+    @staticmethod
+    def _predict(data, long_ckpt, short_ckpt, out):
+        return dispatch(["predict", "--data", str(data), "--checkpoint-long",
+                         str(long_ckpt), "--checkpoint-short", str(short_ckpt),
+                         "--out", str(out)])
+
+    def test_missing_short_checkpoint_exits_before_any_forward(
+            self, capsys, stream_inputs, tmp_path, monkeypatch):
+        from ecgdx.nn import SeResNet
+        root, long_ckpt, _ = stream_inputs
+        forwards, loads = [], []
+        real_forward, real_load = SeResNet.forward, cli.load_record
+        monkeypatch.setattr(SeResNet, "forward", lambda self, x, training=False:
+                            forwards.append(1) or real_forward(self, x, training))
+        monkeypatch.setattr(cli, "load_record",
+                            lambda path: loads.append(path) or real_load(path))
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--data", str(root / "records"),
+                           "--checkpoint-long", str(long_ckpt), "--checkpoint-short",
+                           str(tmp_path / "typo.ckpt"), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "typo.ckpt" in err
+        assert forwards == [] and loads == []
+        assert not out.exists()
+
+    def test_peak_memory_flat_in_the_record_count(self, stream_inputs, tmp_path):
+        """From 32 to 96 records the peak grows by far less than the 37 MB
+        that 64 more records' signals take."""
+        _, long_ckpt, short_ckpt = stream_inputs
+        warm = self._first(stream_inputs, 1)
+        assert self._predict(warm, long_ckpt, short_ckpt, tmp_path / "warm.csv") == 0
+        data = {n: self._first(stream_inputs, n) for n in (32, 96)}
+        peaks = {}
+        for n, part in data.items():
+            tracemalloc.start()
+            try:
+                assert self._predict(part, long_ckpt, short_ckpt,
+                                     tmp_path / f"p{n}.csv") == 0
+                peaks[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[96] - peaks[32] < 2 * 2**20, peaks
+
+    def test_rows_are_the_two_batches_predicted_apart(self, stream_inputs, tmp_path):
+        from ecgdx.ensemble import postprocess, write_predictions
+        from ecgdx.nn import load_checkpoint
+        from ecgdx.preprocess import make_example
+        from ecgdx.records import load_record
+        _, long_ckpt, short_ckpt = stream_inputs
+        data = self._first(stream_inputs, 40)
+        out = tmp_path / "p.csv"
+        assert self._predict(data, long_ckpt, short_ckpt, out) == 0
+        records = [load_record(str(data / f"rec{i:03d}")) for i in range(40)]
+        probs = []
+        for path in (short_ckpt, long_ckpt):
+            model = load_checkpoint(path)
+            x = np.stack([make_example(rec, model.preprocess)[0] for rec in records])
+            probs.append(np.concatenate([model.predict_probs(x[:32]),
+                                         model.predict_probs(x[32:])]))
+        expected = write_predictions([postprocess(p_short, p_long, rec)
+                                      for p_short, p_long, rec in zip(*probs, records)])
+        assert out.read_text(encoding="utf-8") == expected
 
 
 class TestRepeatedRecordIds:

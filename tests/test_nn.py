@@ -336,6 +336,21 @@ class TestOpsAgainstReferences:
                            running_var, training)
         np.testing.assert_array_equal(out.value, ref)
 
+    def test_batchnorm_reuses_its_input_only_without_a_graph(self):
+        rng = np.random.default_rng(13)
+        v = rng.normal(size=(3, 4, 21)) * 3 - 1
+        args = (ad.Var(rng.uniform(0.5, 1.5, size=4)), ad.Var(rng.normal(size=4)),
+                rng.normal(size=4), rng.uniform(0.5, 2, size=4), False)
+        ref = ad.batchnorm(ad.Var(v.copy()), *args).value
+        x = ad.Var(v.copy())
+        out = ad.batchnorm(x, *args, reuse_input=True)   # a graph: x is kept
+        np.testing.assert_array_equal(x.value, v)
+        np.testing.assert_array_equal(out.value, ref)
+        with ad.no_grad():
+            out = ad.batchnorm(x, *args, reuse_input=True)
+        assert np.shares_memory(out.value, x.value)
+        np.testing.assert_array_equal(out.value, ref)
+
 
 class TestSeBlockBehaviour:
     def _zero_params(self, c, r):
@@ -506,6 +521,26 @@ class TestNoGrad:
                 tracemalloc.stop()
             del out
         return memory
+
+    def test_in_place_eval_forward_is_the_graph_forward(self):
+        """Stride-1 and stride-2 blocks: the eval forward that writes into
+        dead activations gives the graph forward's bytes, twice, and leaves
+        the batch, parameters and buffers as they were."""
+        model = SeResNet(SeResNetConfig.small(blocks_per_stage=(2, 2)))
+        rng = np.random.default_rng(14)
+        for name, value in model.params.items():
+            if name.endswith((".gamma", ".beta")):
+                value[...] = rng.uniform(0.5, 1.5, size=value.shape)
+        for name, value in model.buffers.items():
+            value[...] = rng.uniform(0.5, 1.5, size=value.shape)
+        x = rng.normal(size=(3, 8, 512))
+        kept = [a.copy() for a in (x, *model.params.values(), *model.buffers.values())]
+        logits, _ = model.forward(x, training=False)
+        first = model.predict_logits(x)
+        np.testing.assert_array_equal(first, logits.value)
+        for a, b in zip((x, *model.params.values(), *model.buffers.values()), kept):
+            np.testing.assert_array_equal(a, b)
+        assert model.predict_logits(x).tobytes() == first.tobytes()
 
     def test_predict_retains_under_one_percent_of_graph_forward(self):
         x = np.random.default_rng(6).normal(size=(4, 8, 2048))
