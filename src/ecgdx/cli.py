@@ -3,11 +3,12 @@
 After a subcommand with an ``--out`` succeeds, ``dispatch`` writes a
 manifest echoing the exact configuration (including the seed and package
 version): ``<out>/manifest.txt`` when ``--out`` is a directory, else
-``<out>.manifest.txt``.  Unset options are left out, so a manifest
-without its ``command=`` and ``version=`` lines reads back as a config
-file.  Two runs with the same inputs produce byte-identical artifacts.
-Options can be preloaded from a flat ``key=value`` config file via
-``--config``; explicit flags win over file values.
+``<out>.manifest.txt``.  Every option of a subcommand has a default or is
+required, so a manifest without its ``command=`` and ``version=`` lines
+reads back as a config file.  Two runs with the same inputs produce
+byte-identical artifacts.  Options can be preloaded from a flat
+``key=value`` config file via ``--config``; explicit flags win over file
+values.
 """
 
 from __future__ import annotations
@@ -29,8 +30,8 @@ from .records import (TRAINING_LEADS, ClassMap, labels_from_codes, load_record,
 from .preprocess import PreprocessConfig, make_example
 from .rpeaks import detect_rpeaks
 from .synth import SynthSpec, generate
-from .ensemble import (DEFAULT_THRESHOLD, fuse, postprocess, read_predictions,
-                       relabel_pseudo, write_predictions)
+from .ensemble import (fuse, postprocess, read_predictions, relabel_pseudo,
+                       write_predictions)
 from .scoring import RewardMatrix, challenge_score, per_class_metrics
 from .nn import (SeResNetConfig, check_schedule, load_checkpoint, save_checkpoint,
                  train)
@@ -39,7 +40,7 @@ from .nn import (SeResNetConfig, check_schedule, load_checkpoint, save_checkpoin
 def _write_manifest(args: argparse.Namespace) -> None:
     lines = [f"command={args.command}", f"version={__version__}"]
     lines += [f"{key}={value}" for key, value in sorted(vars(args).items())
-              if key not in ("func", "config", "command") and value is not None]
+              if key not in ("func", "config", "command")]
     path = (os.path.join(args.out, "manifest.txt") if os.path.isdir(args.out)
             else args.out + ".manifest.txt")
     with open(path, "w", encoding="utf-8") as fh:
@@ -87,12 +88,7 @@ def _cmd_synth(args) -> int:
              for i in range(args.count)]
     os.makedirs(args.out, exist_ok=True)
     for i, spec in enumerate(specs):
-        rec, beats, _ = generate(spec, record_id=f"rec{i:03d}")
-        save_record(rec, args.out)
-        with open(os.path.join(args.out, f"rec{i:03d}.beats.csv"), "w",
-                  encoding="utf-8") as fh:
-            fh.write("beat_sample_index\n")
-            fh.writelines(f"{b}\n" for b in beats)
+        save_record(generate(spec, record_id=f"rec{i:03d}")[0], args.out)
     return 0
 
 
@@ -262,11 +258,7 @@ def _ensemble(args, on_batch) -> None:
     hands on each batch with its records.  So memory does not grow with
     the record count, beyond the probabilities.
     """
-    long_path = args.checkpoint_long or args.checkpoint
-    short_path = args.checkpoint_short or args.checkpoint
-    if not long_path or not short_path:
-        raise EcgdxError("provide --checkpoint or both --checkpoint-long and "
-                         "--checkpoint-short")
+    long_path, short_path = args.checkpoint_long, args.checkpoint_short
     for path in (long_path, short_path):
         open(path, "rb").close()
     paths = _record_paths(args.data)
@@ -280,9 +272,8 @@ def _ensemble(args, on_batch) -> None:
 
 def _cmd_predict(args) -> int:
     pred_sets = []
-    post = partial(postprocess, threshold=args.threshold)
     _ensemble(args, lambda records, p_short, p_long:
-              pred_sets.extend(map(post, p_short, p_long, records)))
+              pred_sets.extend(map(postprocess, p_short, p_long, records)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(write_predictions(pred_sets))
     return 0
@@ -326,12 +317,6 @@ def _aligned_arrays(pred_file: str, truth_dir: str):
     return labels, probs, np.stack(list(truth_by_id.values()))
 
 
-def _default_weights() -> RewardMatrix:
-    text = resources.files("ecgdx.data").joinpath(
-        "reward_weights.csv").read_text(encoding="utf-8")
-    return RewardMatrix.from_csv(text)
-
-
 def _write_per_class(path: str, aucs, f1s) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -343,8 +328,8 @@ def _write_per_class(path: str, aucs, f1s) -> None:
 
 def _cmd_score(args) -> int:
     labels, probs, truths = _aligned_arrays(args.pred, args.truth)
-    weights = (RewardMatrix.from_csv(read_text(args.weights)) if args.weights
-               else _default_weights())
+    weights = RewardMatrix.from_csv(resources.files("ecgdx.data").joinpath(
+        "reward_weights.csv").read_text(encoding="utf-8"))
     report = challenge_score(labels, truths, weights, probs27=probs)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
@@ -427,14 +412,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, fn in (("predict", _cmd_predict), ("relabel", _cmd_relabel)):
         p = sub.add_parser(name)
         p.add_argument("--data", required=True)
-        p.add_argument("--checkpoint", default=None,
-                       help="single checkpoint used for both windows")
-        p.add_argument("--checkpoint-long", default=None)
-        p.add_argument("--checkpoint-short", default=None)
+        p.add_argument("--checkpoint-long", required=True)
+        p.add_argument("--checkpoint-short", required=True,
+                       help="may name the --checkpoint-long file, which then"
+                            " runs once for both windows")
         p.add_argument("--out", required=True)
-        if name == "predict":
-            p.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-        else:
+        if name == "relabel":
             p.add_argument("--original-codes", required=True,
                            help="comma-separated codes of the source label space")
         p.set_defaults(func=fn)
@@ -442,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="score predictions against truth records")
     p.add_argument("--truth", required=True)
     p.add_argument("--pred", required=True)
-    p.add_argument("--weights", default=None, help="reward matrix CSV")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_score)
 

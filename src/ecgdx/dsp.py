@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from functools import partial
 
 import numpy as np
 
@@ -132,33 +133,32 @@ class _BlockedIir:
         return y.ravel()[:x.size]
 
 
-def filtfilt(b, a, x, padlen: int | None = None) -> np.ndarray:
+def filtfilt(b, a, x) -> np.ndarray:
     """Zero-phase forward-backward filtering of a 1-D signal.
 
-    The signal is extended at both ends by ``padlen`` samples of odd
-    reflection (default ``3 * max(len(a), len(b))``); each pass starts
-    from the filter's unit-step steady state scaled by its first input
-    sample.  An FIR filter (``a == [1]``) is applied by convolution.
+    The signal is extended at both ends by ``3 * max(len(a), len(b))``
+    samples of odd reflection, or ``len(x) - 1`` if that is fewer; each
+    pass starts from the filter's unit-step steady state scaled by its
+    first input sample.  An FIR filter (``a == [1]``) is applied by
+    convolution.
     """
     b = np.atleast_1d(np.asarray(b, dtype=np.float64))
     a = np.atleast_1d(np.asarray(a, dtype=np.float64))
     x = np.asarray(x, dtype=np.float64)
-    edge = 3 * max(len(a), len(b)) if padlen is None else padlen
-    if x.size <= edge:
-        raise ValueError(f"the signal must be longer than padlen, which is {edge}")
+    edge = min(3 * max(len(a), len(b)), x.size - 1)
     ext = _odd_extend(x, edge)
-    fir = len(a) == 1
     b, a = b / a[0], a / a[0]
-    n = max(len(a), len(b))
-    A, drive = _state_space(np.pad(b, (0, n - len(b))), np.pad(a, (0, n - len(a))))
-    zi = np.linalg.solve(np.eye(n - 1) - A, drive)   # unit-step steady state
-    if fir:
-        forward = _fir_pass(b, ext, zi * ext[0])
-        y = _fir_pass(b, forward[::-1], zi * forward[-1])[::-1]
+    if len(a) == 1:
+        # an FIR filter's unit-step steady state: state k sums the taps after k
+        zi = np.cumsum(b[:0:-1])[::-1]
+        run = partial(_fir_pass, b)
     else:
+        n = max(len(a), len(b))
+        A, drive = _state_space(np.pad(b, (0, n - len(b))), np.pad(a, (0, n - len(a))))
+        zi = np.linalg.solve(np.eye(n - 1) - A, drive)   # unit-step steady state
         run = _BlockedIir(A, drive, b[0])
-        forward = run(ext, zi * ext[0])
-        y = run(forward[::-1], zi * forward[-1])[::-1]
+    forward = run(ext, zi * ext[0])
+    y = run(forward[::-1], zi * forward[-1])[::-1]
     return y[edge:len(y) - edge] if edge > 0 else y
 
 

@@ -18,9 +18,9 @@ import numpy as np
 
 from .errors import EcgdxError
 from .records import ClassMap, EcgRecord
-from .rpeaks import brady_rule, detect_rpeaks
+from .rpeaks import _unreadable, brady_rule, detect_rpeaks
 
-DEFAULT_THRESHOLD = 0.36
+THRESHOLD = 0.36
 PSEUDO_LABEL_THRESHOLD = 0.8
 REVIEW_THRESHOLD = 0.95
 
@@ -55,11 +55,9 @@ def fuse(p_short, p_long) -> np.ndarray:
     return 0.5 * a + 0.5 * b
 
 
-def binarize(probs, threshold: float = DEFAULT_THRESHOLD) -> np.ndarray:
-    """Label = 1 iff probability >= threshold (closed lower bound)."""
-    if not (0.0 < threshold < 1.0):
-        raise EcgdxError(f"threshold {threshold} outside (0, 1)")
-    return (np.asarray(probs, dtype=np.float64) >= threshold).astype(np.uint8)
+def binarize(probs) -> np.ndarray:
+    """Label = 1 iff probability >= ``THRESHOLD`` (closed lower bound)."""
+    return (np.asarray(probs, dtype=np.float64) >= THRESHOLD).astype(np.uint8)
 
 
 def snr_postprocess(labels) -> np.ndarray:
@@ -74,22 +72,26 @@ def apply_brady_veto(labels, record: EcgRecord) -> np.ndarray:
     """Let the R-R interval rule veto a positive slow-rhythm prediction.
 
     The rule can only clear the bit, never set it; a negative prediction
-    skips peak detection entirely.
+    skips peak detection entirely, and so does a lead I that
+    :func:`detect_rpeaks` cannot read (too short, or at a rate outside
+    its range), where the model's bit stands.
     """
     out = np.asarray(labels, dtype=np.uint8).copy()
     idx = ClassMap.default().bradycardia_index
     if out[idx] == 0:
         return out
-    peaks = detect_rpeaks(record.lead("I"), record.fs)
+    lead = record.lead("I")
+    if _unreadable(lead.size, record.fs) is not None:
+        return out
+    peaks = detect_rpeaks(lead, record.fs)
     out[idx] = brady_rule(np.diff(peaks) / record.fs)
     return out
 
 
-def postprocess(p_short, p_long, record: EcgRecord,
-                threshold: float = DEFAULT_THRESHOLD) -> PredictionSet:
+def postprocess(p_short, p_long, record: EcgRecord) -> PredictionSet:
     """Full pipeline: fuse -> binarize -> slow-rhythm veto -> sinus fallback."""
     probs = fuse(p_short, p_long)
-    labels = binarize(probs, threshold)
+    labels = binarize(probs)
     labels = apply_brady_veto(labels, record)
     labels = snr_postprocess(labels)
     return PredictionSet(record_id=record.record_id, probs=probs, labels=labels)

