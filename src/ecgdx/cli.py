@@ -6,7 +6,9 @@ version): ``<out>/manifest.txt`` when ``--out`` is a directory, else
 ``<out>.manifest.txt``.  Every option of a subcommand has a default or is
 required, so a manifest without its ``command=`` and ``version=`` lines
 reads back as a config file.  Two runs with the same inputs produce
-byte-identical artifacts.  Options can be preloaded from a flat
+byte-identical artifacts, and ``predict`` and ``relabel`` run each record
+through the models on its own, so its row does not depend on the other
+records read with it.  Options can be preloaded from a flat
 ``key=value`` config file via ``--config``; explicit flags win over file
 values.
 """
@@ -141,7 +143,8 @@ def _features(args, cfg: PreprocessConfig):
     """Features and labels, and the ids, of the ``--data`` records.
 
     One forked worker per CPU of this process's affinity mask (at most
-    one per record; none on one CPU) builds the records into one shared
+    one per record; none on one CPU, or on a platform without affinity
+    masks, such as macOS or Windows) builds the records into one shared
     anonymous mapping, so no feature array is pickled or copied.  Each
     row is the one a serial pass writes, so the bytes do not depend on
     the worker count, and the first failure in file-stem order decides
@@ -153,7 +156,8 @@ def _features(args, cfg: PreprocessConfig):
     x = np.frombuffer(shared, np.float64, n * leads * width).reshape(n, leads, width)
     y = np.frombuffer(shared, np.uint8, n * ClassMap.n_scored,
                       offset=x.nbytes).reshape(n, ClassMap.n_scored)
-    workers = min(n, len(os.sched_getaffinity(0)))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    workers = min(n, cpus)
     if workers == 1:
         return x, y, _checked_ids(paths, map(partial(_build_row, x, y, cfg),
                                              range(n), paths))
@@ -219,61 +223,30 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _run_checkpoint(path: str, paths: list[str], keep_records: bool,
-                    on_batch) -> None:
-    """Run the checkpoint at ``path`` over the records at ``paths``.
+def _ensemble(args, on_record) -> None:
+    """Call ``on_record(record, p_short, p_long)`` for each ``--data``
+    record, in file-stem order, with its short- and long-window
+    probabilities.
 
-    For each batch of up to 32 records, in order, it calls
-    ``on_batch(held, probs)`` with the model's probabilities; ``held``
-    lists the batch's records if ``keep_records``, else it is empty.
-    Each record's features, built with the spec the checkpoint carries,
-    are written into one reused batch array as the record loads, and
-    nothing holds a batch's records once ``on_batch`` returns.
+    Each distinct checkpoint loads first, so a missing or malformed one
+    exits before any record is read, and one path given to both flags
+    loads and runs once.  Then one record at a time is read, built with
+    each model's own spec and run through each model as a batch of one:
+    a row depends only on its record and the checkpoints, and memory does
+    not grow with the record count.
     """
-    model = load_checkpoint(path)
-    spec = model.preprocess
-    records = _load_records(paths)
-    x = np.empty((min(len(paths), 32), len(TRAINING_LEADS), spec.window_samples))
-    for start in range(0, len(paths), 32):
-        batch = x[:min(32, len(paths) - start)]
-        held = []
-        for row in batch:
-            rec = next(records)
-            row[...] = make_example(rec, spec)[0]
-            if keep_records:
-                held.append(rec)
-        del rec   # not held through the forward
-        on_batch(held, model.predict_probs(batch))
-
-
-def _ensemble(args, on_batch) -> None:
-    """Call ``on_batch(records, p_short, p_long)`` for each batch of up to
-    32 ``--data`` records, in file-stem order, with their short- and
-    long-window probabilities.
-
-    Every checkpoint file is opened first, so a missing one exits before
-    any record is read.  Each distinct checkpoint then makes one pass over
-    the records, and only the one being run is loaded: the long window's
-    pass keeps only its probabilities, and the short window's pass, last,
-    hands on each batch with its records.  So memory does not grow with
-    the record count, beyond the probabilities.
-    """
-    long_path, short_path = args.checkpoint_long, args.checkpoint_short
-    for path in (long_path, short_path):
-        open(path, "rb").close()
-    paths = _record_paths(args.data)
-    p_long = []   # one array per batch; the two passes split the records alike
-    if long_path != short_path:
-        _run_checkpoint(long_path, paths, False, lambda _, probs: p_long.append(probs))
-    long_batches = iter(p_long)   # empty for one checkpoint: p_long is p_short
-    _run_checkpoint(short_path, paths, True, lambda records, probs:
-                    on_batch(records, probs, next(long_batches, probs)))
+    models = {path: load_checkpoint(path) for path in
+              dict.fromkeys((args.checkpoint_long, args.checkpoint_short))}
+    for rec in _load_records(_record_paths(args.data)):
+        probs = {path: model.predict_probs(make_example(rec, model.preprocess)[0][None])
+                 for path, model in models.items()}
+        on_record(rec, probs[args.checkpoint_short][0], probs[args.checkpoint_long][0])
 
 
 def _cmd_predict(args) -> int:
     pred_sets = []
-    _ensemble(args, lambda records, p_short, p_long:
-              pred_sets.extend(map(postprocess, p_short, p_long, records)))
+    _ensemble(args, lambda rec, p_short, p_long:
+              pred_sets.append(postprocess(p_short, p_long, rec)))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(write_predictions(pred_sets))
     return 0
@@ -282,8 +255,8 @@ def _cmd_predict(args) -> int:
 def _cmd_relabel(args) -> int:
     original = {c.strip() for c in args.original_codes.split(",") if c.strip()}
     report = []
-    _ensemble(args, lambda records, p_short, p_long: report.extend(relabel_pseudo(
-        [rec.record_id for rec in records], fuse(p_short, p_long), original)))
+    _ensemble(args, lambda rec, p_short, p_long: report.extend(relabel_pseudo(
+        [rec.record_id], fuse(p_short, p_long)[None], original)))
     with open(args.out, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["record_id", "code", "abbreviation", "prob", "needs_review"])

@@ -8,8 +8,10 @@ Gradients are exact reverse-mode derivatives; unit tests hold each op to
 central finite differences.
 
 Inside :func:`no_grad` the same ops record no graph: each ``Var`` keeps
-its value only, so an intermediate array is freed as soon as the next op
-has consumed it.  Inference runs there; training never does.
+its value only, so an intermediate array is freed once nothing refers to
+it rather than held for a backward.  The arithmetic is the same in both
+modes, and no op writes into its input.  Inference runs there; training
+never does.
 """
 
 from __future__ import annotations
@@ -255,8 +257,7 @@ def channel_scale(x: Var, s: Var) -> Var:
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
-              running_var: np.ndarray, training: bool, *,
-              reuse_input: bool = False) -> Var:
+              running_var: np.ndarray, training: bool) -> Var:
     """Per-channel batch normalization over (batch, time), then a ReLU.
 
     Training mode normalizes with (biased) batch statistics and updates
@@ -266,13 +267,7 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     :func:`relu`, so a negative value becomes ``-0.0``).  Every batch
     normalization of the network feeds a ReLU, and fusing the two
     (Rota Bulò, Porzi & Kontschieder, 2018) keeps no pre-activation
-    array alive for the backward.  When no graph is recorded (inside
-    :func:`no_grad`), no vjp will read ``xhat``, so it is scaled by gamma
-    in place and becomes the output: the same arithmetic, one array of
-    the input's size fewer.  There ``reuse_input=True``, the caller's
-    promise that nothing reads ``x`` after this call, also writes ``x -
-    mu`` into x's own buffer, so the op allocates no array of that size
-    at all.  With a graph, ``reuse_input`` changes nothing.
+    array alive for the backward.
 
     The vjp first masks the cotangent, ``g = g * (out > 0)``.  The
     training backward is then the closed form over the ``N = B*T``
@@ -284,8 +279,7 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     x, gamma, beta = _as_var(x), _as_var(gamma), _as_var(beta)
     v = x.value
     mu = v.mean(axis=(0, 2)) if training else running_mean
-    xhat = np.subtract(v, mu[None, :, None],
-                       out=v if reuse_input and not _grad_enabled else None)
+    xhat = v - mu[None, :, None]
     if training:
         var = np.square(xhat).mean(axis=(0, 2))   # == v.var(axis=(0, 2))
         running_mean *= (1.0 - BN_MOMENTUM)
@@ -296,11 +290,7 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         var = running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
-    if _grad_enabled:
-        out = xhat * gamma.value[None, :, None]
-    else:   # no vjp will read xhat, so it becomes the output
-        out = xhat
-        out *= gamma.value[None, :, None]
+    out = xhat * gamma.value[None, :, None]
     out += beta.value[None, :, None]
     out *= out > 0
 

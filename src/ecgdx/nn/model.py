@@ -149,11 +149,10 @@ class SeResNet:
 
     # -- forward ------------------------------------------------------------
 
-    def _bn_relu(self, x, name, pvars, training, reuse_input):
+    def _bn_relu(self, x, name, pvars, training):
         return ad.batchnorm(x, pvars[name + ".gamma"], pvars[name + ".beta"],
                             self.buffers[name + ".running_mean"],
-                            self.buffers[name + ".running_var"], training,
-                            reuse_input=reuse_input)
+                            self.buffers[name + ".running_var"], training)
 
     def forward(self, x, training: bool = False) -> tuple[ad.Var, dict]:
         """Build the graph for a batch x [B, leads, T].
@@ -161,15 +160,9 @@ class SeResNet:
         Returns the logits Var [B, n_classes] and the dict of parameter
         Vars whose ``.grad`` fields are populated by ``backward``.  The
         batch enters the stem conv as a plain array, so the backward
-        computes no gradient for it.
-
-        Without a graph (inside ``no_grad``), every batch normalization
-        whose input nothing reads again writes into that input: the
-        stem's, each ``bn2``, the head's, and the ``bn1`` of a stage's
-        first block, whose shortcut conv reads the normalized array.  A
-        later block's identity shortcut reads its input, so its ``bn1``
-        allocates.  The block input and ``pre`` are dropped as soon as
-        nothing reads them, so their buffers are freed mid-block.
+        computes no gradient for it.  Without a graph (inside
+        ``no_grad``) the same ops run on the same arrays, and no activation
+        outlives the block that reads it.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != INPUT_LEADS:
@@ -179,13 +172,12 @@ class SeResNet:
         k = BLOCK_KERNEL
         h = ad.conv1d(x, pvars["stem.conv.w"], stride=2,
                       padding=self.config.stem_kernel // 2)
-        h = self._bn_relu(h, "stem.bn", pvars, training, reuse_input=True)
+        h = self._bn_relu(h, "stem.bn", pvars, training)
         for s, n_blocks in enumerate(self.config.blocks_per_stage):
             for b in range(n_blocks):
                 prefix = f"stage{s}.block{b}"
                 stride = 2 if b == 0 else 1   # a stage's first block downsamples
-                pre = self._bn_relu(h, prefix + ".bn1", pvars, training,
-                                    reuse_input=stride != 1)
+                pre = self._bn_relu(h, prefix + ".bn1", pvars, training)
                 if stride != 1:   # a conv shortcut, of the normalized input
                     short = ad.conv1d(pre, pvars[prefix + ".short.w"],
                                       stride=stride, padding=0)
@@ -193,9 +185,7 @@ class SeResNet:
                     short = h
                 h = ad.conv1d(pre, pvars[prefix + ".conv1.w"], stride=stride,
                               padding=k // 2)
-                del pre
-                h = self._bn_relu(h, prefix + ".bn2", pvars, training,
-                                  reuse_input=True)
+                h = self._bn_relu(h, prefix + ".bn2", pvars, training)
                 h = ad.conv1d(h, pvars[prefix + ".conv2.w"], pvars[prefix + ".conv2.b"],
                               stride=1, padding=k // 2)
                 se_params = {"fc1_w": pvars[prefix + ".se.fc1.w"],
@@ -204,8 +194,7 @@ class SeResNet:
                              "fc2_b": pvars[prefix + ".se.fc2.b"]}
                 h = ad.se_block(h, se_params)
                 h = ad.add(h, short)
-                del short
-        h = self._bn_relu(h, "head.bn", pvars, training, reuse_input=True)
+        h = self._bn_relu(h, "head.bn", pvars, training)
         pooled = ad.mean_last(h)
         logits = ad.dense(pooled, pvars["head.fc.w"], pvars["head.fc.b"])
         return logits, pvars

@@ -272,8 +272,8 @@ class TestTrainPredictScore:
         assert all(left.startswith("out=") for left, _ in diff)
 
     def test_more_records_than_one_batch(self, pipeline_dirs, tmp_path):
-        """Features are built one 32-record batch at a time: 33 records give
-        33 rows, the bytes of predicting the first 32 and the last apart."""
+        """Each record is predicted on its own: 33 records give 33 rows, the
+        bytes of predicting the first 32 and the last apart."""
         _, ckpt, _ = pipeline_dirs
         every, first, rest = (tmp_path / name for name in ("all", "first", "rest"))
         assert dispatch(["synth", "--count", "33", "--duration", "4", "--fs", "128",
@@ -679,8 +679,8 @@ def stream_inputs(tmp_path_factory):
 
 
 class TestStreamingPredict:
-    """``predict`` runs one pass per checkpoint over 32-record batches and
-    keeps no record past its batch."""
+    """``predict`` loads both checkpoints, then runs one record at a time
+    through both models and keeps no record past its row."""
 
     @staticmethod
     def _first(stream_inputs, n):
@@ -737,25 +737,53 @@ class TestStreamingPredict:
                 tracemalloc.stop()
         assert peaks[96] - peaks[32] < 2 * 2**20, peaks
 
-    def test_rows_are_the_two_batches_predicted_apart(self, stream_inputs, tmp_path):
-        from ecgdx.ensemble import postprocess, write_predictions
-        from ecgdx.nn import load_checkpoint
-        from ecgdx.preprocess import make_example
-        from ecgdx.records import load_record
-        _, long_ckpt, short_ckpt = stream_inputs
-        data = self._first(stream_inputs, 40)
+    def test_malformed_short_checkpoint_exits_before_any_record(
+            self, capsys, stream_inputs, tmp_path, monkeypatch):
+        _, long_ckpt, _ = stream_inputs
+        data = self._first(stream_inputs, 3)
+        loads = []
+        real_load = cli.load_record
+        monkeypatch.setattr(cli, "load_record",
+                            lambda path: loads.append(path) or real_load(path))
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(b"ECGDXNN\0 not a checkpoint")
         out = tmp_path / "p.csv"
-        assert self._predict(data, long_ckpt, short_ckpt, out) == 0
-        records = [load_record(str(data / f"rec{i:03d}")) for i in range(40)]
-        probs = []
-        for path in (short_ckpt, long_ckpt):
-            model = load_checkpoint(path)
-            x = np.stack([make_example(rec, model.preprocess)[0] for rec in records])
-            probs.append(np.concatenate([model.predict_probs(x[:32]),
-                                         model.predict_probs(x[32:])]))
-        expected = write_predictions([postprocess(p_short, p_long, rec)
-                                      for p_short, p_long, rec in zip(*probs, records)])
-        assert out.read_text(encoding="utf-8") == expected
+        code, _, err = run(capsys, "predict", "--data", str(data),
+                           "--checkpoint-long", str(long_ckpt), "--checkpoint-short",
+                           str(bad), "--out", str(out))
+        assert code == 1
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert loads == []
+        assert not out.exists()
+
+    def test_each_row_is_its_record_predicted_alone(self, tmp_path):
+        """A row depends only on its record and the checkpoints, not on the
+        other records in ``--data``."""
+        from ecgdx.nn import SeResNet, SeResNetConfig, save_checkpoint
+        from ecgdx.preprocess import PreprocessConfig
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--count", "5", "--fs", "100", "--duration", "12",
+                         "--noise-sigma", "0.05", "--seed", "9",
+                         "--out", str(data)]) == 0
+        ckpts = []
+        for window, seed in ((30, 1), (10, 2)):
+            model = SeResNet(SeResNetConfig.small(input_length=100 * window, seed=seed),
+                             preprocess=PreprocessConfig(target_fs=100,
+                                                         window_seconds=window,
+                                                         denoise_enabled=False))
+            ckpts.append(tmp_path / f"{window}s.ckpt")
+            save_checkpoint(ckpts[-1], model)
+        assert self._predict(data, *ckpts, tmp_path / "all.csv") == 0
+        header, *rows = (tmp_path / "all.csv").read_text(encoding="utf-8").splitlines()
+        assert len(rows) == 5
+        for i, row in enumerate(rows):
+            alone = tmp_path / f"alone{i}"
+            os.makedirs(alone)
+            for ext in (".hea", ".dat"):
+                shutil.copy(data / f"rec{i:03d}{ext}", alone)
+            assert self._predict(alone, *ckpts, tmp_path / f"alone{i}.csv") == 0
+            text = (tmp_path / f"alone{i}.csv").read_text(encoding="utf-8")
+            assert text.splitlines() == [header, row]
 
 
 class TestRepeatedRecordIds:
@@ -859,6 +887,24 @@ class TestFeatureWorkers:
             digests[count] = [(out / name).read_bytes() for name in
                               ("f/features.npz", "m.ckpt", "m.ckpt.history.csv")]
         assert digests[1] == digests[3]
+
+    def test_no_affinity_mask_builds_in_process(self, capsys, tmp_path, cpus,
+                                                monkeypatch):
+        """Where ``os.sched_getaffinity`` does not exist (macOS, Windows),
+        ``preprocess`` builds in this process and writes a pooled run's bytes."""
+        data = tmp_path / "d"
+        self._records(data, [f"r{i}" for i in range(3)])
+        argv = ["preprocess", "--data", str(data), "--window", "10",
+                "--target-fs", "128", "--out"]
+        pools = cpus(3)
+        code, _, err = run(capsys, *argv, str(tmp_path / "pooled"))
+        assert code == 0, err
+        monkeypatch.delattr(os, "sched_getaffinity")
+        code, _, err = run(capsys, *argv, str(tmp_path / "alone"))
+        assert code == 0, err
+        assert pools == [3]
+        assert ((tmp_path / "alone" / "features.npz").read_bytes()
+                == (tmp_path / "pooled" / "features.npz").read_bytes())
 
     @pytest.mark.parametrize("count", [1, 3])
     @pytest.mark.parametrize("command", ["preprocess", "train"])

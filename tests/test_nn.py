@@ -336,21 +336,6 @@ class TestOpsAgainstReferences:
                            running_var, training)
         np.testing.assert_array_equal(out.value, ref)
 
-    def test_batchnorm_reuses_its_input_only_without_a_graph(self):
-        rng = np.random.default_rng(13)
-        v = rng.normal(size=(3, 4, 21)) * 3 - 1
-        args = (ad.Var(rng.uniform(0.5, 1.5, size=4)), ad.Var(rng.normal(size=4)),
-                rng.normal(size=4), rng.uniform(0.5, 2, size=4), False)
-        ref = ad.batchnorm(ad.Var(v.copy()), *args).value
-        x = ad.Var(v.copy())
-        out = ad.batchnorm(x, *args, reuse_input=True)   # a graph: x is kept
-        np.testing.assert_array_equal(x.value, v)
-        np.testing.assert_array_equal(out.value, ref)
-        with ad.no_grad():
-            out = ad.batchnorm(x, *args, reuse_input=True)
-        assert np.shares_memory(out.value, x.value)
-        np.testing.assert_array_equal(out.value, ref)
-
 
 class TestSeBlockBehaviour:
     def _zero_params(self, c, r):
@@ -522,10 +507,10 @@ class TestNoGrad:
             del out
         return memory
 
-    def test_in_place_eval_forward_is_the_graph_forward(self):
-        """Stride-1 and stride-2 blocks: the eval forward that writes into
-        dead activations gives the graph forward's bytes, twice, and leaves
-        the batch, parameters and buffers as they were."""
+    def test_eval_forward_is_the_graph_forward(self):
+        """Stride-1 and stride-2 blocks: the eval forward without a graph
+        gives the graph forward's bytes, twice, and leaves the batch,
+        parameters and buffers as they were."""
         model = SeResNet(SeResNetConfig.small(blocks_per_stage=(2, 2)))
         rng = np.random.default_rng(14)
         for name, value in model.params.items():

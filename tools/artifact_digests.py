@@ -10,8 +10,8 @@ noisy 12 s records at 48 bpm with ectopy), ``preprocess``, ``train`` of a
 10 s window with denoising and of a 30 s window without (small preset,
 50 Hz, two epochs each), ``predict`` and ``relabel`` with both
 checkpoints, ``score`` and ``report``, then ``synth`` of 33 more records
-(100 Hz, 12 s) and ``predict`` and ``relabel`` of those, which cross a
-32-record batch boundary.  It then prints one
+(100 Hz, 12 s) and ``predict`` and ``relabel`` of those, the
+multi-record inference run.  It then prints one
 ``sha256  relative/path`` line per file, sorted by path, manifests and
 histories included.
 
