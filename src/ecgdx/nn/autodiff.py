@@ -1,11 +1,18 @@
 """Tape-free reverse-mode differentiation over float64 numpy arrays.
 
-Every op returns a :class:`Var` holding the forward value plus a closure
-that maps the output cotangent to input cotangents.  :func:`backward`
-topologically sorts the graph from the root, accumulates gradients into
-the leaves and frees each interior node once it has been used.
-Gradients are exact reverse-mode derivatives; unit tests hold each op to
-central finite differences.
+Every op returns a :class:`Var` holding the forward value.  Made with a
+graph, it also points at a private vertex that holds the parents, a
+closure that maps the output cotangent to input cotangents, and the
+gradient, but no value.  Consumers link to that vertex, and each vjp
+captures only the arrays it reads, so an activation that no vjp reads
+(the output of a conv that feeds a batch normalization, of ``add`` or of
+``channel_scale``) is freed as soon as the forward drops its ``Var``
+(Paszke et al., 2017: a node keeps only the tensors its backward saved).
+Leaves, the parameters and the batch, are linked as the ``Var`` itself.
+:func:`backward` topologically sorts the graph from the root,
+accumulates gradients into the leaves and frees each interior vertex
+once it has been used.  Gradients are exact reverse-mode derivatives;
+unit tests hold each op to central finite differences.
 
 Inside :func:`no_grad` the same ops record no graph: each ``Var`` keeps
 its value only, so an intermediate array is freed once nothing refers to
@@ -43,18 +50,43 @@ def no_grad():
         _grad_enabled = previous
 
 
-class Var:
-    """A node in the computation graph: value, parents, and a vjp closure."""
+class _Node:
+    """The graph vertex of an op's result: parents, vjp and gradient, no value."""
 
-    __slots__ = ("value", "parents", "vjp", "grad")
+    __slots__ = ("parents", "vjp", "grad")
+    value = None
+
+    def __init__(self, parents, vjp):
+        self.parents, self.vjp, self.grad = parents, vjp, None
+
+
+def _on_node(name):
+    """A ``Var`` attribute that reads and writes its vertex's ``name``."""
+    return property(lambda var: getattr(var._node, name),
+                    lambda var, v: setattr(var._node, name, v))
+
+
+class Var:
+    """A forward value and its graph vertex.
+
+    ``grad``, ``vjp`` and ``parents`` read and write the vertex.  An op
+    result made with a graph is linked into its consumers' ``parents`` as
+    its vertex, which holds no value; any other ``Var`` (a leaf) is linked
+    as itself.
+    """
+
+    __slots__ = ("value", "_node")
+    parents, vjp, grad = _on_node("parents"), _on_node("vjp"), _on_node("grad")
 
     def __init__(self, value, parents=(), vjp=None):
         self.value = np.asarray(value, dtype=np.float64)
         if _grad_enabled:
-            self.parents, self.vjp = parents, vjp
+            self._node = _Node(tuple(p._vertex() for p in parents), vjp)
         else:
-            self.parents, self.vjp = (), None
-        self.grad = None
+            self._node = _Node((), None)
+
+    def _vertex(self):
+        return self if self._node.vjp is None else self._node
 
     @property
     def shape(self):
@@ -65,16 +97,19 @@ def backward(root: Var, seed=None) -> None:
     """Accumulate gradients of ``root`` into every reachable leaf's ``.grad``.
 
     ``seed`` defaults to ones of the root's shape (i.e. sum of outputs).
-    The pass consumes the graph: once a node's vjp has pushed its
-    cotangent to its parents, the node drops its ``grad``, ``vjp`` and
-    ``parents``, so each activation and closure is freed as soon as
-    nothing later in the pass needs it.  Leaves (Vars without a vjp, such
-    as parameters and inputs) and the root keep their ``.grad``; a second
+    The pass consumes the graph: once a vertex's vjp has pushed its
+    cotangent to its parents, the vertex drops its ``grad``, ``vjp`` and
+    ``parents``, so the arrays its closure captured are freed as soon as
+    nothing later in the pass needs them.  No vertex holds a value, so
+    the forward's activations are the closures' arrays and whatever
+    ``Var`` the caller still keeps.  Leaves (Vars without a vjp, such as
+    parameters and inputs) and the root keep their ``.grad``; a second
     ``backward`` through the same graph reaches nothing.
     """
-    order: list[Var] = []
+    top = root._node
+    order: list = []
     seen: set[int] = set()
-    stack: list[tuple[Var, bool]] = [(root, False)]
+    stack: list[tuple[object, bool]] = [(top, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -88,7 +123,7 @@ def backward(root: Var, seed=None) -> None:
             if id(parent) not in seen:
                 stack.append((parent, False))
 
-    root.grad = np.ones_like(root.value) if seed is None else \
+    top.grad = np.ones_like(root.value) if seed is None else \
         np.asarray(seed, dtype=np.float64)
     while order:   # reverse topological order: the root comes off first
         node = order.pop()
@@ -100,7 +135,7 @@ def backward(root: Var, seed=None) -> None:
                     continue
                 parent.grad = g if parent.grad is None else parent.grad + g
         node.vjp, node.parents = None, ()
-        if node is not root:
+        if node is not top:
             node.grad = None
 
 
@@ -131,10 +166,11 @@ def sigmoid(a: Var) -> Var:
 def dense(x: Var, w: Var, b: Var) -> Var:
     """x [B, F] @ w [F, O] + b [O]."""
     x, w, b = _as_var(x), _as_var(w), _as_var(b)
-    y = x.value @ w.value + b.value
+    xv, wv = x.value, w.value
+    y = xv @ wv + b.value
 
     def vjp(g):
-        return g @ w.value.T, x.value.T @ g, g.sum(axis=0)
+        return g @ wv.T, xv.T @ g, g.sum(axis=0)
 
     return Var(y, (x, w, b), vjp)
 
@@ -249,11 +285,12 @@ def mean_last(x: Var) -> Var:
 def channel_scale(x: Var, s: Var) -> Var:
     """Multiply x [B, C, T] by per-channel weights s [B, C]."""
     x, s = _as_var(x), _as_var(s)
+    xv, sv = x.value, s.value
 
     def vjp(g):
-        return g * s.value[:, :, None], (g * x.value).sum(axis=2)
+        return g * sv[:, :, None], (g * xv).sum(axis=2)
 
-    return Var(x.value * s.value[:, :, None], (x, s), vjp)
+    return Var(xv * sv[:, :, None], (x, s), vjp)
 
 
 def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
@@ -290,7 +327,8 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         var = running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
-    out = xhat * gamma.value[None, :, None]
+    gv = gamma.value
+    out = xhat * gv[None, :, None]
     out += beta.value[None, :, None]
     out *= out > 0
 
@@ -298,7 +336,7 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         g = g * (out > 0)
         dgamma = (g * xhat).sum(axis=(0, 2))
         dbeta = g.sum(axis=(0, 2))
-        scale = (gamma.value * inv_std)[None, :, None]
+        scale = (gv * inv_std)[None, :, None]
         if not training:
             return g * scale, dgamma, dbeta
         n = g.shape[0] * g.shape[2]

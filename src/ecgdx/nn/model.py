@@ -160,9 +160,13 @@ class SeResNet:
         Returns the logits Var [B, n_classes] and the dict of parameter
         Vars whose ``.grad`` fields are populated by ``backward``.  The
         batch enters the stem conv as a plain array, so the backward
-        computes no gradient for it.  Without a graph (inside
-        ``no_grad``) the same ops run on the same arrays, and no activation
-        outlives the block that reads it.
+        computes no gradient for it.  With the graph, an activation
+        outlives the forward only if a vjp captured it: the graph's
+        vertices hold no values, so a conv output that only a batch
+        normalization reads, or the output of an ``add`` or of the SE
+        gate's scaling, is freed once the next op has used it.  Without a
+        graph (inside ``no_grad``) the same ops run on the same arrays,
+        and no activation outlives the block that reads it.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != INPUT_LEADS:

@@ -563,6 +563,44 @@ class TestNoGrad:
         assert peak < whole_batch_cols, (peak, whole_batch_cols)
 
 
+def _identity(var):
+    """A copy of ``var`` made by an op, so the graph reaches ``var`` through it."""
+    return ad.Var(var.value.copy(), (var,), lambda g: (g,))
+
+
+def _conv1d_case(rng):
+    leaves = [ad.Var(rng.normal(size=s)) for s in ((2, 3, 16), (4, 3, 5), (4,))]
+    return leaves, lambda x, w, b: ad.conv1d(x, w, b, stride=2, padding=2)
+
+
+def _batchnorm_case(training):
+    def case(rng):
+        leaves = [ad.Var(rng.normal(size=(2, 3, 16))),
+                  ad.Var(rng.uniform(0.5, 1.5, size=3)), ad.Var(rng.normal(size=3))]
+        buffers = rng.normal(size=3), rng.uniform(0.5, 1.5, size=3)
+        return leaves, lambda x, g, b: ad.batchnorm(x, g, b, *buffers, training)
+    return case
+
+
+def _channel_scale_case(rng):
+    leaves = [ad.Var(rng.normal(size=(2, 3, 16))), ad.Var(rng.normal(size=(2, 3)))]
+    return leaves, ad.channel_scale
+
+
+def _dense_case(rng):
+    leaves = [ad.Var(rng.normal(size=s)) for s in ((3, 4), (4, 5), (5,))]
+    return leaves, ad.dense
+
+
+def _se_block_case(rng):
+    shapes = ((2, 8, 16), (8, 2), (2,), (2, 8), (8,))
+    leaves = [ad.Var(rng.normal(size=s)) for s in shapes]
+
+    def build(x, *weights):
+        return ad.se_block(x, dict(zip(("fc1_w", "fc1_b", "fc2_w", "fc2_b"), weights)))
+    return leaves, build
+
+
 class TestBackwardThroughModel:
     def _graph_nodes(self, root):
         nodes, stack = {}, [root]
@@ -614,6 +652,55 @@ class TestBackwardThroughModel:
             tracemalloc.stop()
         grad_bytes = sum(pvars[name].grad.nbytes for name in model.params)
         assert kept - grad_bytes < 0.05 * graph_bytes, (kept, grad_bytes, graph_bytes)
+
+    def test_forward_holds_only_what_the_vjps_capture(self):
+        """A vertex holds no value: after a graph forward no vertex but the
+        root and the leaves holds one, and what the forward still holds is
+        what the vjp closures captured, each owning buffer counted once."""
+        model = SeResNet(SeResNetConfig.small())
+        x = np.random.default_rng(12).normal(size=(4, 8, 2048))
+        tracemalloc.start()
+        try:
+            logits, _ = model.forward(x, training=True)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        vertices = self._graph_nodes(logits)
+        assert len(vertices) > 50
+        interior = [v for v in vertices if v is not logits and v.vjp is not None]
+        assert interior and all(v.value is None for v in interior)
+        outside = {id(a) for a in (x, *model.params.values(), *model.buffers.values())}
+        owners = {}
+        for vertex in interior + [logits]:
+            for cell in vertex.vjp.__closure__ or ():
+                if isinstance(cell.cell_contents, np.ndarray):
+                    owner = _owner(cell.cell_contents)
+                    if id(owner) not in outside:
+                        owners[id(owner)] = owner.nbytes
+        captured = sum(owners.values())
+        assert abs(held - captured) <= 0.05 * captured, (held, captured)
+
+    @pytest.mark.parametrize("case", [
+        _conv1d_case, _batchnorm_case(True), _batchnorm_case(False),
+        _channel_scale_case, _dense_case, _se_block_case],
+        ids=["conv1d", "batchnorm-train", "batchnorm-eval", "channel_scale",
+             "dense", "se_block"])
+    def test_backward_needs_no_var_the_caller_dropped(self, case):
+        """With every input and the output made by ops and deleted by the
+        caller before backward, each leaf gets the same gradient, bit for
+        bit, as when the caller keeps them."""
+        grads = []
+        for drop in (False, True):
+            leaves, build = case(np.random.default_rng(21))
+            inputs = [_identity(leaf) for leaf in leaves]
+            out = build(*inputs)
+            root = ad.mean_last(out)
+            seed = np.random.default_rng(5).normal(size=root.shape)
+            if drop:
+                del inputs, out
+            ad.backward(root, seed=seed)
+            grads.append([leaf.grad.tobytes() for leaf in leaves])
+        assert grads[0] == grads[1]
 
     def test_zero_cotangent_gives_zero_gradients(self):
         model = SeResNet(TestModelForward.CFG)

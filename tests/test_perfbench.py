@@ -99,3 +99,45 @@ def test_traced_train_step_times_conv_and_bn(monkeypatch):
                 "nn.autodiff.batchnorm.fwd_ms", "nn.autodiff.batchnorm.bwd_ms",
                 "nn.autodiff.conv1d.gflop"):
         assert metrics[key] > 0, key
+
+
+def test_traced_graph_times_each_vjp_and_counts_the_closures(monkeypatch):
+    """A traced training forward: the ``TimedVjp`` that ``tracing`` sets
+    through ``out.vjp`` is what ``backward`` calls, once per vertex, and
+    ``graph_stats`` walks the value-free graph, so the bytes it reports
+    are those the vjp closures capture plus the root's value."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    from ecgdx.nn import autodiff as ad
+
+    model = SeResNet(SeResNetConfig.small())
+    x = np.random.default_rng(0).normal(size=(2, INPUT_LEADS, 256))
+    tracer = tracing.Tracer("test")
+    tracing.install(tracer)
+    try:
+        logits, _ = model.forward(x, training=True)
+        vertices, stack = {}, [logits]
+        while stack:
+            vertex = stack.pop()
+            if id(vertex) not in vertices:
+                vertices[id(vertex)] = vertex
+                stack.extend(vertex.parents)
+        timed = [v.vjp for v in vertices.values() if v.vjp is not None]
+        ad.backward(logits)
+    finally:
+        tracer.uninstall()
+    assert len(timed) > 20
+    assert all(isinstance(fn, tracing.TimedVjp) for fn in timed)
+    spans = tracer.report()["spans"]
+    assert sum(s[0].endswith(".bwd") for s in spans) == len(timed)
+
+    outside = {id(a) for a in (*model.params.values(), *model.buffers.values())}
+    owners = {id(logits.value): logits.value.nbytes}
+    for fn in timed:
+        for cell in fn.fn.__closure__ or ():
+            if isinstance(cell.cell_contents, np.ndarray):
+                owner = tracing._owner(cell.cell_contents)
+                if id(owner) not in outside:
+                    owners[id(owner)] = owner.nbytes
+    assert tracer.counters["graph_nodes"] == len(vertices)
+    assert tracer.counters["graph_bytes"] == sum(owners.values())
