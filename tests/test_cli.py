@@ -107,6 +107,30 @@ class TestPreprocessCommand:
         assert blob["x"].shape == (3, 8, 1280)
         assert blob["y"].shape == (3, 27)
 
+    def test_denoised_features_do_not_depend_on_blas_threads(self, tmp_path):
+        """The denoiser makes no BLAS call, so ``features.npz`` is the same
+        file from fresh processes at one and at two OpenBLAS threads, and
+        from this one."""
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "3", "--duration", "6",
+                         "--noise-sigma", "0.05", "--seed", "8",
+                         "--out", str(data)]) == 0
+        src = Path(__file__).resolve().parent.parent / "src"
+        blobs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS=threads)
+            done = subprocess.run([sys.executable, "-m", "ecgdx", "preprocess",
+                                   "--data", str(data), "--out", str(out),
+                                   "--window", "10"],
+                                  capture_output=True, text=True, env=env, timeout=120)
+            assert done.returncode == 0, done.stderr
+            blobs.append((out / "features.npz").read_bytes())
+        assert dispatch(["preprocess", "--data", str(data),
+                         "--out", str(tmp_path / "here"), "--window", "10"]) == 0
+        blobs.append((tmp_path / "here" / "features.npz").read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
     @pytest.mark.parametrize("denoise", [[], ["--no-denoise"]],
                              ids=["denoise", "no-denoise"])
     @pytest.mark.parametrize("fs, rate", [(1000, []), (500, ["--target-fs", "250"])],
@@ -784,6 +808,59 @@ class TestStreamingPredict:
             assert self._predict(alone, *ckpts, tmp_path / f"alone{i}.csv") == 0
             text = (tmp_path / f"alone{i}.csv").read_text(encoding="utf-8")
             assert text.splitlines() == [header, row]
+
+    @pytest.mark.parametrize("specs, builds, denoised", [
+        (((100, True), (100, True)), 1, 1),
+        (((100, True), (50, True)), 2, 2),
+        (((100, False), (100, True)), 2, 1)],
+        ids=["shared-spec", "two-rates", "one-denoises"])
+    def test_one_feature_build_per_record_and_spec(self, tmp_path, monkeypatch,
+                                                   specs, builds, denoised):
+        """A 30 s and a 10 s model that share ``(target_fs,
+        denoise_enabled)`` share one build, and one denoise, per record;
+        each model's probabilities are those of a build at its own spec,
+        byte for byte."""
+        import argparse
+        from ecgdx import preprocess
+        from ecgdx.nn import SeResNet, SeResNetConfig, load_checkpoint, save_checkpoint
+        from ecgdx.preprocess import PreprocessConfig
+        from ecgdx.records import load_record
+        data = tmp_path / "data"
+        assert dispatch(["synth", "--count", "3", "--fs", "100", "--duration", "32",
+                         "--noise-sigma", "0.05", "--seed", "4",
+                         "--out", str(data)]) == 0
+        ckpts = []
+        for (fs, denoise), window, seed in zip(specs, (30, 10), (1, 2)):
+            model = SeResNet(SeResNetConfig.small(input_length=fs * window, seed=seed),
+                             preprocess=PreprocessConfig(target_fs=fs,
+                                                         window_seconds=window,
+                                                         denoise_enabled=denoise))
+            ckpts.append(tmp_path / f"{window}s.ckpt")
+            save_checkpoint(ckpts[-1], model)
+        calls = {"build": 0, "denoise": 0}
+        real_make, real_denoise = cli.make_example, preprocess.wavelet_denoise
+
+        def counted(name, fn):
+            def wrapper(*a):
+                calls[name] += 1
+                return fn(*a)
+            return wrapper
+        monkeypatch.setattr(cli, "make_example", counted("build", real_make))
+        monkeypatch.setattr(preprocess, "wavelet_denoise",
+                            counted("denoise", real_denoise))
+        seen = {}
+        args = argparse.Namespace(data=str(data), checkpoint_long=str(ckpts[0]),
+                                  checkpoint_short=str(ckpts[1]))
+        cli._ensemble(args, lambda rec, p_short, p_long:
+                      seen.setdefault(rec.record_id, (p_long, p_short)))
+        assert calls == {"build": 3 * builds, "denoise": 3 * denoised}
+        models = [load_checkpoint(path) for path in ckpts]
+        assert sorted(seen) == ["rec000", "rec001", "rec002"]
+        for record_id, probs in seen.items():
+            rec = load_record(str(data / record_id))
+            for model, got in zip(models, probs):
+                want = model.predict_probs(real_make(rec, model.preprocess)[0][None])
+                assert got.tobytes() == want[0].tobytes()
 
 
 class TestRepeatedRecordIds:

@@ -110,6 +110,24 @@ class TestWavelet:
         assert abs(fb.dec_hi.sum()) < 1e-12
         assert abs(fb.rec_hi.sum()) < 1e-12
 
+    def test_lifting_steps_expand_to_the_bank(self):
+        """The predict step d[m] = e[m] - (o[m-1] + o[m]) / 2 with
+        hi = d / sqrt(2), and the update step lo[m] = sqrt(2) * (o[m - LAG]
+        + sum_i UPDATE[i] d[m - i]), expanded into taps on the extension
+        (lo[m] = sum_k dec_lo[k] ext[2m + 1 - k]), give the bank exactly."""
+        fb, update, sqrt2 = wavelet.BANK, wavelet.UPDATE, np.sqrt(2.0)
+        np.testing.assert_array_equal(update, fb.dec_lo[1::2] / sqrt2)
+        np.testing.assert_array_equal(update * 512, [5, -39, 162, 162, -39, 5])
+        # hi[m] reads o[m], e[m], o[m - 1]: taps k = 0, 1, 2
+        np.testing.assert_array_equal(np.array([-0.25, 0.5, -0.25]) * sqrt2, fb.dec_hi)
+        # lo[m]'s odd taps read e[m - i] through d[m - i]; its even taps
+        # read o[m - j] directly (j = LAG) and through d[m - j] and d[m - j + 1]
+        np.testing.assert_array_equal(update * sqrt2, fb.dec_lo[1::2])
+        padded = np.concatenate([[0.0], update, [0.0]])
+        even = -(padded[:-1] + padded[1:]) / 2
+        even[wavelet.LAG] += 1.0
+        np.testing.assert_array_equal(even * sqrt2, fb.dec_lo[0::2])
+
 
 # Reference transform: per-lead full convolutions, odd-phase decimation and
 # a zero-upsampled inverse, the textbook form the decimated polyphase code
