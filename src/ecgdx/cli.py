@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import mmap
 import os
 import sys
@@ -37,6 +38,35 @@ from .ensemble import (fuse, postprocess, read_predictions, relabel_pseudo,
 from .scoring import RewardMatrix, challenge_score, per_class_metrics
 from .nn import (SeResNetConfig, check_schedule, load_checkpoint, save_checkpoint,
                  train)
+
+
+# glibc's heap policy for a CLI process and the feature workers it forks:
+# arrays up to MMAP_THRESHOLD bytes come from the heap, and freed heap pages
+# stay mapped until more than TRIM_THRESHOLD bytes lie free at its top.  A
+# record's or a train step's temporaries then reuse pages already faulted
+# in, where glibc's defaults unmap them and fault them in again.  mallopt
+# takes a C int, so each value stays below 2 GiB.
+MMAP_THRESHOLD = 256 << 20
+TRIM_THRESHOLD = 1 << 30
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3   # mallopt(3) parameters
+
+
+def _keep_freed_pages() -> None:
+    """Apply the heap policy above through glibc's ``mallopt``.
+
+    A C library without ``mallopt`` (macOS, Windows) leaves the allocator
+    as it is.  So does one that refuses the mmap threshold: a trim
+    threshold alone would also fix the mmap threshold at its 128 KiB
+    default, where glibc otherwise raises it as large blocks are freed.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = [ctypes.c_int, ctypes.c_int]
+    mallopt.restype = ctypes.c_int
+    if mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD):
+        mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
 
 
 def _write_manifest(args: argparse.Namespace) -> None:
@@ -475,6 +505,7 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
 
 
 def dispatch(argv: list[str]) -> int:
+    _keep_freed_pages()
     parser = build_parser()
     try:
         args = parser.parse_args(_apply_config_file(list(argv), parser))

@@ -74,6 +74,25 @@ def fix_length(signals, fs: int, window_seconds) -> np.ndarray:
     return out
 
 
+def _row_median(a: np.ndarray) -> np.ndarray:
+    """``np.median(a, axis=-1, keepdims=True)``, bit for bit; reorders ``a``.
+
+    One partition at the middle index, where numpy's median partitions at
+    two (three for an even length) to find the lower middle value and any
+    NaN.  The lower middle value is the largest of the lower half, and a
+    NaN sorts into the upper half.  Adding 0.0 turns -0.0 into 0.0, as
+    the sum inside numpy's mean does.
+    """
+    n = a.shape[-1]
+    k = n // 2
+    a.partition(k, axis=-1)
+    med = a[..., k:k + 1] + 0.0
+    if n % 2 == 0:
+        med = (a[..., :k].max(axis=-1, keepdims=True) + med) / 2
+    med[np.isnan(a[..., k:]).any(axis=-1, keepdims=True)] = np.nan
+    return med
+
+
 def wavelet_denoise(signal) -> np.ndarray:
     """Soft-threshold detail coefficients and reconstruct, row by row.
 
@@ -85,8 +104,7 @@ def wavelet_denoise(signal) -> np.ndarray:
     """
     x = np.asarray(signal, dtype=np.float64)
     coeffs = wavelet.wavedec(x)
-    sigma = np.median(np.abs(coeffs.details[0]), axis=-1, keepdims=True,
-                      overwrite_input=True) / 0.6745
+    sigma = _row_median(np.abs(coeffs.details[0])) / 0.6745
     thr = sigma * np.sqrt(2.0 * np.log(max(x.shape[-1], 2)))
     for d in coeffs.details:   # d = sign(d) * max(|d| - thr, 0), in place
         sign = np.sign(d)

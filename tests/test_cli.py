@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import contextlib
+import ctypes
 import dataclasses
 import io
 import json
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -1089,6 +1091,77 @@ for argv in (
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
         assert done.returncode == 0, done.stderr
         assert done.stdout.strip() == "[]"
+
+
+def _has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):   # TypeError: Windows takes no None
+        return False
+
+
+class TestPagePolicy:
+    """``dispatch`` keeps freed heap pages mapped (``cli._keep_freed_pages``);
+    importing the package leaves the allocator as it is."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    ALLOCATE = """
+import resource, sys
+import numpy as np
+from ecgdx.cli import dispatch
+if sys.argv[1] == "dispatch":
+    assert dispatch(["synth", "--count", "1", "--duration", "4",
+                     "--out", sys.argv[2]]) == 0
+faults = []
+for _ in range(3):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    block = np.ones(48 << 17)   # 48 MiB, every page written
+    del block
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(*faults)
+"""
+
+    def _faults(self, mode, tmp_path):
+        env = dict(os.environ, PYTHONPATH=str(self.SRC))
+        done = subprocess.run([sys.executable, "-c", self.ALLOCATE, mode, str(tmp_path)],
+                              capture_output=True, text=True, env=env, timeout=300)
+        assert done.returncode == 0, done.stderr
+        return [int(f) for f in done.stdout.split()]
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_dispatch_reuses_freed_pages(self, tmp_path):
+        first, *again = self._faults("dispatch", tmp_path)
+        assert first > 0
+        assert all(f < 0.05 * first for f in again), (first, again)
+
+    @pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+    def test_import_leaves_the_allocator_alone(self, tmp_path):
+        first, *again = self._faults("import", tmp_path)
+        assert first > 0
+        assert all(f > 0.5 * first for f in again), (first, again)
+
+    @pytest.mark.parametrize("lib", [OSError("no C library"), types.SimpleNamespace()],
+                             ids=["no-library", "no-mallopt"])
+    def test_runs_without_mallopt(self, capsys, monkeypatch, tmp_path, lib):
+        def cdll(name):
+            if isinstance(lib, OSError):
+                raise lib
+            return lib
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        code, _, err = run(capsys, "synth", "--count", "1", "--duration", "4",
+                           "--out", str(tmp_path / "d"))
+        assert code == 0, err
+        assert (tmp_path / "d" / "rec000.hea").exists()
+
+    def test_refused_mmap_threshold_sets_nothing_else(self, monkeypatch):
+        calls = []
+        def mallopt(param, value):
+            calls.append((param, value))
+            return 0
+        monkeypatch.setattr(ctypes, "CDLL",
+                            lambda name: types.SimpleNamespace(mallopt=mallopt))
+        cli._keep_freed_pages()
+        assert calls == [(-3, cli.MMAP_THRESHOLD)]
 
 
 class TestPreprocessSpec:

@@ -223,6 +223,44 @@ class TestBatchedWavelet:
                 back[r], wavelet.waverec(wavelet.wavedec(row)))
 
 
+class TestNoiseEstimate:
+    """``preprocess._row_median`` equals ``np.median(x, axis=-1,
+    keepdims=True)`` bit for bit, NaN and signed zeros included."""
+
+    @staticmethod
+    def _assert_same(x):
+        want = np.median(x, axis=-1, keepdims=True)
+        got = preprocess._row_median(x.copy())
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 7513, 7514])
+    def test_seeded_rows(self, n):
+        rng = np.random.default_rng(n)
+        self._assert_same(rng.normal(size=(8, n)))
+        self._assert_same(np.abs(rng.normal(size=(8, n))))   # as the denoiser calls it
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 101, 102])
+    def test_ties_and_signed_zeros(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.integers(-2, 3, size=(64, n)).astype(np.float64)
+        x[(x == 0) & (rng.random(x.shape) < 0.5)] = -0.0
+        self._assert_same(x)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 6, 101, 102])
+    def test_rows_with_nan(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(16, n))
+        x[rng.random(x.shape) < 0.1] = np.nan
+        x[0] = np.nan
+        x[1, -1] = np.nan
+        self._assert_same(x)
+
+    @pytest.mark.parametrize("n", [1, 2, 7513, 7514])
+    def test_one_dimensional(self, n):
+        self._assert_same(np.random.default_rng(n).normal(size=n))
+
+
 class TestMakeExample:
     def _record_at(self, fs, seconds):
         rec, _, _ = generate(SynthSpec(bpm=72, fs=fs, duration=seconds, seed=11))
