@@ -1104,7 +1104,6 @@ class TestPagePolicy:
     """``dispatch`` keeps freed heap pages mapped (``cli._keep_freed_pages``);
     importing the package leaves the allocator as it is."""
 
-    SRC = Path(__file__).resolve().parent.parent / "src"
     ALLOCATE = """
 import resource, sys
 import numpy as np
@@ -1122,9 +1121,7 @@ print(*faults)
 """
 
     def _faults(self, mode, tmp_path):
-        env = dict(os.environ, PYTHONPATH=str(self.SRC))
-        done = subprocess.run([sys.executable, "-c", self.ALLOCATE, mode, str(tmp_path)],
-                              capture_output=True, text=True, env=env, timeout=300)
+        done = TestNumpyOnlyRuntime()._python(self.ALLOCATE, mode, tmp_path)
         assert done.returncode == 0, done.stderr
         return [int(f) for f in done.stdout.split()]
 
