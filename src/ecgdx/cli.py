@@ -6,11 +6,10 @@ version): ``<out>/manifest.txt`` when ``--out`` is a directory, else
 ``<out>.manifest.txt``.  Every option of a subcommand has a default or is
 required, so a manifest without its ``command=`` and ``version=`` lines
 reads back as a config file.  Two runs with the same inputs produce
-byte-identical artifacts, and ``predict`` and ``relabel`` run each record
-through the models on its own, so its row does not depend on the other
-records read with it.  Options can be preloaded from a flat
-``key=value`` config file via ``--config``; explicit flags win over file
-values.
+byte-identical artifacts, and ``predict`` runs each record through the
+models on its own, so its row does not depend on the other records read
+with it.  Options can be preloaded from a flat ``key=value`` config file
+via ``--config``; explicit flags win over file values.
 """
 
 from __future__ import annotations
@@ -33,8 +32,7 @@ from .records import (TRAINING_LEADS, ClassMap, labels_from_codes, load_record,
 from .preprocess import PreprocessConfig, make_example
 from .rpeaks import detect_rpeaks
 from .synth import SynthSpec, generate
-from .ensemble import (fuse, postprocess, read_predictions, relabel_pseudo,
-                       write_predictions)
+from .ensemble import postprocess, read_predictions, write_predictions
 from .scoring import RewardMatrix, challenge_score, per_class_metrics
 from .nn import (SeResNetConfig, check_schedule, load_checkpoint, save_checkpoint,
                  train)
@@ -253,10 +251,9 @@ def _cmd_train(args) -> int:
     return 0
 
 
-def _ensemble(args, on_record) -> None:
-    """Call ``on_record(record, p_short, p_long)`` for each ``--data``
-    record, in file-stem order, with its short- and long-window
-    probabilities.
+def _cmd_predict(args) -> int:
+    """Write one predictions row per ``--data`` record, in file-stem order:
+    its short- and long-window probabilities, post-processed.
 
     Each distinct checkpoint loads first, so a missing or malformed one
     exits before any record is read, and one path given to both flags
@@ -275,6 +272,7 @@ def _ensemble(args, on_record) -> None:
     for spec in (model.preprocess for model in models.values()):
         key = spec.target_fs, spec.denoise_enabled
         longest[key] = max(longest.get(key, spec), spec, key=lambda s: s.window_samples)
+    pred_sets = []
     for rec in _load_records(_record_paths(args.data)):
         x = {key: make_example(rec, spec)[0] for key, spec in longest.items()}
         # a batch per model, and no build held past the forward that reads
@@ -289,29 +287,10 @@ def _ensemble(args, on_record) -> None:
         del x
         probs = {path: model.predict_probs(batches.pop(path))
                  for path, model in models.items()}
-        on_record(rec, probs[args.checkpoint_short][0], probs[args.checkpoint_long][0])
-
-
-def _cmd_predict(args) -> int:
-    pred_sets = []
-    _ensemble(args, lambda rec, p_short, p_long:
-              pred_sets.append(postprocess(p_short, p_long, rec)))
+        pred_sets.append(postprocess(probs[args.checkpoint_short][0],
+                                     probs[args.checkpoint_long][0], rec))
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(write_predictions(pred_sets))
-    return 0
-
-
-def _cmd_relabel(args) -> int:
-    original = {c.strip() for c in args.original_codes.split(",") if c.strip()}
-    report = []
-    _ensemble(args, lambda rec, p_short, p_long: report.extend(relabel_pseudo(
-        [rec.record_id], fuse(p_short, p_long)[None], original)))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["record_id", "code", "abbreviation", "prob", "needs_review"])
-        for item in report:
-            writer.writerow([item.record_id, item.code, item.abbreviation,
-                             repr(item.prob), int(item.needs_review)])
     return 0
 
 
@@ -431,18 +410,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_preprocess(p)
     p.set_defaults(func=_cmd_train)
 
-    for name, fn in (("predict", _cmd_predict), ("relabel", _cmd_relabel)):
-        p = sub.add_parser(name)
-        p.add_argument("--data", required=True)
-        p.add_argument("--checkpoint-long", required=True)
-        p.add_argument("--checkpoint-short", required=True,
-                       help="may name the --checkpoint-long file, which then"
-                            " runs once for both windows")
-        p.add_argument("--out", required=True)
-        if name == "relabel":
-            p.add_argument("--original-codes", required=True,
-                           help="comma-separated codes of the source label space")
-        p.set_defaults(func=fn)
+    p = sub.add_parser("predict")
+    p.add_argument("--data", required=True)
+    p.add_argument("--checkpoint-long", required=True)
+    p.add_argument("--checkpoint-short", required=True,
+                   help="may name the --checkpoint-long file, which then"
+                        " runs once for both windows")
+    p.add_argument("--out", required=True)
+    p.set_defaults(func=_cmd_predict)
 
     p = sub.add_parser("score", help="score predictions against truth records")
     p.add_argument("--truth", required=True)

@@ -1,5 +1,5 @@
 """Two-window model fusion, binarization, clinical post-processing, and
-pseudo-label generation.
+the predictions file.
 
 The per-record pipeline runs in a fixed order: fuse the short- and
 long-window probabilities, binarize at the tuned threshold, apply the
@@ -21,8 +21,6 @@ from .records import ClassMap, EcgRecord
 from .rpeaks import _unreadable, brady_rule, detect_rpeaks
 
 THRESHOLD = 0.36
-PSEUDO_LABEL_THRESHOLD = 0.8
-REVIEW_THRESHOLD = 0.95
 
 
 @dataclass(frozen=True)
@@ -95,38 +93,6 @@ def postprocess(p_short, p_long, record: EcgRecord) -> PredictionSet:
     labels = apply_brady_veto(labels, record)
     labels = snr_postprocess(labels)
     return PredictionSet(record_id=record.record_id, probs=probs, labels=labels)
-
-
-@dataclass(frozen=True)
-class PseudoLabel:
-    record_id: str
-    code: str
-    abbreviation: str
-    prob: float
-    needs_review: bool  # flagged for manual inspection at high confidence
-
-
-def relabel_pseudo(record_ids, probs, original_label_space) -> list[PseudoLabel]:
-    """Propose additional labels from high-confidence model output.
-
-    ``probs`` is the fused ``[n, 27]`` matrix whose row ``i`` belongs to
-    ``record_ids[i]``.  A label is proposed iff its probability exceeds
-    ``PSEUDO_LABEL_THRESHOLD``, its code is not in
-    ``original_label_space``, and it is one of the scored classes
-    (guaranteed by the columns).  Existing labels are never removed.
-    Proposals above ``REVIEW_THRESHOLD`` are flagged for manual review.
-    """
-    cmap = ClassMap.default()
-    original = frozenset(original_label_space)
-    report: list[PseudoLabel] = []
-    for record_id, row in zip(record_ids, np.asarray(probs, dtype=np.float64)):
-        for code, abbreviation, prob in zip(cmap.codes, cmap.abbreviations, row):
-            if prob > PSEUDO_LABEL_THRESHOLD and code not in original:
-                report.append(PseudoLabel(
-                    record_id=record_id, code=code,
-                    abbreviation=abbreviation, prob=float(prob),
-                    needs_review=bool(prob > REVIEW_THRESHOLD)))
-    return report
 
 
 # ----------------------------------------------------------------------

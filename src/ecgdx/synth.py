@@ -49,8 +49,9 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
-        # a NaN or infinite duration would pass the length check below
-        for name, value in (("bpm", self.bpm), ("duration", self.duration)):
+        # a NaN or infinite duration or noise_sigma passes the checks below
+        for name, value in (("bpm", self.bpm), ("duration", self.duration),
+                            ("noise_sigma", self.noise_sigma)):
             if not math.isfinite(value):
                 raise EcgdxError(f"{name} {value} is not finite")
         if not (20 <= self.bpm <= 250):

@@ -1,5 +1,6 @@
 """End-to-end command-line workflows on synthetic data."""
 
+import argparse
 import concurrent.futures
 import contextlib
 import ctypes
@@ -26,6 +27,12 @@ from ecgdx.cli import dispatch
 from ecgdx.errors import EcgdxError
 from ecgdx.records import save_record
 from ecgdx.synth import SynthSpec, generate
+
+# argparse has no public accessor for a parser's subcommands
+_COMMANDS = next(action.choices for action in cli.build_parser()._actions
+                 if isinstance(action, argparse._SubParsersAction))
+_WITH_OUT = [name for name in _COMMANDS if name != "rpeaks"]   # rpeaks prints
+
 
 def _both_windows(ckpt):
     """``--checkpoint-long`` and ``--checkpoint-short`` naming one file."""
@@ -156,10 +163,12 @@ class TestValuesThatCannotWork:
         ["train", "--epochs", "0"], ["train", "--seed", "-1"],
         ["synth", "--seed", "-1"], ["synth", "--duration", "nan"],
         ["synth", "--duration", "inf"], ["synth", "--count", "0"],
-        ["synth", "--count", "-2", "--bpm", "999"]],
+        ["synth", "--count", "-2", "--bpm", "999"],
+        ["synth", "--noise-sigma", "nan"], ["synth", "--noise-sigma", "inf"]],
         ids=["batch-size-0", "batch-size-negative", "epochs-0",
              "train-seed-negative", "synth-seed-negative", "synth-duration-nan",
-             "synth-duration-inf", "count-0", "count-negative"])
+             "synth-duration-inf", "count-0", "count-negative",
+             "synth-noise-sigma-nan", "synth-noise-sigma-inf"])
     def test_exits_1(self, capsys, tmp_path, argv):
         data = tmp_path / "d"
         assert dispatch(["synth", "--count", "2", "--duration", "4",
@@ -270,17 +279,6 @@ class TestTrainPredictScore:
         assert body[0] == "abbreviation,metric,value"
         assert any(",f1," in line for line in body[1:])
 
-    def test_relabel_report(self, capsys, pipeline_dirs, tmp_path):
-        data, ckpt, _ = pipeline_dirs
-        out = tmp_path / "relabel.csv"
-        code, _, _ = run(capsys, "relabel", "--data", str(data),
-                         *_both_windows(ckpt),
-                         "--original-codes", "426783006",
-                         "--out", str(out))
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0] == "record_id,code,abbreviation,prob,needs_review"
-
     def test_repeat_prediction_byte_identical(self, pipeline_dirs, tmp_path):
         data, ckpt, preds = pipeline_dirs
         again = tmp_path / "again.csv"
@@ -340,13 +338,12 @@ class TestTrainPredictScore:
         assert both.read_bytes() == single.read_bytes() == preds.read_bytes()
 
     @pytest.mark.parametrize("given", ["--checkpoint-long", "--checkpoint-short"])
-    @pytest.mark.parametrize("command", ["predict", "relabel"])
+    @pytest.mark.parametrize("command", ["predict"])
     def test_one_checkpoint_flag_exits_2(self, capsys, pipeline_dirs, tmp_path,
                                          command, given):
         data, ckpt, _ = pipeline_dirs
-        extra = ["--original-codes", "426783006"] if command == "relabel" else []
         code, out, err = run(capsys, command, "--data", str(data), given, str(ckpt),
-                             *extra, "--out", str(tmp_path / "out.csv"))
+                             "--out", str(tmp_path / "out.csv"))
         assert code == 2
         assert "required" in err and out == ""
         assert list(tmp_path.iterdir()) == []
@@ -555,57 +552,36 @@ class TestTrainPredictScore:
         save_checkpoint(path, model)
         return path
 
-    def test_relabel_rows_pinned(self, capsys, pipeline_dirs, tmp_path):
+    def test_predict_rows_pinned(self, capsys, pipeline_dirs, tmp_path):
         """A zero head weight makes every record's probabilities the sigmoid
-        of the head bias, whatever the features and the BLAS."""
-        data, _, _ = pipeline_dirs
-        bias = np.full(27, -4.0)
-        bias[[1, 20, 21, 22]] = [4.0, 2.0, 5.0, 1.0]   # AF, SB, NSR, STach
-        path = self._checkpoint_with_head(pipeline_dirs, tmp_path, 0.0,
-                                          lambda b: bias)
-        out = tmp_path / "relabel.csv"
-        code, _, _ = run(capsys, "relabel", "--data", str(data),
-                         *_both_windows(path),
-                         "--original-codes", "426783006", "--out", str(out))
-        assert code == 0
-        rows = [f"{record_id},{row}"
-                for record_id in ("rec000", "rec001", "rec002", "rec003",
-                                  "slow0", "slow1", "slow2", "slow3")
-                for row in ("164889003,AF,0.9820137900379085,1",
-                            "426177001,SB,0.8807970779778823,0")]
-        assert out.read_text().splitlines() == [
-            "record_id,code,abbreviation,prob,needs_review", *rows]
-
-    def test_relabel_rows_are_predict_probabilities(self, capsys, pipeline_dirs,
-                                                    tmp_path):
-        """Each proposal carries its own record's fused probability."""
-        from ecgdx.ensemble import (PSEUDO_LABEL_THRESHOLD, REVIEW_THRESHOLD,
-                                    read_predictions)
+        of the head bias, whatever the features and the BLAS.  Only the
+        slow-rhythm class is positive: the veto keeps it on the 45 bpm
+        records and clears it on the 130 bpm ones, which fall back to
+        sinus rhythm."""
         from ecgdx.records import ClassMap
         cmap = ClassMap.default()
         data, _, _ = pipeline_dirs
-        path = self._checkpoint_with_head(pipeline_dirs, tmp_path, 1.0,
-                                          lambda b: b + np.linspace(-1.0, 4.0, 27))
-        preds = tmp_path / "p.csv"
-        out = tmp_path / "relabel.csv"
-        assert dispatch(["predict", "--data", str(data), *_both_windows(path),
-                         "--out", str(preds)]) == 0
-        assert dispatch(["relabel", "--data", str(data), *_both_windows(path),
-                         "--original-codes", "426783006", "--out", str(out)]) == 0
-        want = [[ps.record_id, code, abbreviation, repr(float(prob)),
-                 str(int(prob > REVIEW_THRESHOLD))]
-                for ps in read_predictions(preds.read_text())
-                for code, abbreviation, prob in zip(cmap.codes, cmap.abbreviations,
-                                                    ps.probs)
-                if prob > PSEUDO_LABEL_THRESHOLD and code != "426783006"]
-        got = [line.split(",") for line in out.read_text().splitlines()[1:]]
-        assert got == want
-        assert {row[0] for row in got} == {"rec000", "rec001", "rec002", "rec003",
-                                           "slow0", "slow1", "slow2", "slow3"}
-        assert {row[4] for row in got} == {"0", "1"}
+        bias = np.full(27, -4.0)
+        bias[[1, 3]] = [-1.0, 1.0]   # AF below the threshold, Brady above
+        path = self._checkpoint_with_head(pipeline_dirs, tmp_path, 0.0,
+                                          lambda b: bias)
+        out = tmp_path / "p.csv"
+        code, _, _ = run(capsys, "predict", "--data", str(data),
+                         *_both_windows(path), "--out", str(out))
+        assert code == 0
+        low = "0.01798620996209156"
+        probs = ",".join([low, "0.2689414213699951", low, "0.7310585786300049",
+                          *[low] * 23])
 
-    @pytest.mark.parametrize("command", ["synth", "preprocess", "train", "predict",
-                                         "relabel", "score", "report"])
+        def labels(positive):
+            return ",".join("1" if i == positive else "0" for i in range(27))
+        header = ",".join(["record_id", *cmap.abbreviations, *cmap.abbreviations])
+        assert out.read_text().splitlines() == [
+            header,
+            *[f"rec00{i},{labels(cmap.sinus_rhythm_index)},{probs}" for i in range(4)],
+            *[f"slow{i},{labels(cmap.bradycardia_index)},{probs}" for i in range(4)]]
+
+    @pytest.mark.parametrize("command", _WITH_OUT)
     def test_manifest_path_and_command_line(self, pipeline_dirs, tmp_path, command):
         """A directory output gets ``manifest.txt`` inside it; a file output
         gets ``<out>.manifest.txt`` beside it."""
@@ -619,12 +595,11 @@ class TestTrainPredictScore:
                       "--preset", "small", "--epochs", "1", "--batch-size", "4",
                       "--no-denoise"],
             "predict": ["--data", str(data), *_both_windows(ckpt)],
-            "relabel": ["--data", str(data), *_both_windows(ckpt),
-                        "--original-codes", "426783006"],
             "score": ["--truth", str(data), "--pred", str(preds)],
             "report": ["--truth", str(data), "--pred", str(preds)],
-        }[command]
-        assert dispatch([command, *argv, "--out", str(out)]) == 0
+        }
+        assert list(argv) == _WITH_OUT
+        assert dispatch([command, *argv[command], "--out", str(out)]) == 0
         if command in ("synth", "preprocess", "score", "report"):
             manifest = out / "manifest.txt"
         else:
@@ -822,7 +797,6 @@ class TestStreamingPredict:
         denoise_enabled)`` share one build, and one denoise, per record;
         each model's probabilities are those of a build at its own spec,
         byte for byte."""
-        import argparse
         from ecgdx import preprocess
         from ecgdx.nn import SeResNet, SeResNetConfig, load_checkpoint, save_checkpoint
         from ecgdx.preprocess import PreprocessConfig
@@ -851,10 +825,13 @@ class TestStreamingPredict:
         monkeypatch.setattr(preprocess, "wavelet_denoise",
                             counted("denoise", real_denoise))
         seen = {}
-        args = argparse.Namespace(data=str(data), checkpoint_long=str(ckpts[0]),
-                                  checkpoint_short=str(ckpts[1]))
-        cli._ensemble(args, lambda rec, p_short, p_long:
-                      seen.setdefault(rec.record_id, (p_long, p_short)))
+        real_postprocess = cli.postprocess
+
+        def recorded(p_short, p_long, rec):
+            seen[rec.record_id] = p_long, p_short
+            return real_postprocess(p_short, p_long, rec)
+        monkeypatch.setattr(cli, "postprocess", recorded)
+        assert self._predict(data, *ckpts, tmp_path / "p.csv") == 0
         assert calls == {"build": 3 * builds, "denoise": 3 * denoised}
         models = [load_checkpoint(path) for path in ckpts]
         assert sorted(seen) == ["rec000", "rec001", "rec002"]

@@ -1,4 +1,4 @@
-"""Fusion, thresholding, post-processing order, and pseudo-labels."""
+"""Fusion, thresholding, post-processing order, and the predictions file."""
 
 import dataclasses
 
@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ecgdx.ensemble import (PredictionSet, apply_brady_veto, binarize, fuse,
-                            postprocess, read_predictions, relabel_pseudo,
-                            snr_postprocess, write_predictions)
+                            postprocess, read_predictions, snr_postprocess,
+                            write_predictions)
 from ecgdx.errors import EcgdxError
 from ecgdx.records import ClassMap
 from ecgdx.synth import SynthSpec, generate
@@ -210,22 +210,3 @@ class TestReadPredictionsProperties:
     def test_any_cells_under_a_valid_header(self, rows):
         body = "".join(",".join(row) + "\n" for row in rows)
         _parses_or_package_error(self.HEADER + body)
-
-
-class TestRelabel:
-    def test_threshold_and_origin_rules(self):
-        af = CMAP.abbreviations.index("AF")
-        sb = CMAP.abbreviations.index("SB")
-        probs = np.zeros(27)
-        probs[af] = 0.85       # outside original space, above threshold -> added
-        probs[sb] = 0.90       # inside original space -> not added
-        probs[CMAP.abbreviations.index("AFL")] = 0.75  # below threshold -> not added
-        original = {CMAP.codes[sb]}
-        report = relabel_pseudo(["rec0"], probs[None, :], original)
-        assert [(r.abbreviation, r.needs_review) for r in report] == [("AF", False)]
-
-    def test_review_flag_above_095(self):
-        probs = np.zeros(27)
-        probs[CMAP.abbreviations.index("AF")] = 0.97
-        report = relabel_pseudo(["rec0"], probs[None, :], set())
-        assert report[0].needs_review is True

@@ -83,7 +83,7 @@ class TestSpecValidation:
         with pytest.raises(EcgdxError, match="ectopic_rate 1.5 outside"):
             SynthSpec(bpm=60, ectopic_rate=1.5)
 
-    @pytest.mark.parametrize("field", ["bpm", "duration"])
+    @pytest.mark.parametrize("field", ["bpm", "duration", "noise_sigma"])
     @pytest.mark.parametrize("value", [float("nan"), float("inf")])
     def test_non_finite_rejected(self, field, value):
         with pytest.raises(EcgdxError, match=f"{field} {value} is not finite"):

@@ -26,13 +26,13 @@ def test_artifact_digests_cover_every_stage_and_repeat():
         for ext in (".hea", ".dat"):
             assert f"records/{record}{ext}" in digest
     for out in ("records/", "features/", "short.ckpt.", "long.ckpt.",
-                "predictions.csv.", "relabel.csv.", "score/", "report/", "batch/",
-                "batch_predictions.csv.", "batch_relabel.csv."):
+                "predictions.csv.", "score/", "report/", "batch/",
+                "batch_predictions.csv."):
         assert out + "manifest.txt" in digest
     assert {"features/features.npz", "short.ckpt", "long.ckpt",
             "short.ckpt.history.csv", "long.ckpt.history.csv", "predictions.csv",
-            "relabel.csv", "score/report.json", "report/plot_data.csv",
-            "batch/rec032.dat", "batch_predictions.csv", "batch_relabel.csv"} <= set(digest)
+            "score/report.json", "report/plot_data.csv", "batch/rec032.dat",
+            "batch_predictions.csv"} <= set(digest)
     assert digest["score/per_class.csv"] == digest["report/per_class.csv"]
     assert _run_tool("artifact_digests.py") == lines
 

@@ -8,10 +8,9 @@ In a fresh temporary directory it runs, through ``ecgdx.cli.dispatch``
 taken from ``ROOT/src`` (default: the current directory): ``synth`` (four
 noisy 12 s records at 48 bpm with ectopy), ``preprocess``, ``train`` of a
 10 s window with denoising and of a 30 s window without (small preset,
-50 Hz, two epochs each), ``predict`` and ``relabel`` with both
-checkpoints, ``score`` and ``report``, then ``synth`` of 33 more records
-(100 Hz, 12 s) and ``predict`` and ``relabel`` of those, the
-multi-record inference run.  It then prints one
+50 Hz, two epochs each), ``predict`` with both checkpoints, ``score``
+and ``report``, then ``synth`` of 33 more records (100 Hz, 12 s) and
+``predict`` of those, the multi-record inference run.  It then prints one
 ``sha256  relative/path`` line per file, sorted by path, manifests and
 histories included.
 
@@ -45,18 +44,12 @@ PIPELINE = (
      "--no-denoise", "--seed", "1"],
     ["predict", "--data", "records", "--checkpoint-short", "short.ckpt",
      "--checkpoint-long", "long.ckpt", "--out", "predictions.csv"],
-    ["relabel", "--data", "records", "--checkpoint-short", "short.ckpt",
-     "--checkpoint-long", "long.ckpt", "--original-codes", "426783006",
-     "--out", "relabel.csv"],
     ["score", "--truth", "records", "--pred", "predictions.csv", "--out", "score"],
     ["report", "--truth", "records", "--pred", "predictions.csv", "--out", "report"],
     ["synth", "--count", "33", "--bpm", "70", "--fs", "100", "--duration", "12",
      "--noise-sigma", "0.05", "--seed", "5", "--out", "batch"],
     ["predict", "--data", "batch", "--checkpoint-short", "short.ckpt",
      "--checkpoint-long", "long.ckpt", "--out", "batch_predictions.csv"],
-    ["relabel", "--data", "batch", "--checkpoint-short", "short.ckpt",
-     "--checkpoint-long", "long.ckpt", "--original-codes", "426783006",
-     "--out", "batch_relabel.csv"],
 )
 
 
