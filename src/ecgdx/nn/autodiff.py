@@ -8,6 +8,11 @@ captures only the arrays it reads, so an activation that no vjp reads
 (the output of a conv that feeds a batch normalization, of ``add`` or of
 ``channel_scale``) is freed as soon as the forward drops its ``Var``
 (Paszke et al., 2017: a node keeps only the tensors its backward saved).
+A ``Var`` may also carry ``rebuild``, a closure that recomputes its value
+from arrays the graph keeps anyway: :func:`batchnorm` gives one, and
+:func:`conv1d` captures it in place of its input, so no batch
+normalization's output outlives the forward (Pleiss et al., 2017,
+recompute the cheap layers in the backward).
 Leaves, the parameters and the batch, are linked as the ``Var`` itself.
 :func:`backward` topologically sorts the graph from the root,
 accumulates gradients into the leaves and frees each interior vertex
@@ -72,18 +77,22 @@ class Var:
     ``grad``, ``vjp`` and ``parents`` read and write the vertex.  An op
     result made with a graph is linked into its consumers' ``parents`` as
     its vertex, which holds no value; any other ``Var`` (a leaf) is linked
-    as itself.
+    as itself.  ``rebuild``, when not ``None``, is a closure that returns
+    a fresh array equal to ``value`` bit for bit; without a graph it is
+    always ``None``.
     """
 
-    __slots__ = ("value", "_node")
+    __slots__ = ("value", "_node", "rebuild")
     parents, vjp, grad = _on_node("parents"), _on_node("vjp"), _on_node("grad")
 
-    def __init__(self, value, parents=(), vjp=None):
+    def __init__(self, value, parents=(), vjp=None, rebuild=None):
         self.value = np.asarray(value, dtype=np.float64)
         if _grad_enabled:
             self._node = _Node(tuple(p._vertex() for p in parents), vjp)
+            self.rebuild = rebuild
         else:
             self._node = _Node((), None)
+            self.rebuild = None
 
     def _vertex(self):
         return self if self._node.vjp is None else self._node
@@ -103,8 +112,9 @@ def backward(root: Var, seed=None) -> None:
     nothing later in the pass needs them.  No vertex holds a value, so
     the forward's activations are the closures' arrays and whatever
     ``Var`` the caller still keeps.  Leaves (Vars without a vjp, such as
-    parameters and inputs) and the root keep their ``.grad``; a second
-    ``backward`` through the same graph reaches nothing.
+    parameters and inputs) and the root keep their ``.grad``; a read-only
+    broadcast view that a vjp returns is copied before it lands on a
+    leaf.  A second ``backward`` through the same graph reaches nothing.
     """
     top = root._node
     order: list = []
@@ -133,7 +143,12 @@ def backward(root: Var, seed=None) -> None:
             for parent, g in zip(node.parents, node.vjp(node.grad)):
                 if g is None:
                     continue
-                parent.grad = g if parent.grad is None else parent.grad + g
+                if parent.grad is not None:
+                    parent.grad = parent.grad + g
+                elif isinstance(parent, Var) and not g.flags.writeable:
+                    parent.grad = g.copy()   # a leaf gets no read-only view
+                else:
+                    parent.grad = g
         node.vjp, node.parents = None, ()
         if node is not top:
             node.grad = None
@@ -159,7 +174,8 @@ def relu(a: Var) -> Var:
 
 def sigmoid(a: Var) -> Var:
     a = _as_var(a)
-    s = 1.0 / (1.0 + np.exp(-a.value))
+    with np.errstate(over="ignore"):   # exp overflows to inf, and 1/inf is 0.0
+        s = 1.0 / (1.0 + np.exp(-a.value))
     return Var(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -224,9 +240,11 @@ def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
     whole batch's matrix never exists (the memory-efficient convolution
     of Cho & Brand, 2017).  The bias, when given, is added in place, and
     the result is the ``[B, C_out, T']`` transpose view of that array.
-    The vjp keeps only the unpadded input and rebuilds the whole-batch
-    ``cols [C_in*k, B*T']`` for the weight gradient rather than holding
-    them between forward and backward.  It transposes
+    The vjp keeps only the unpadded input, or, when x carries a
+    ``rebuild`` closure (a batch normalization's output), that closure,
+    which recomputes the input in the backward.  Either way it rebuilds
+    the whole-batch ``cols [C_in*k, B*T']`` for the weight gradient
+    rather than holding them between forward and backward.  It transposes
     the cotangent once, to ``g2 [C_out, B*T']``, for both ``dW = g2 @
     cols.T`` and ``dcols = w.T @ g2``; col2im then adds each tap's
     ``dcols`` rows onto a padded accumulator and returns its interior.
@@ -254,10 +272,14 @@ def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
         b = _as_var(b)
         out += b.value[:, None, None]
     out = out.transpose(1, 0, 2)
+    rebuild = x.rebuild
+    kept = xv if rebuild is None else None   # a rebuilt input is not kept
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, batch * t_out)
-        dw = (g2 @ _im2col(xv, k, stride, padding, t_out).T).reshape(c_out, c_in, k)
+        # a rebuilt input is a temporary of this product, freed before dX
+        dw = (g2 @ _im2col(kept if rebuild is None else rebuild(), k, stride,
+                           padding, t_out).T).reshape(c_out, c_in, k)
         dx = None
         if wants_dx:
             dcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
@@ -271,13 +293,18 @@ def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
 
 
 def mean_last(x: Var) -> Var:
-    """Mean over the trailing (time) axis: [B, C, T] -> [B, C]."""
+    """Mean over the trailing (time) axis: [B, C, T] -> [B, C].
+
+    The vjp returns ``g / t`` as a read-only broadcast view over the time
+    axis, so the backward starts with no ``[B, C, T]`` copy.
+    """
     x = _as_var(x)
-    t = x.value.shape[-1]
+    shape = x.value.shape
+    t = shape[-1]
     out = x.value.mean(axis=-1)
 
     def vjp(g):
-        return (np.repeat(g[..., None], t, axis=-1) / t,)
+        return (np.broadcast_to((g / t)[..., None], shape),)
 
     return Var(out, (x,), vjp)
 
@@ -300,13 +327,21 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     Training mode normalizes with (biased) batch statistics and updates
     the running buffers in place; eval mode uses the buffers.  Both
     compute ``((x - mu) * inv_std) * gamma + beta`` in that order, then
-    apply the ReLU in place as ``out *= out > 0`` (the arithmetic of
-    :func:`relu`, so a negative value becomes ``-0.0``).  Every batch
-    normalization of the network feeds a ReLU, and fusing the two
-    (Rota Bulò, Porzi & Kontschieder, 2018) keeps no pre-activation
-    array alive for the backward.
+    apply the ReLU in place as ``out *= mask`` with ``mask = out > 0``
+    (the arithmetic of :func:`relu`, so a negative value becomes
+    ``-0.0``).  Every batch normalization of the network feeds a ReLU,
+    and fusing the two (Rota Bulò, Porzi & Kontschieder, 2018) keeps no
+    pre-activation array alive for the backward.
 
-    The vjp first masks the cotangent, ``g = g * (out > 0)``.  The
+    No closure keeps ``out`` either.  The vjp captures ``xhat`` and
+    ``mask``, and the result carries a ``rebuild`` closure that repeats
+    the forward's steps on them (``xhat * gamma``, ``+= beta``, ``*=
+    mask``), so a consumer that needs ``out`` in its backward gets the
+    same bits, ``-0.0`` included, at the cost of one elementwise pass
+    (Pleiss et al., *Memory-Efficient Implementation of DenseNets*,
+    2017).
+
+    The vjp first masks the cotangent, ``g = g * mask``.  The
     training backward is then the closed form over the ``N = B*T``
     values of a channel: with ``dbeta = sum(g)`` and ``dgamma =
     sum(g * xhat)``, ``dx = gamma * inv_std * (g - dbeta/N - xhat *
@@ -327,13 +362,20 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         var = running_var
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
-    gv = gamma.value
+    gv, bv = gamma.value, beta.value
     out = xhat * gv[None, :, None]
-    out += beta.value[None, :, None]
-    out *= out > 0
+    out += bv[None, :, None]
+    mask = out > 0
+    out *= mask
+
+    def rebuild():
+        r = xhat * gv[None, :, None]
+        r += bv[None, :, None]
+        r *= mask
+        return r
 
     def vjp(g):
-        g = g * (out > 0)
+        g = g * mask
         dgamma = (g * xhat).sum(axis=(0, 2))
         dbeta = g.sum(axis=(0, 2))
         scale = (gv * inv_std)[None, :, None]
@@ -346,7 +388,7 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         dx *= scale
         return dx, dgamma, dbeta
 
-    return Var(out, (x, gamma, beta), vjp)
+    return Var(out, (x, gamma, beta), vjp, rebuild)
 
 
 def se_block(x: Var, params: dict) -> Var:

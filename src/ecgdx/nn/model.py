@@ -164,9 +164,12 @@ class SeResNet:
         outlives the forward only if a vjp captured it: the graph's
         vertices hold no values, so a conv output that only a batch
         normalization reads, or the output of an ``add`` or of the SE
-        gate's scaling, is freed once the next op has used it.  Without a
-        graph (inside ``no_grad``) the same ops run on the same arrays,
-        and no activation outlives the block that reads it.
+        gate's scaling, is freed once the next op has used it.  So is a
+        batch normalization's output: the convs that read it capture its
+        ``rebuild`` closure and recompute it in the backward from the
+        ``xhat`` and ReLU mask that its own vjp keeps.  Without a graph
+        (inside ``no_grad``) the same ops run on the same arrays, and no
+        activation outlives the block that reads it.
         """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim != 3 or x.shape[1] != INPUT_LEADS:
@@ -211,4 +214,6 @@ class SeResNet:
 
     def predict_probs(self, x) -> np.ndarray:
         """Sigmoid class probabilities in eval mode."""
-        return 1.0 / (1.0 + np.exp(-self.predict_logits(x)))
+        logits = self.predict_logits(x)
+        with np.errstate(over="ignore"):   # exp overflows to inf, and 1/inf is 0.0
+            return 1.0 / (1.0 + np.exp(-logits))

@@ -581,6 +581,26 @@ class TestTrainPredictScore:
             *[f"rec00{i},{labels(cmap.sinus_rhythm_index)},{probs}" for i in range(4)],
             *[f"slow{i},{labels(cmap.bradycardia_index)},{probs}" for i in range(4)]]
 
+    def test_saturated_logits_predict_quietly(self, pipeline_dirs, tmp_path):
+        """Logits of -800 overflow ``exp`` in the sigmoid: the run exits 0
+        with nothing on stderr, and the probabilities are the limits."""
+        data, _, _ = pipeline_dirs
+        bias = np.full(27, -800.0)
+        bias[3] = 800.0
+        path = self._checkpoint_with_head(pipeline_dirs, tmp_path, 0.0,
+                                          lambda b: bias)
+        out = tmp_path / "p.csv"
+        src = Path(__file__).resolve().parent.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "ecgdx", "predict", "--data", str(data),
+             *_both_windows(path), "--out", str(out)],
+            capture_output=True, text=True, timeout=300,
+            env=dict(os.environ, PYTHONPATH=str(src)))
+        assert (done.returncode, done.stderr) == (0, "")
+        rows = [line.split(",")[28:] for line in out.read_text().splitlines()[1:]]
+        assert len(rows) == 8
+        assert all(row == ["0.0"] * 3 + ["1.0"] + ["0.0"] * 23 for row in rows)
+
     @pytest.mark.parametrize("command", _WITH_OUT)
     def test_manifest_path_and_command_line(self, pipeline_dirs, tmp_path, command):
         """A directory output gets ``manifest.txt`` inside it; a file output

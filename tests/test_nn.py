@@ -6,6 +6,8 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -106,8 +108,26 @@ class TestLayerGradients:
     def test_sigmoid(self):
         check_op(lambda v: ad.sigmoid(v[0]), [RNG.normal(size=(3, 5))])
 
+    def test_sigmoid_saturates_without_a_warning(self):
+        """exp(800) overflows to inf, and 1/(1+inf) is the limit 0.0."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            s = ad.sigmoid(ad.Var(np.array([-800.0, 800.0])))
+            ad.backward(s)
+        assert s.value.tolist() == [0.0, 1.0]
+
     def test_mean_last(self):
         check_op(lambda v: ad.mean_last(v[0]), [RNG.normal(size=(2, 3, 7))])
+
+    def test_mean_last_leaves_a_leaf_a_writable_gradient(self):
+        """The vjp's read-only broadcast view is copied before it lands on a
+        leaf, also through an op that passes its cotangent on."""
+        for through in (lambda v: v, _identity):
+            x = ad.Var(RNG.normal(size=(2, 3, 7)))
+            ad.backward(ad.mean_last(through(x)))
+            assert x.grad.flags.writeable and x.grad.flags.owndata
+            np.testing.assert_array_equal(x.grad, np.full((2, 3, 7), 1 / 7))
+            x.grad += 1.0
 
     def test_channel_scale(self):
         x = RNG.normal(size=(2, 3, 7))
@@ -336,6 +356,51 @@ class TestOpsAgainstReferences:
                            running_var, training)
         np.testing.assert_array_equal(out.value, ref)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)),
+           gamma_sign=st.sampled_from([-1.0, 0.0, 1.0]),
+           beta_sign=st.sampled_from([-1.0, 0.0, 1.0]),
+           training=st.booleans(), seed=st.integers(0, 2**16))
+    def test_batchnorm_rebuild_is_the_forward_output(self, shape, gamma_sign,
+                                                     beta_sign, training, seed):
+        """The rebuilt output has the forward's bytes, ``-0.0`` included,
+        and each call returns a fresh array."""
+        rng = np.random.default_rng(seed)
+        c = shape[1]
+        gamma = gamma_sign * rng.uniform(0.5, 1.5, size=c)
+        beta = beta_sign * rng.uniform(0.0, 1.0, size=c)
+        out = ad.batchnorm(ad.Var(rng.normal(size=shape) * 2), ad.Var(gamma),
+                           ad.Var(beta), rng.normal(size=c),
+                           rng.uniform(0.5, 2, size=c), training)
+        first, second = out.rebuild(), out.rebuild()
+        assert first.tobytes() == out.value.tobytes() == second.tobytes()
+        assert first is not out.value and first is not second
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_conv_of_a_dropped_batchnorm_output_recomputes_it(self, training):
+        """Once the caller drops the batch normalization's ``Var``, its
+        output is freed; the conv's backward recomputes it, and every
+        gradient has the bytes of a conv that keeps the array."""
+        grads = []
+        for mode in ("keep-array", "keep-var", "drop"):
+            rng = np.random.default_rng(31)
+            leaves = [ad.Var(rng.normal(size=(2, 3, 16))),
+                      ad.Var(rng.uniform(-1.5, 1.5, size=3)),
+                      ad.Var(rng.normal(size=3)), ad.Var(rng.normal(size=(4, 3, 5)))]
+            x, gamma, beta, w = leaves
+            bn = ad.batchnorm(x, gamma, beta, np.zeros(3), np.ones(3), training)
+            if mode == "keep-array":
+                bn.rebuild = None   # the conv captures bn.value itself
+            out = ad.conv1d(bn, w, stride=2, padding=2)
+            if mode == "drop":
+                value = weakref.ref(bn.value)
+                del bn
+                assert value() is None
+            seed = np.random.default_rng(5).normal(size=out.shape)
+            ad.backward(out, seed=seed)
+            grads.append([leaf.grad.tobytes() for leaf in leaves])
+        assert grads[0] == grads[1] == grads[2]
+
 
 class TestSeBlockBehaviour:
     def _zero_params(self, c, r):
@@ -481,6 +546,7 @@ class TestNoGrad:
         for out in (y, z):
             assert out.parents == ()
             assert out.vjp is None
+            assert out.rebuild is None
 
     def test_graph_returns_after_block_even_on_error(self):
         model = SeResNet(TestModelForward.CFG)
@@ -580,6 +646,20 @@ def _batchnorm_case(training):
         buffers = rng.normal(size=3), rng.uniform(0.5, 1.5, size=3)
         return leaves, lambda x, g, b: ad.batchnorm(x, g, b, *buffers, training)
     return case
+
+
+def _batchnorm_conv1d_case(rng):
+    leaves = [ad.Var(rng.normal(size=(2, 3, 16))), ad.Var(rng.uniform(0.5, 1.5, size=3)),
+              ad.Var(rng.normal(size=3)), ad.Var(rng.normal(size=(4, 3, 5)))]
+    buffers = rng.normal(size=3), rng.uniform(0.5, 1.5, size=3)
+
+    def build(x, g, b, w):
+        return ad.conv1d(ad.batchnorm(x, g, b, *buffers, True), w, padding=2)
+    return leaves, build
+
+
+def _mean_last_case(rng):
+    return [ad.Var(rng.normal(size=(2, 3, 16)))], ad.mean_last
 
 
 def _channel_scale_case(rng):
@@ -682,9 +762,10 @@ class TestBackwardThroughModel:
 
     @pytest.mark.parametrize("case", [
         _conv1d_case, _batchnorm_case(True), _batchnorm_case(False),
-        _channel_scale_case, _dense_case, _se_block_case],
-        ids=["conv1d", "batchnorm-train", "batchnorm-eval", "channel_scale",
-             "dense", "se_block"])
+        _batchnorm_conv1d_case, _mean_last_case, _channel_scale_case, _dense_case,
+        _se_block_case],
+        ids=["conv1d", "batchnorm-train", "batchnorm-eval", "batchnorm-conv1d",
+             "mean_last", "channel_scale", "dense", "se_block"])
     def test_backward_needs_no_var_the_caller_dropped(self, case):
         """With every input and the output made by ops and deleted by the
         caller before backward, each leaf gets the same gradient, bit for

@@ -26,11 +26,12 @@ def test_artifact_digests_cover_every_stage_and_repeat():
         for ext in (".hea", ".dat"):
             assert f"records/{record}{ext}" in digest
     for out in ("records/", "features/", "short.ckpt.", "long.ckpt.",
-                "predictions.csv.", "score/", "report/", "batch/",
+                "default.ckpt.", "predictions.csv.", "score/", "report/", "batch/",
                 "batch_predictions.csv."):
         assert out + "manifest.txt" in digest
-    assert {"features/features.npz", "short.ckpt", "long.ckpt",
-            "short.ckpt.history.csv", "long.ckpt.history.csv", "predictions.csv",
+    assert {"features/features.npz", "short.ckpt", "long.ckpt", "default.ckpt",
+            "short.ckpt.history.csv", "long.ckpt.history.csv",
+            "default.ckpt.history.csv", "predictions.csv",
             "score/report.json", "report/plot_data.csv", "batch/rec032.dat",
             "batch_predictions.csv"} <= set(digest)
     assert digest["score/per_class.csv"] == digest["report/per_class.csv"]
