@@ -8,11 +8,14 @@ captures only the arrays it reads, so an activation that no vjp reads
 (the output of a conv that feeds a batch normalization, of ``add`` or of
 ``channel_scale``) is freed as soon as the forward drops its ``Var``
 (Paszke et al., 2017: a node keeps only the tensors its backward saved).
-A ``Var`` may also carry ``rebuild``, a closure that recomputes its value
-from arrays the graph keeps anyway: :func:`batchnorm` gives one, and
-:func:`conv1d` captures it in place of its input, so no batch
-normalization's output outlives the forward (Pleiss et al., 2017,
-recompute the cheap layers in the backward).
+A ``Var`` may also carry ``rebuild``, a closure that recomputes a range
+of its channels from arrays the graph keeps anyway: :func:`batchnorm`
+gives one, and :func:`conv1d` captures it in place of its input, so no
+batch normalization's output outlives the forward (Pleiss et al., 2017,
+recompute the cheap layers in the backward).  The conv's backward then
+runs one group of at most ``GROUP_CHANNELS`` input channels at a time,
+so no whole-batch im2col matrix or its cotangent exists while the graph
+is alive, and a batch normalization keeps its ReLU mask as bits.
 Leaves, the parameters and the batch, are linked as the ``Var`` itself.
 :func:`backward` topologically sorts the graph from the root,
 accumulates gradients into the leaves and frees each interior vertex
@@ -37,6 +40,7 @@ from ..errors import EcgdxError
 
 BN_MOMENTUM = 0.1   # weight of a batch's statistics in the running buffers
 BN_EPS = 1e-5       # added to the variance before its square root
+GROUP_CHANNELS = 64  # input channels per group of a conv1d backward
 
 _grad_enabled = True
 
@@ -77,9 +81,10 @@ class Var:
     ``grad``, ``vjp`` and ``parents`` read and write the vertex.  An op
     result made with a graph is linked into its consumers' ``parents`` as
     its vertex, which holds no value; any other ``Var`` (a leaf) is linked
-    as itself.  ``rebuild``, when not ``None``, is a closure that returns
-    a fresh array equal to ``value`` bit for bit; without a graph it is
-    always ``None``.
+    as itself.  ``rebuild``, when not ``None``, is a closure that takes a
+    channel range ``(c0, c1)`` and returns a fresh array equal to
+    ``value[:, c0:c1]`` bit for bit; without a graph it is always
+    ``None``.
     """
 
     __slots__ = ("value", "_node", "rebuild")
@@ -112,9 +117,15 @@ def backward(root: Var, seed=None) -> None:
     nothing later in the pass needs them.  No vertex holds a value, so
     the forward's activations are the closures' arrays and whatever
     ``Var`` the caller still keeps.  Leaves (Vars without a vjp, such as
-    parameters and inputs) and the root keep their ``.grad``; a read-only
-    broadcast view that a vjp returns is copied before it lands on a
-    leaf.  A second ``backward`` through the same graph reaches nothing.
+    parameters and inputs) and the root keep their ``.grad``.
+
+    When the pass returns, no two vertices' ``.grad`` share memory, and a
+    leaf's ``.grad`` is writable and its own: a leaf gets a copy of a
+    cotangent that is a read-only view (``mean_last``'s broadcast) or
+    whose buffer the root or another leaf already holds (``add`` passes
+    one array to both its parents).  Interior cotangents are never
+    copied; they are read only, as no vjp writes into its input.  A
+    second ``backward`` through the same graph reaches nothing.
     """
     top = root._node
     order: list = []
@@ -135,6 +146,7 @@ def backward(root: Var, seed=None) -> None:
 
     top.grad = np.ones_like(root.value) if seed is None else \
         np.asarray(seed, dtype=np.float64)
+    held = {id(_owner(top.grad))}   # the buffers that the root and the leaves hold
     while order:   # reverse topological order: the root comes off first
         node = order.pop()
         if node.vjp is None:
@@ -145,13 +157,23 @@ def backward(root: Var, seed=None) -> None:
                     continue
                 if parent.grad is not None:
                     parent.grad = parent.grad + g
-                elif isinstance(parent, Var) and not g.flags.writeable:
-                    parent.grad = g.copy()   # a leaf gets no read-only view
+                elif isinstance(parent, Var):   # a leaf: its own writable array
+                    if not g.flags.writeable or id(_owner(g)) in held:
+                        g = g.copy()
+                    held.add(id(_owner(g)))
+                    parent.grad = g
                 else:
                     parent.grad = g
         node.vjp, node.parents = None, ()
         if node is not top:
             node.grad = None
+
+
+def _owner(a: np.ndarray) -> np.ndarray:
+    """The array that owns ``a``'s memory, through views."""
+    while isinstance(a.base, np.ndarray):
+        a = a.base
+    return a
 
 
 def _as_var(x) -> Var:
@@ -242,12 +264,18 @@ def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
     the result is the ``[B, C_out, T']`` transpose view of that array.
     The vjp keeps only the unpadded input, or, when x carries a
     ``rebuild`` closure (a batch normalization's output), that closure,
-    which recomputes the input in the backward.  Either way it rebuilds
-    the whole-batch ``cols [C_in*k, B*T']`` for the weight gradient
-    rather than holding them between forward and backward.  It transposes
-    the cotangent once, to ``g2 [C_out, B*T']``, for both ``dW = g2 @
-    cols.T`` and ``dcols = w.T @ g2``; col2im then adds each tap's
-    ``dcols`` rows onto a padded accumulator and returns its interior.
+    which recomputes the input in the backward.  It transposes the
+    cotangent once, to ``g2 [C_out, B*T']``, then takes the input
+    channels in groups of at most ``GROUP_CHANNELS`` (the same
+    memory-efficient convolution, along the channel axis): for group
+    ``c0:c1`` it builds the batch's ``cols_g [(c1-c0)*k, B*T']``, writes
+    ``g2 @ cols_g.T`` into the group's columns of ``dW``, and col2ims
+    ``dcols_g = w[:, c0:c1].T @ g2`` onto the group's channels of a
+    padded accumulator, adding each tap's rows.  No GEMM splits a
+    dimension that an output element sums over.  Each product has the
+    whole one's bits when ``B*T'`` is a multiple of 8; otherwise OpenBLAS
+    treats the trailing columns of a narrower ``dcols`` product
+    differently, and ``dX`` can move in the last bit.
     The input gradient is computed only when x arrives as a ``Var``: a
     plain array (a data batch) gets ``None``.
     """
@@ -277,16 +305,23 @@ def conv1d(x, w: Var, b: Var | None = None, stride: int = 1,
 
     def vjp(g):
         g2 = g.transpose(1, 0, 2).reshape(c_out, batch * t_out)
-        # a rebuilt input is a temporary of this product, freed before dX
-        dw = (g2 @ _im2col(kept if rebuild is None else rebuild(), k, stride,
-                           padding, t_out).T).reshape(c_out, c_in, k)
-        dx = None
-        if wants_dx:
-            dcols = (w2.T @ g2).reshape(c_in, k, batch, t_out)
-            dxp = np.zeros((batch, c_in, t_pad))
-            for j in range(k):   # col2im: scatter-add each tap back onto the input
-                dxp[:, :, j:j + stride * t_out:stride] += dcols[:, j].transpose(1, 0, 2)
-            dx = dxp[:, :, padding:padding + t_in] if padding else dxp
+        dw = np.empty((c_out, c_in * k))
+        dxp = np.zeros((batch, c_in, t_pad)) if wants_dx else None
+        for c0 in range(0, c_in, GROUP_CHANNELS):
+            c1 = min(c_in, c0 + GROUP_CHANNELS)
+            rows = slice(c0 * k, c1 * k)
+            cols = _im2col(kept[:, c0:c1] if rebuild is None else rebuild(c0, c1),
+                           k, stride, padding, t_out)
+            np.matmul(g2, cols.T, out=dw[:, rows])
+            del cols   # freed before the group's dcols exists
+            if wants_dx:
+                dcols = (w2[:, rows].T @ g2).reshape(c1 - c0, k, batch, t_out)
+                for j in range(k):   # col2im: scatter-add each tap back onto the input
+                    dxp[:, c0:c1, j:j + stride * t_out:stride] += \
+                        dcols[:, j].transpose(1, 0, 2)
+                del dcols
+        dx = dxp[:, :, padding:padding + t_in] if padding and wants_dx else dxp
+        dw = dw.reshape(c_out, c_in, k)
         return (dx, dw) if b is None else (dx, dw, g.sum(axis=(0, 2)))
 
     return Var(out, (x, w) if b is None else (x, w, b), vjp)
@@ -333,13 +368,16 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     and fusing the two (Rota Bulò, Porzi & Kontschieder, 2018) keeps no
     pre-activation array alive for the backward.
 
-    No closure keeps ``out`` either.  The vjp captures ``xhat`` and
-    ``mask``, and the result carries a ``rebuild`` closure that repeats
-    the forward's steps on them (``xhat * gamma``, ``+= beta``, ``*=
+    No closure keeps ``out`` either.  With a graph, the mask is packed
+    along time into ``bits`` (``np.packbits``, one bit per value), and
+    the vjp captures ``xhat`` and ``bits``.  The result carries a
+    ``rebuild(c0, c1)`` closure that repeats the forward's steps on
+    channels ``c0:c1`` of them (``xhat * gamma``, ``+= beta``, ``*=
     mask``), so a consumer that needs ``out`` in its backward gets the
     same bits, ``-0.0`` included, at the cost of one elementwise pass
     (Pleiss et al., *Memory-Efficient Implementation of DenseNets*,
-    2017).
+    2017).  Both unpack the mask in the memory order that ``out > 0``
+    had.  Inside ``no_grad`` nothing is packed.
 
     The vjp first masks the cotangent, ``g = g * mask``.  The
     training backward is then the closed form over the ``N = B*T``
@@ -367,15 +405,20 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     out += bv[None, :, None]
     mask = out > 0
     out *= mask
+    if not _grad_enabled:   # no graph reads the mask again
+        return Var(out)
+    _, c, t = out.shape
+    channel_major = mask.strides[1] > mask.strides[0]   # a conv output's layout
+    bits = np.packbits(mask.transpose(1, 0, 2) if channel_major else mask, axis=-1)
 
-    def rebuild():
-        r = xhat * gv[None, :, None]
-        r += bv[None, :, None]
-        r *= mask
+    def rebuild(c0, c1):
+        r = xhat[:, c0:c1] * gv[None, c0:c1, None]
+        r += bv[None, c0:c1, None]
+        r *= _unpack(bits, channel_major, c0, c1, t)
         return r
 
     def vjp(g):
-        g = g * mask
+        g = g * _unpack(bits, channel_major, 0, c, t)
         dgamma = (g * xhat).sum(axis=(0, 2))
         dbeta = g.sum(axis=(0, 2))
         scale = (gv * inv_std)[None, :, None]
@@ -389,6 +432,19 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         return dx, dgamma, dbeta
 
     return Var(out, (x, gamma, beta), vjp, rebuild)
+
+
+def _unpack(bits: np.ndarray, channel_major: bool, c0: int, c1: int,
+            t: int) -> np.ndarray:
+    """Channels ``c0:c1`` of a ReLU mask that :func:`batchnorm` packed along
+    time, as a bool ``[B, c1 - c0, T]`` array in the memory order of the
+    mask it packed: ``[C, B, T]`` when ``channel_major``, else ``[B, C, T]``.
+    ``g * mask`` takes its layout from both operands, and numpy's sums over
+    (batch, time) follow that layout, so a mask unpacked in another order
+    can change the bits of ``dgamma`` and ``dbeta``."""
+    if channel_major:
+        return np.unpackbits(bits[c0:c1], axis=-1, count=t).view(bool).transpose(1, 0, 2)
+    return np.unpackbits(bits[:, c0:c1], axis=-1, count=t).view(bool)
 
 
 def se_block(x: Var, params: dict) -> Var:

@@ -166,8 +166,9 @@ class SeResNet:
         normalization reads, or the output of an ``add`` or of the SE
         gate's scaling, is freed once the next op has used it.  So is a
         batch normalization's output: the convs that read it capture its
-        ``rebuild`` closure and recompute it in the backward from the
-        ``xhat`` and ReLU mask that its own vjp keeps.  Without a graph
+        ``rebuild`` closure and recompute it in the backward, one group of
+        input channels at a time, from the ``xhat`` and the bit-packed
+        ReLU mask that its own vjp keeps.  Without a graph
         (inside ``no_grad``) the same ops run on the same arrays, and no
         activation outlives the block that reads it.
         """

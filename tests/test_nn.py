@@ -89,6 +89,18 @@ class TestLayerGradients:
         b = rng.normal(size=4) * 0.1
         check_op(lambda v: ad.conv1d(v[0], v[1], v[2], 2, 0), [x, w, b])
 
+    @pytest.mark.parametrize("k, stride, padding", [(3, 2, 1), (1, 2, 0)],
+                             ids=["stride2", "pointwise"])
+    def test_conv1d_in_channel_groups(self, k, stride, padding):
+        """72 input channels: the backward runs a 64-channel group and an
+        8-channel tail, and each writes its own columns of dW and dX."""
+        assert ad.GROUP_CHANNELS == 64
+        rng = np.random.default_rng(72)
+        x = rng.normal(size=(2, 72, 9))
+        w = rng.normal(size=(3, 72, k)) * 0.1
+        b = rng.normal(size=3) * 0.1
+        check_op(lambda v: ad.conv1d(v[0], v[1], v[2], stride, padding), [x, w, b])
+
     def test_conv1d_without_bias(self):
         x = RNG.normal(size=(2, 3, 12))
         w = RNG.normal(size=(4, 3, 5)) * 0.3
@@ -229,6 +241,12 @@ def _owner(a):
     return a
 
 
+def _in_layout(a, channel_major):
+    """``a`` itself, or its copy in a conv output's layout: a ``[B, C, T]``
+    view of ``[C, B, T]`` memory."""
+    return a.transpose(1, 0, 2).copy().transpose(1, 0, 2) if channel_major else a
+
+
 def _conv_windows(xp, k, stride, t_out):
     """windows[b, c, j, t] = xp[b, c, j + stride*t], by fancy indexing."""
     taps = np.arange(k)[:, None] + stride * np.arange(t_out)[None, :]
@@ -360,21 +378,68 @@ class TestOpsAgainstReferences:
     @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)),
            gamma_sign=st.sampled_from([-1.0, 0.0, 1.0]),
            beta_sign=st.sampled_from([-1.0, 0.0, 1.0]),
-           training=st.booleans(), seed=st.integers(0, 2**16))
+           training=st.booleans(), channel_major=st.booleans(),
+           seed=st.integers(0, 2**16), data=st.data())
     def test_batchnorm_rebuild_is_the_forward_output(self, shape, gamma_sign,
-                                                     beta_sign, training, seed):
-        """The rebuilt output has the forward's bytes, ``-0.0`` included,
-        and each call returns a fresh array."""
+                                                     beta_sign, training,
+                                                     channel_major, seed, data):
+        """Channels ``c0:c1`` of the rebuilt output have the forward's bytes,
+        ``-0.0`` included, for a C-contiguous input and for a conv output
+        (a ``[B, C, T]`` view of ``[C, B, T]`` memory), and each call
+        returns a fresh array."""
         rng = np.random.default_rng(seed)
         c = shape[1]
+        c0 = data.draw(st.integers(0, c - 1), label="c0")
+        c1 = data.draw(st.integers(c0 + 1, c), label="c1")
         gamma = gamma_sign * rng.uniform(0.5, 1.5, size=c)
         beta = beta_sign * rng.uniform(0.0, 1.0, size=c)
-        out = ad.batchnorm(ad.Var(rng.normal(size=shape) * 2), ad.Var(gamma),
-                           ad.Var(beta), rng.normal(size=c),
+        out = ad.batchnorm(ad.Var(_in_layout(rng.normal(size=shape) * 2, channel_major)),
+                           ad.Var(gamma), ad.Var(beta), rng.normal(size=c),
                            rng.uniform(0.5, 2, size=c), training)
-        first, second = out.rebuild(), out.rebuild()
-        assert first.tobytes() == out.value.tobytes() == second.tobytes()
+        first, second = out.rebuild(c0, c1), out.rebuild(c0, c1)
+        want = out.value[:, c0:c1].tobytes()
+        assert first.tobytes() == want == second.tobytes()
         assert first is not out.value and first is not second
+
+    @pytest.mark.parametrize("g_channel_major", [False, True], ids=["g-c", "g-cbt"])
+    @pytest.mark.parametrize("channel_major", [False, True], ids=["c-order", "conv-output"])
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_batchnorm_vjp_bytes_equal_masking_with_the_forward_mask(self, training,
+                                                                     channel_major,
+                                                                     g_channel_major):
+        """The vjp unpacks its bit-packed mask in the layout of the forward's
+        bool mask, so ``dx``, ``dgamma`` and ``dbeta`` have the bytes of the
+        closed form masked with ``out > 0`` itself: ``g * mask`` takes a
+        layout from both operands, and numpy's sums over (batch, time)
+        follow it."""
+        rng = np.random.default_rng(17)
+        shape, c = (5, 6, 203), 6
+        v = _in_layout(rng.normal(size=shape) * 2 + 0.5, channel_major)
+        gamma, beta = rng.uniform(-1.5, 1.5, size=c), rng.normal(size=c)
+        running_mean, running_var = rng.normal(size=c), rng.uniform(0.5, 2, size=c)
+        mu = v.mean(axis=(0, 2)) if training else running_mean.copy()
+        xhat = v - mu[None, :, None]
+        var = np.square(xhat).mean(axis=(0, 2)) if training else running_var.copy()
+        inv_std = 1.0 / np.sqrt(var + ad.BN_EPS)
+        xhat *= inv_std[None, :, None]
+        out = ad.batchnorm(ad.Var(v), ad.Var(gamma), ad.Var(beta), running_mean,
+                           running_var, training)
+        mask = out.value > 0   # the forward's mask, in its layout
+        g = _in_layout(rng.normal(size=shape), g_channel_major)
+        got = out.vjp(g)
+        g = g * mask
+        dgamma, dbeta = (g * xhat).sum(axis=(0, 2)), g.sum(axis=(0, 2))
+        scale = (gamma * inv_std)[None, :, None]
+        if training:
+            n = shape[0] * shape[2]
+            dx = xhat * (dgamma / -n)[None, :, None]
+            dx += g
+            dx -= (dbeta / n)[None, :, None]
+            dx *= scale
+        else:
+            dx = g * scale
+        for have, want in zip(got, (dx, dgamma, dbeta)):
+            assert have.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
     def test_conv_of_a_dropped_batchnorm_output_recomputes_it(self, training):
@@ -658,6 +723,20 @@ def _batchnorm_conv1d_case(rng):
     return leaves, build
 
 
+def _grouped_batchnorm_conv1d_case(rng):
+    """A batch normalization of a conv output, read by a 72-channel conv:
+    the backward rebuilds its input one channel group at a time."""
+    leaves = [ad.Var(rng.normal(size=(2, 4, 16))), ad.Var(rng.normal(size=(72, 4, 3))),
+              ad.Var(rng.uniform(0.5, 1.5, size=72)), ad.Var(rng.normal(size=72)),
+              ad.Var(rng.normal(size=(4, 72, 5)))]
+    buffers = np.zeros(72), np.ones(72)
+
+    def build(x, w1, g, b, w2):
+        bn = ad.batchnorm(ad.conv1d(x, w1, padding=1), g, b, *buffers, True)
+        return ad.conv1d(bn, w2, stride=2, padding=2)
+    return leaves, build
+
+
 def _mean_last_case(rng):
     return [ad.Var(rng.normal(size=(2, 3, 16)))], ad.mean_last
 
@@ -679,6 +758,79 @@ def _se_block_case(rng):
     def build(x, *weights):
         return ad.se_block(x, dict(zip(("fc1_w", "fc1_b", "fc2_w", "fc2_b"), weights)))
     return leaves, build
+
+
+def _drawn_graph(data, training):
+    """Leaves and a root of ops drawn over ``[2, 3, 8]`` Vars: each op reads
+    Vars made before it, so one Var may reach the root by several paths."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    leaves = []
+
+    def leaf(*shape):
+        leaves.append(ad.Var(rng.normal(size=shape)))
+        return leaves[-1]
+
+    pool = [leaf(2, 3, 8) for _ in range(data.draw(st.integers(1, 3), label="inputs"))]
+
+    def pick():
+        return pool[data.draw(st.integers(0, len(pool) - 1), label="operand")]
+
+    ops = {
+        "add": lambda: ad.add(pick(), pick()),
+        "identity": lambda: _identity(pick()),
+        "relu": lambda: ad.relu(pick()),
+        "sigmoid": lambda: ad.sigmoid(pick()),
+        "channel_scale": lambda: ad.channel_scale(pick(), leaf(2, 3)),
+        "conv1d": lambda: ad.conv1d(pick(), leaf(3, 3, 3), leaf(3), 1, 1),
+        "batchnorm": lambda: ad.batchnorm(pick(), leaf(3), leaf(3), np.zeros(3),
+                                          np.ones(3), training),
+        "se_block": lambda: ad.se_block(pick(), {"fc1_w": leaf(3, 1), "fc1_b": leaf(1),
+                                                 "fc2_w": leaf(1, 3), "fc2_b": leaf(3)}),
+    }
+    for name in data.draw(st.lists(st.sampled_from(sorted(ops)), min_size=1, max_size=6),
+                          label="ops"):
+        pool.append(ops[name]())
+    root = pool[-1]
+    head = data.draw(st.sampled_from(["none", "none", "mean_last", "dense"]),
+                     label="head")
+    if head != "none":
+        root = ad.mean_last(root)
+    if head == "dense":
+        root = ad.dense(root, leaf(3, 2), leaf(2))
+    return leaves, root
+
+
+def _assert_grads_own_their_memory(grads):
+    for i, a in enumerate(grads):
+        assert a.flags.writeable
+        for b in grads[i + 1:]:
+            assert not np.shares_memory(a, b)
+
+
+class TestGradientOwnership:
+    """When backward returns, no two vertices' ``.grad`` share memory."""
+
+    def test_add_of_two_leaves(self):
+        a, b = ad.Var(np.zeros(3)), ad.Var(np.zeros(3))
+        root = ad.add(a, b)
+        ad.backward(root)
+        _assert_grads_own_their_memory([a.grad, b.grad, root.grad])
+        a.grad += 1.0
+        assert b.grad.tolist() == root.grad.tolist() == [1.0, 1.0, 1.0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), training=st.booleans())
+    def test_any_graph_of_ops(self, data, training):
+        leaves, root = _drawn_graph(data, training)
+        ad.backward(root)
+        holders = {id(v): v for v in (*leaves, root) if v.grad is not None}
+        _assert_grads_own_their_memory([v.grad for v in holders.values()])
+
+    def test_small_model(self):
+        model = SeResNet(SeResNetConfig.small())
+        logits, pvars = model.forward(RNG.normal(size=(2, 8, 128)), training=True)
+        ad.backward(logits)
+        _assert_grads_own_their_memory([logits.grad] + [v.grad for v in pvars.values()])
 
 
 class TestBackwardThroughModel:
@@ -736,7 +888,9 @@ class TestBackwardThroughModel:
     def test_forward_holds_only_what_the_vjps_capture(self):
         """A vertex holds no value: after a graph forward no vertex but the
         root and the leaves holds one, and what the forward still holds is
-        what the vjp closures captured, each owning buffer counted once."""
+        what the vjp closures captured, each owning buffer counted once.
+        Each batch normalization keeps its ReLU mask as ``uint8`` bits, one
+        bit per value, and no closure keeps a bool mask."""
         model = SeResNet(SeResNetConfig.small())
         x = np.random.default_rng(12).normal(size=(4, 8, 2048))
         tracemalloc.start()
@@ -759,13 +913,25 @@ class TestBackwardThroughModel:
                         owners[id(owner)] = owner.nbytes
         captured = sum(owners.values())
         assert abs(held - captured) <= 0.05 * captured, (held, captured)
+        bn_vjps = [v.vjp for v in interior if v.vjp.__qualname__ == "batchnorm.<locals>.vjp"]
+        assert len(bn_vjps) == sum(1 for name in model.buffers
+                                   if name.endswith(".running_mean"))
+        for vjp in bn_vjps:
+            arrays = [cell.cell_contents for cell in vjp.__closure__
+                      if isinstance(cell.cell_contents, np.ndarray)]
+            assert not any(a.dtype == np.bool_ for a in arrays)
+            (bits,) = [a for a in arrays if a.dtype == np.uint8]
+            (xhat,) = [a for a in arrays if a.dtype == np.float64 and a.ndim == 3]
+            batch, c, t = xhat.shape
+            assert bits.size == batch * c * -(-t // 8)
 
     @pytest.mark.parametrize("case", [
         _conv1d_case, _batchnorm_case(True), _batchnorm_case(False),
-        _batchnorm_conv1d_case, _mean_last_case, _channel_scale_case, _dense_case,
-        _se_block_case],
+        _batchnorm_conv1d_case, _grouped_batchnorm_conv1d_case, _mean_last_case,
+        _channel_scale_case, _dense_case, _se_block_case],
         ids=["conv1d", "batchnorm-train", "batchnorm-eval", "batchnorm-conv1d",
-             "mean_last", "channel_scale", "dense", "se_block"])
+             "batchnorm-conv1d-grouped", "mean_last", "channel_scale", "dense",
+             "se_block"])
     def test_backward_needs_no_var_the_caller_dropped(self, case):
         """With every input and the output made by ops and deleted by the
         caller before backward, each leaf gets the same gradient, bit for
