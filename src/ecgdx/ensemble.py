@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EcgdxError
 from .records import ClassMap, EcgRecord
-from .rpeaks import _unreadable, brady_rule, detect_rpeaks
+from .rpeaks import brady_rule, detect_rpeaks
 
 THRESHOLD = 0.36
 
@@ -70,18 +70,18 @@ def apply_brady_veto(labels, record: EcgRecord) -> np.ndarray:
     """Let the R-R interval rule veto a positive slow-rhythm prediction.
 
     The rule can only clear the bit, never set it; a negative prediction
-    skips peak detection entirely, and so does a lead I that
-    :func:`detect_rpeaks` cannot read (too short, or at a rate outside
-    its range), where the model's bit stands.
+    skips peak detection entirely.  Where :func:`detect_rpeaks` cannot
+    read lead I (too short, or at a rate outside its range) and raises,
+    the model's bit stands.
     """
     out = np.asarray(labels, dtype=np.uint8).copy()
     idx = ClassMap.default().bradycardia_index
     if out[idx] == 0:
         return out
-    lead = record.lead("I")
-    if _unreadable(lead.size, record.fs) is not None:
+    try:
+        peaks = detect_rpeaks(record.lead("I"), record.fs)
+    except EcgdxError:
         return out
-    peaks = detect_rpeaks(lead, record.fs)
     out[idx] = brady_rule(np.diff(peaks) / record.fs)
     return out
 

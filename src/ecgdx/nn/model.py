@@ -215,6 +215,5 @@ class SeResNet:
 
     def predict_probs(self, x) -> np.ndarray:
         """Sigmoid class probabilities in eval mode."""
-        logits = self.predict_logits(x)
-        with np.errstate(over="ignore"):   # exp overflows to inf, and 1/inf is 0.0
-            return 1.0 / (1.0 + np.exp(-logits))
+        with ad.no_grad():
+            return ad.sigmoid(self.predict_logits(x)).value

@@ -17,16 +17,9 @@ from . import autodiff as ad
 from .model import SeResNet, SeResNetConfig
 from .optim import Adam, lr_for_epoch
 from ..errors import EcgdxError
-from ..signloss import LossBatch, sign_loss, sign_loss_grad
+from ..signloss import sign_loss, sign_loss_grad
 
 logger = logging.getLogger(__name__)
-
-
-def sign_loss_pair(probs: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-    """The training loss: (scalar, dLoss/dprobs) with batch-mean scaling."""
-    batch = LossBatch(probs, targets)
-    total, _ = sign_loss(batch)
-    return total, sign_loss_grad(batch) / probs.shape[0]
 
 
 @dataclass
@@ -42,8 +35,8 @@ def check_schedule(epochs: int, batch_size: int) -> None:
                          " must be at least 1")
 
 
-def train(x, y, config: SeResNetConfig, epochs: int = 19,
-          batch_size: int = 16) -> TrainResult:
+def train(x, y, config: SeResNetConfig, epochs: int,
+          batch_size: int) -> TrainResult:
     """Train a model on (x [N, leads, T], y [N, n_classes]).
 
     Aborts with :class:`EcgdxError` if the loss goes non-finite.  The
@@ -67,12 +60,13 @@ def train(x, y, config: SeResNetConfig, epochs: int = 19,
             idx = order[start:start + batch_size]
             logits, pvars = model.forward(x[idx], training=True)
             probs = ad.sigmoid(logits)
-            value, dprobs = sign_loss_pair(probs.value, y[idx])
+            targets = y[idx]
+            value, _ = sign_loss(probs.value, targets)
             if not np.isfinite(value):
                 raise EcgdxError(
                     f"loss became {value} at epoch {epoch}, "
                     f"batch starting {start} (lr={lr})")
-            ad.backward(probs, seed=dprobs)
+            ad.backward(probs, seed=sign_loss_grad(probs.value, targets))
             grads = {name: pvars[name].grad for name in model.params}
             optimizer.step(model.params, grads, lr)
             epoch_losses.append(value)

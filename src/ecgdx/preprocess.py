@@ -58,18 +58,18 @@ def resample(signal, from_fs: int, to_fs: int) -> np.ndarray:
     return filtered[::q][: len(x) * to_fs // from_fs]
 
 
-def fix_length(signals, fs: int, window_seconds) -> np.ndarray:
-    """Force every lead to exactly ``fs * window_seconds`` samples.
+def fix_length(signals, n_samples: int) -> np.ndarray:
+    """Force every lead to exactly ``n_samples`` samples
+    (:attr:`PreprocessConfig.window_samples` in the pipeline).
 
     Longer signals keep their first window; shorter ones are padded with
     trailing zeros.
     """
     x = np.atleast_2d(np.asarray(signals, dtype=np.float64))
-    target = int(round(fs * window_seconds))
     n = x.shape[1]
-    if n >= target:
-        return x[:, :target].copy()
-    out = np.zeros((x.shape[0], target))
+    if n >= n_samples:
+        return x[:, :n_samples].copy()
+    out = np.zeros((x.shape[0], n_samples))
     out[:, :n] = x
     return out
 
@@ -136,6 +136,6 @@ def make_example(record: EcgRecord,
             f" {record.fs} Hz resample to none at {config.target_fs} Hz")
     if config.denoise_enabled:
         x = wavelet_denoise(x)
-    x = fix_length(x, config.target_fs, config.window_seconds)
+    x = fix_length(x, config.window_samples)
     y = labels_from_codes(record.dx_codes)
     return x, y

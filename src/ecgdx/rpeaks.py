@@ -35,26 +35,19 @@ def _moving_integration(x: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _unreadable(n_samples: int, fs: int) -> str | None:
-    """Why :func:`detect_rpeaks` cannot read ``n_samples`` samples at ``fs``
-    Hz, or None if it can: it needs at least two seconds at 100-1000 Hz."""
-    if not (100 <= fs <= 1000):
-        return f"fs {fs} outside supported range [100, 1000]"
-    if n_samples < 2 * fs:
-        return f"need at least 2 s of signal ({2 * fs} samples), got {n_samples}"
-    return None
-
-
 def detect_rpeaks(lead_i, fs: int) -> np.ndarray:
     """Ascending int64 sample indices of the R peaks on a single lead.
 
-    Requires at least two seconds of signal at 100-1000 Hz.  A constant
-    signal yields an empty peak list rather than an error.
+    Raises :class:`EcgdxError` for a lead it cannot read: it needs at
+    least two seconds of signal at 100-1000 Hz.  A constant signal yields
+    an empty peak list rather than an error.
     """
     x = np.asarray(lead_i, dtype=np.float64)
-    reason = _unreadable(x.size, fs)
-    if reason is not None:
-        raise EcgdxError(reason)
+    if not (100 <= fs <= 1000):
+        raise EcgdxError(f"fs {fs} outside supported range [100, 1000]")
+    if x.size < 2 * fs:
+        raise EcgdxError(
+            f"need at least 2 s of signal ({2 * fs} samples), got {x.size}")
     if np.ptp(x) == 0.0:
         return np.array([], dtype=np.int64)
 

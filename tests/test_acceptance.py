@@ -13,7 +13,7 @@ from ecgdx.preprocess import fix_length, wavelet_denoise
 from ecgdx.records import ClassMap, TRAINING_LEADS
 from ecgdx.rpeaks import brady_rule, detect_rpeaks
 from ecgdx.scoring import RewardMatrix, challenge_score
-from ecgdx.signloss import LossBatch, sign_loss, sign_loss_grad
+from ecgdx.signloss import sign_loss, sign_loss_grad
 from ecgdx.synth import SynthSpec, generate
 from ecgdx.ensemble import apply_brady_veto, binarize, fuse, snr_postprocess
 from ecgdx import wavelet
@@ -49,12 +49,12 @@ def test_criterion_1_sign_loss_exactness():
     for _ in range(1000):
         p = float(rng.uniform(0.01, 0.99))
         y = float(rng.integers(0, 2))
-        _, per_label = sign_loss(LossBatch(np.array([[p]]), np.array([[y]])))
+        _, per_label = sign_loss(np.array([[p]]), np.array([[y]]))
         worst = max(worst, abs(float(per_label[0, 0]) - float(oracle(p, y))))
     elapsed = time.perf_counter() - t0
 
-    v1, _ = sign_loss(LossBatch(np.array([[0.8]]), np.array([[1.0]])))
-    v2, _ = sign_loss(LossBatch(np.array([[0.6]]), np.array([[0.0]])))
+    v1, _ = sign_loss(np.array([[0.8]]), np.array([[1.0]]))
+    v2, _ = sign_loss(np.array([[0.6]]), np.array([[0.0]]))
     ok = (worst < 1e-12 and abs(v1 - 0.0089257) < 1e-6
           and abs(v2 - 0.9162907) < 1e-6 and elapsed < 1.0)
     _report(1, ok, f"1000-pair oracle max abs err {worst:.2e}, "
@@ -102,9 +102,9 @@ def test_criterion_2_gradient_fidelity():
         y = float(rng.integers(0, 2))
         if abs(abs(y - p) - 0.5) < 1e-3:
             continue
-        g = float(sign_loss_grad(LossBatch(np.array([[p]]), np.array([[y]])))[0, 0])
-        lp = float(sign_loss(LossBatch(np.array([[p + h]]), np.array([[y]])))[1][0, 0])
-        lm = float(sign_loss(LossBatch(np.array([[p - h]]), np.array([[y]])))[1][0, 0])
+        g = float(sign_loss_grad(np.array([[p]]), np.array([[y]]))[0, 0])
+        lp = float(sign_loss(np.array([[p + h]]), np.array([[y]]))[1][0, 0])
+        lm = float(sign_loss(np.array([[p - h]]), np.array([[y]]))[1][0, 0])
         fd = (lp - lm) / (2 * h)
         worst_loss = max(worst_loss, abs(g - fd) / max(abs(fd), 1e-9))
         checked += 1
@@ -301,7 +301,7 @@ def _training_dataset(n=200, fs=128, seconds=4, seed0=7000):
         rec, _, lab = generate(SynthSpec(bpm=bpm, fs=fs, duration=seconds,
                                          noise_sigma=0.02, seed=seed0 + i))
         rows = np.vstack([rec.lead(name) for name in TRAINING_LEADS])
-        xs.append(fix_length(rows, fs, seconds))
+        xs.append(fix_length(rows, fs * seconds))
         ys.append(lab)
     return np.stack(xs), np.stack(ys)
 

@@ -566,6 +566,14 @@ class TestModelForward:
         logits, _ = model.forward(x, training=False)
         np.testing.assert_array_equal(model.predict_logits(x), logits.value)
 
+    def test_predict_probs_are_the_sigmoid_of_the_logits(self):
+        """Inference applies the training graph's logistic: the bits of
+        ``ad.sigmoid`` on the eval forward's logits."""
+        model = SeResNet(self.CFG)
+        x = np.random.default_rng(6).normal(size=(2, 8, 64))
+        logits, _ = model.forward(x, training=False)
+        assert model.predict_probs(x).tobytes() == ad.sigmoid(logits).value.tobytes()
+
     def test_same_seed_same_init(self):
         a = SeResNet(self.CFG)
         b = SeResNet(self.CFG)

@@ -52,28 +52,28 @@ class TestResample:
 class TestFixLength:
     def test_truncates_to_first_window(self):
         x = np.arange(20000, dtype=float).reshape(1, -1)
-        out = fix_length(x, 500, 30)
+        out = fix_length(x, 15000)
         assert out.shape == (1, 15000)
         np.testing.assert_array_equal(out[0], x[0, :15000])
 
     def test_zero_pads_short_signals(self):
         x = np.ones((2, 7500))
-        out = fix_length(x, 500, 30)
+        out = fix_length(x, 15000)
         assert out.shape == (2, 15000)
         np.testing.assert_array_equal(out[:, :7500], 1.0)
         np.testing.assert_array_equal(out[:, 7500:], 0.0)
 
     def test_exact_window_unchanged(self):
         x = np.random.default_rng(1).normal(size=(3, 15000))
-        np.testing.assert_array_equal(fix_length(x, 500, 30), x)
+        np.testing.assert_array_equal(fix_length(x, 15000), x)
 
     def test_idempotent_and_exact_length(self):
         rng = np.random.default_rng(2)
         for n in (1, 10, 4999, 5000, 5001, 20000):
             x = rng.normal(size=(2, n))
-            once = fix_length(x, 500, 10)
+            once = fix_length(x, 5000)
             assert once.shape == (2, 5000)
-            np.testing.assert_array_equal(fix_length(once, 500, 10), once)
+            np.testing.assert_array_equal(fix_length(once, 5000), once)
 
 
 class TestWavelet:
@@ -276,6 +276,15 @@ class TestMakeExample:
         rec = self._record_at(1000, 40.0)
         x, _ = make_example(rec, PreprocessConfig(window_seconds=10))
         assert x.shape == (8, 5000)
+
+    def test_window_is_the_specs_window_samples(self):
+        """The window length is the spec's rounded ``window_samples``."""
+        rec = self._record_at(1000, 4.0)
+        cfg = PreprocessConfig(target_fs=250, window_seconds=2.5026,
+                               denoise_enabled=False)
+        x, _ = make_example(rec, cfg)
+        assert cfg.window_samples == 626   # round(625.65)
+        assert x.shape == (8, 626)
 
     def test_identity_composition(self):
         rec, _, _ = generate(SynthSpec(bpm=72, fs=500, duration=30.0, seed=12))

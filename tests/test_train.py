@@ -23,7 +23,7 @@ def make_dataset(n=40, fs=128, seconds=2, seed0=500):
         rec, _, lab = generate(SynthSpec(bpm=bpm, fs=fs, duration=seconds,
                                          noise_sigma=0.02, seed=seed0 + i))
         rows = np.vstack([rec.lead(name) for name in TRAINING_LEADS])
-        xs.append(fix_length(rows, fs, seconds))
+        xs.append(fix_length(rows, fs * seconds))
         ys.append(lab)
     return np.stack(xs), np.stack(ys)
 
@@ -78,13 +78,14 @@ class TestTraining:
         def exploding(probs, targets):
             return float("nan"), np.zeros_like(probs)
 
-        monkeypatch.setattr(train_module, "sign_loss_pair", exploding)
+        monkeypatch.setattr(train_module, "sign_loss", exploding)
         with pytest.raises(EcgdxError, match="epoch 1"):
             train(x, y, CFG, epochs=1, batch_size=8)
 
     def test_empty_dataset_rejected(self):
         with pytest.raises(EcgdxError, match="empty"):
-            train(np.zeros((0, 8, 256)), np.zeros((0, 27)), CFG)
+            train(np.zeros((0, 8, 256)), np.zeros((0, 27)), CFG, epochs=1,
+                  batch_size=8)
 
 
 def test_exact_match_accuracy_counts_full_rows():
