@@ -33,7 +33,7 @@ from .preprocess import PreprocessConfig, make_example
 from .rpeaks import detect_rpeaks
 from .synth import SynthSpec, generate
 from .ensemble import postprocess, read_predictions, write_predictions
-from .scoring import RewardMatrix, challenge_score, per_class_metrics
+from .scoring import PerClassMetrics, RewardMatrix, challenge_score, per_class_metrics
 from .nn import (SeResNetConfig, check_schedule, load_checkpoint, save_checkpoint,
                  train)
 
@@ -180,7 +180,10 @@ def _features(args, cfg: PreprocessConfig):
     """
     paths = _record_paths(args.data)
     n, leads, width = len(paths), len(TRAINING_LEADS), cfg.window_samples
-    shared = mmap.mmap(-1, n * (leads * width * 8 + ClassMap.n_scored))
+    size = n * (leads * width * 8 + ClassMap.n_scored)
+    if size > sys.maxsize:   # mmap takes a C ssize_t
+        raise EcgdxError(f"{n} records of {width} samples per lead are too large to map")
+    shared = mmap.mmap(-1, size)
     x = np.frombuffer(shared, np.float64, n * leads * width).reshape(n, leads, width)
     y = np.frombuffer(shared, np.uint8, n * ClassMap.n_scored,
                       offset=x.nbytes).reshape(n, ClassMap.n_scored)
@@ -209,8 +212,9 @@ def _features(args, cfg: PreprocessConfig):
 
 
 def _cmd_preprocess(args) -> int:
+    cfg = _preprocess_config(args)
     os.makedirs(args.out, exist_ok=True)
-    x, y, ids = _features(args, _preprocess_config(args))
+    x, y, ids = _features(args, cfg)
     np.savez(os.path.join(args.out, "features.npz"),
              x=x, y=y, record_ids=np.array(ids))
     return 0
@@ -294,19 +298,15 @@ def _cmd_predict(args) -> int:
     return 0
 
 
-def _load_truth(truth_dir: str) -> dict[str, np.ndarray]:
-    return {rec.record_id: labels_from_codes(rec.dx_codes)
-            for rec in _load_records(_record_paths(truth_dir))}
-
-
-def _aligned_arrays(pred_file: str, truth_dir: str):
-    """Predicted labels and probabilities and the true labels, one row per
-    truth record in truth order.  Each truth record needs one prediction
-    row, and each row a truth record."""
-    preds = {p.record_id: p for p in read_predictions(read_text(pred_file))}
+def _aligned_arrays(args):
+    """The ``--pred`` labels and the ``--truth`` labels, one row per truth
+    record in truth order, and their per-class metrics.  Each truth record
+    needs one prediction row, and each row a truth record."""
+    preds = {p.record_id: p for p in read_predictions(read_text(args.pred))}
     if not preds:
-        raise EcgdxError(f"{pred_file}: no prediction rows")
-    truth_by_id = _load_truth(truth_dir)
+        raise EcgdxError(f"{args.pred}: no prediction rows")
+    truth_by_id = {rec.record_id: labels_from_codes(rec.dx_codes)
+                   for rec in _load_records(_record_paths(args.truth))}
     missing = [rid for rid in preds if rid not in truth_by_id]
     if missing:
         raise EcgdxError(f"predictions reference unknown records: {missing}")
@@ -315,46 +315,46 @@ def _aligned_arrays(pred_file: str, truth_dir: str):
         raise EcgdxError(f"truth records without a prediction row: {unscored}")
     labels = np.stack([preds[rid].labels for rid in truth_by_id])
     probs = np.stack([preds[rid].probs for rid in truth_by_id])
-    return labels, probs, np.stack(list(truth_by_id.values()))
+    truths = np.stack(list(truth_by_id.values()))
+    return labels, truths, per_class_metrics(probs, truths, labels=labels)
 
 
-def _write_per_class(path: str, aucs, f1s) -> None:
+def _write_per_class(path: str, per_class: PerClassMetrics) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["abbreviation", "auc", "f1"])
-        for abbr, auc, f1 in zip(ClassMap.default().abbreviations, aucs, f1s):
+        for abbr, auc, f1 in zip(ClassMap.default().abbreviations, per_class.auc,
+                                 per_class.f1):
             writer.writerow([abbr, "" if np.isnan(auc) else repr(float(auc)),
                              repr(float(f1))])
 
 
 def _cmd_score(args) -> int:
-    labels, probs, truths = _aligned_arrays(args.pred, args.truth)
+    labels, truths, per_class = _aligned_arrays(args)
     weights = RewardMatrix.from_csv(resources.files("ecgdx.data").joinpath(
         "reward_weights.csv").read_text(encoding="utf-8"))
-    report = challenge_score(labels, truths, weights, probs27=probs)
+    report = challenge_score(labels, truths, weights)
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        fh.write(report.to_json() + "\n")
-    _write_per_class(os.path.join(args.out, "per_class.csv"),
-                     report.per_class_auc, report.per_class_f1)
+        fh.write(report.to_json(per_class) + "\n")
+    _write_per_class(os.path.join(args.out, "per_class.csv"), per_class)
     print(f"normalized_score={report.normalized}")
     return 0
 
 
 def _cmd_report(args) -> int:
-    labels, probs, truths = _aligned_arrays(args.pred, args.truth)
-    metrics = per_class_metrics(probs, truths, labels=labels)
+    _, _, per_class = _aligned_arrays(args)
     os.makedirs(args.out, exist_ok=True)
-    _write_per_class(os.path.join(args.out, "per_class.csv"), metrics.auc, metrics.f1)
+    _write_per_class(os.path.join(args.out, "per_class.csv"), per_class)
     abbrs = ClassMap.default().abbreviations
     # long-format file ready for bar-chart tooling
     with open(os.path.join(args.out, "plot_data.csv"), "w", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["abbreviation", "metric", "value"])
-        for abbr, auc in zip(abbrs, metrics.auc):
+        for abbr, auc in zip(abbrs, per_class.auc):
             if not np.isnan(auc):
                 writer.writerow([abbr, "auc", repr(float(auc))])
-        for abbr, f1 in zip(abbrs, metrics.f1):
+        for abbr, f1 in zip(abbrs, per_class.f1):
             writer.writerow([abbr, "f1", repr(float(f1))])
     return 0
 

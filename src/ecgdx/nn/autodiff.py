@@ -222,10 +222,12 @@ def _im2col(x: np.ndarray, k: int, stride: int, padding: int,
     holds output position ``t`` of batch item ``b``, which reads input
     position ``j - padding + stride*t``.  It is filled in ``(C_in, k, B,
     T')`` order, so both the forward GEMM and the weight gradient read it
-    as it is, and no padded copy of x is made: the output positions whose
-    every tap lies inside x are copied from one strided view of x, and
-    the few at either end, where some taps fall in the padding, tap by
-    tap with zeros written in.
+    as it is.  The output positions whose every tap lies inside x are
+    copied from one strided view of x, and the few at either end, where
+    some taps fall in the padding, tap by tap with zeros written in.
+    Filling it from a zero-padded copy of x gives the same bits, but it
+    raised the peak RSS of ``predict`` (two default networks, twelve 30 s
+    records) from 87.8 to 94.1 MiB through glibc's heap layout.
     """
     batch, c_in, t_in = x.shape
     cols = np.empty((c_in, k, batch, t_out))

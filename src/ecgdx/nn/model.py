@@ -32,7 +32,7 @@ BLOCK_KERNEL = 7
 
 @dataclass(frozen=True)
 class SeResNetConfig:
-    input_length: int = 15000
+    input_length: int
     stem_channels: int = 32
     blocks_per_stage: tuple[int, ...] = (2, 2, 2, 2)
     channels_per_stage: tuple[int, ...] = (32, 64, 128, 256)

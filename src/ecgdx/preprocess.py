@@ -15,9 +15,9 @@ from .records import TRAINING_LEADS, EcgRecord, labels_from_codes
 
 @dataclass
 class PreprocessConfig:
-    target_fs: int = 500
-    window_seconds: float = 30
-    denoise_enabled: bool = True
+    target_fs: int
+    window_seconds: float
+    denoise_enabled: bool
 
     def __post_init__(self):
         # exact types: a bool is no rate or length, and only a bool is a flag
@@ -29,6 +29,10 @@ class PreprocessConfig:
             raise EcgdxError(f"target_fs must be positive, got {self.target_fs}")
         if self.window_seconds <= 0:
             raise EcgdxError(f"window_seconds must be positive, got {self.window_seconds}")
+        # numpy describes no array of more than its intp maximum in bytes
+        if len(TRAINING_LEADS) * self.window_samples * 8 > np.iinfo(np.intp).max:
+            raise EcgdxError(f"window_seconds {self.window_seconds} at {self.target_fs} Hz"
+                             " is too long for an array")
 
     @property
     def window_samples(self) -> int:
@@ -116,24 +120,26 @@ def wavelet_denoise(signal) -> np.ndarray:
 
 
 def make_example(record: EcgRecord,
-                 config: PreprocessConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 config: PreprocessConfig) -> tuple[np.ndarray, np.ndarray]:
     """Turn a record into a training pair (features [8 x fs*window], labels [27]).
 
     Steps: select the 8 training leads, resample to the target rate,
     denoise the 8 leads in one call (when enabled), then truncate/pad to
     the window.
     """
-    config = config or PreprocessConfig()
     missing = [n for n in TRAINING_LEADS if n not in record.lead_names]
     if missing:
         raise EcgdxError(
             f"record {record.record_id!r}: missing training leads {missing}")
+    # checked before resampling, as the decimation filter grows with the
+    # rate ratio: a kept sample bounds it at 20 x the record's samples + 1 taps
+    samples = record.signals.shape[1]
+    if samples * config.target_fs // record.fs == 0:
+        raise EcgdxError(
+            f"record {record.record_id!r}: {samples} sample(s) at {record.fs} Hz"
+            f" resample to none at {config.target_fs} Hz")
     x = np.vstack([resample(record.lead(n), record.fs, config.target_fs)
                    for n in TRAINING_LEADS])
-    if x.shape[1] == 0:
-        raise EcgdxError(
-            f"record {record.record_id!r}: {record.signals.shape[1]} sample(s) at"
-            f" {record.fs} Hz resample to none at {config.target_fs} Hz")
     if config.denoise_enabled:
         x = wavelet_denoise(x)
     x = fix_length(x, config.window_samples)

@@ -115,10 +115,8 @@ class ScoreReport:
     inactive: float
     correct: float
     normalized: float
-    per_class_auc: np.ndarray
-    per_class_f1: np.ndarray
 
-    def to_json(self) -> str:
+    def to_json(self, per_class: PerClassMetrics) -> str:
         body = {
             "classes": list(ClassMap.default().abbreviations),
             "unnormalized": self.unnormalized,
@@ -126,8 +124,8 @@ class ScoreReport:
             "correct": self.correct,
             "normalized": self.normalized,
             "per_class_auc": [None if np.isnan(v) else float(v)
-                              for v in self.per_class_auc],
-            "per_class_f1": [float(v) for v in self.per_class_f1],
+                              for v in per_class.auc],
+            "per_class_f1": [float(v) for v in per_class.f1],
         }
         return json.dumps(body, indent=2, sort_keys=True)
 
@@ -137,13 +135,12 @@ def _weighted(a: np.ndarray, w: RewardMatrix) -> float:
 
 
 def challenge_score(pred_labels27, truth_labels27, w: RewardMatrix,
-                    probs27=None, cmap: ClassMap | None = None) -> ScoreReport:
+                    cmap: ClassMap | None = None) -> ScoreReport:
     """Reward-weighted score, normalized between the always-normal and the
     always-correct reference classifiers.
 
     ``pred_labels27``/``truth_labels27`` are aligned [n, 27] binary
-    matrices; ``probs27`` (optional, [n, 27]) feeds the per-class AUC.
-    ``w`` must name the merged categories of ``cmap``, in order.
+    matrices.  ``w`` must name the merged categories of ``cmap``, in order.
     """
     cmap = cmap or ClassMap.default()
     if w.abbreviations != cmap.merged_abbreviations:
@@ -168,16 +165,8 @@ def challenge_score(pred_labels27, truth_labels27, w: RewardMatrix,
             f"correct and inactive scores coincide ({correct}); "
             f"the dataset cannot calibrate the metric")
     normalized = (unnormalized - inactive) / (correct - inactive)
-
-    if probs27 is not None:
-        metrics = per_class_metrics(probs27, truth, labels=pred)
-        auc, f1 = metrics.auc, metrics.f1
-    else:
-        auc = np.full(truth.shape[1], np.nan)
-        f1 = np.full(truth.shape[1], np.nan)
     return ScoreReport(unnormalized=unnormalized, inactive=inactive,
-                       correct=correct, normalized=normalized,
-                       per_class_auc=auc, per_class_f1=f1)
+                       correct=correct, normalized=normalized)
 
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:

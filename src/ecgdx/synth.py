@@ -14,13 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EcgdxError
-from .records import SINUS_RHYTHM_CODE, EcgRecord, labels_from_codes
+from .records import SINUS_RHYTHM_CODE, TRAINING_LEADS, EcgRecord, labels_from_codes
 
-# per-lead template amplitude multipliers for (I, II, V1..V6)
-_LEAD_SCALE = {
-    "I": 0.9, "II": 1.1, "V1": 0.5, "V2": 0.7,
-    "V3": 0.9, "V4": 1.0, "V5": 0.9, "V6": 0.8,
-}
+# per-lead template amplitude multipliers, in TRAINING_LEADS order
+_LEAD_SCALE = (0.9, 1.1, 0.5, 0.7, 0.9, 1.0, 0.9, 0.8)
 
 # template geometry, seconds / millivolts
 _QRS_SIGMA = 0.012
@@ -58,6 +55,12 @@ class SynthSpec:
             raise EcgdxError(f"bpm {self.bpm} outside [20, 250]")
         if self.fs <= 0:
             raise EcgdxError(f"non-positive fs {self.fs}")
+        # generate's [12, n] float64 array must be one numpy can describe; the
+        # fs bound keeps the product below from overflowing to a float
+        limit = np.iinfo(np.intp).max
+        if self.fs > limit or not self.duration * self.fs * 12 * 8 <= limit:
+            raise EcgdxError(f"duration {self.duration}s at {self.fs} Hz is too many"
+                             " samples for an array")
         if self.duration * self.fs < 2 * self.fs:
             raise EcgdxError(f"duration {self.duration}s shorter than 2 s")
         if not (0.0 <= self.ectopic_rate <= 1.0):
@@ -110,7 +113,7 @@ def generate(spec: SynthSpec, record_id: str = "synth0"):
             base += _bump(t, bt + _P_OFFSET, _P_SIGMA, _P_AMP)
             base += _bump(t, bt + _T_OFFSET, _T_SIGMA, _T_AMP)
 
-    sig = np.vstack([scale * base for scale in _LEAD_SCALE.values()])
+    sig = np.vstack([scale * base for scale in _LEAD_SCALE])
     # noise draws always happen so the stream position is sigma-independent
     sig = sig + spec.noise_sigma * rng.standard_normal(sig.shape)
     # the limb leads that leads I and II determine (Einthoven, Goldberger)
@@ -128,7 +131,7 @@ def generate(spec: SynthSpec, record_id: str = "synth0"):
         dx.add(_PVC_CODE)
 
     rec = EcgRecord(record_id=record_id, signals=sig,
-                    lead_names=(*_LEAD_SCALE, "III", "aVR", "aVL", "aVF"),
+                    lead_names=(*TRAINING_LEADS, "III", "aVR", "aVL", "aVF"),
                     fs=spec.fs, dx_codes=frozenset(dx))
     true_beats = np.array([int(round(bt * spec.fs)) for bt in final_times])
     labels = labels_from_codes(dx)

@@ -142,10 +142,18 @@ class TestPreprocessCommand:
 
     @pytest.mark.parametrize("denoise", [[], ["--no-denoise"]],
                              ids=["denoise", "no-denoise"])
-    @pytest.mark.parametrize("fs, rate", [(1000, []), (500, ["--target-fs", "250"])],
-                             ids=["1000-to-500", "500-to-250"])
-    def test_record_too_short_to_resample_exits_1(self, capsys, tmp_path, fs,
-                                                  rate, denoise):
+    @pytest.mark.parametrize("fs, rate", [(1000, []), (500, ["--target-fs", "250"]),
+                                          (10**30, [])],
+                             ids=["1000-to-500", "500-to-250", "1e30-to-500"])
+    def test_record_too_short_to_resample_exits_1(self, capsys, tmp_path, monkeypatch,
+                                                  fs, rate, denoise):
+        """Refused before the decimation filter is designed: at 10^30 Hz it
+        took 2e28 + 1 taps."""
+        from ecgdx import dsp
+
+        def no_filter(*args):
+            raise AssertionError("a filter designed for a record that resamples to none")
+        monkeypatch.setattr(dsp, "firwin", no_filter)
         data = tmp_path / "d"
         _save_one_sample_record(data, fs)
         out_dir = tmp_path / "o"
@@ -164,11 +172,15 @@ class TestValuesThatCannotWork:
         ["synth", "--seed", "-1"], ["synth", "--duration", "nan"],
         ["synth", "--duration", "inf"], ["synth", "--count", "0"],
         ["synth", "--count", "-2", "--bpm", "999"],
-        ["synth", "--noise-sigma", "nan"], ["synth", "--noise-sigma", "inf"]],
+        ["synth", "--noise-sigma", "nan"], ["synth", "--noise-sigma", "inf"],
+        ["synth", "--duration", "1e308"], ["synth", "--duration", "1e300"],
+        ["synth", "--fs", "1" + "0" * 30]],
         ids=["batch-size-0", "batch-size-negative", "epochs-0",
              "train-seed-negative", "synth-seed-negative", "synth-duration-nan",
              "synth-duration-inf", "count-0", "count-negative",
-             "synth-noise-sigma-nan", "synth-noise-sigma-inf"])
+             "synth-noise-sigma-nan", "synth-noise-sigma-inf",
+             "synth-samples-overflow-a-float", "synth-samples-past-an-array",
+             "synth-fs-past-an-array"])
     def test_exits_1(self, capsys, tmp_path, argv):
         data = tmp_path / "d"
         assert dispatch(["synth", "--count", "2", "--duration", "4",
@@ -184,6 +196,38 @@ class TestValuesThatCannotWork:
         assert code == 1
         assert err.startswith("error:") and err.count("\n") == 1
         assert not out.exists()
+
+    def test_synth_past_memory_exits_1(self, capsys, tmp_path):
+        """An array numpy can describe but not allocate: 5e16 samples, more
+        bytes than any virtual address space holds."""
+        code, _, err = run(capsys, "synth", "--duration", "1e14",
+                           "--out", str(tmp_path / "out"))
+        assert code == 1
+        assert err.startswith("error: Unable to allocate") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    def test_window_too_long_for_an_array_exits_1(self, capsys, tmp_path, command):
+        """It died in ``mmap`` with an OverflowError; now the spec refuses it
+        before any record is read or ``--out`` is made."""
+        out = tmp_path / "out"
+        code, _, err = run(capsys, command, "--data", str(tmp_path), "--out", str(out),
+                           "--target-fs", "1" + "0" * 30)
+        assert code == 1
+        assert err == ("error: window_seconds 30 at 1" + "0" * 30 + " Hz"
+                       " is too long for an array\n")
+        assert not out.exists()
+
+    def test_records_too_large_to_map_exit_1(self, capsys, tmp_path):
+        """Each window fits an array, but five of them overflowed ``mmap``'s
+        size."""
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "5", "--duration", "2",
+                         "--fs", "100", "--out", str(data)]) == 0
+        code, _, err = run(capsys, "preprocess", "--data", str(data), "--out",
+                           str(tmp_path / "out"), "--target-fs", str(10**15))
+        assert code == 1
+        assert err == ("error: 5 records of 30000000000000000 samples per lead"
+                       " are too large to map\n")
 
     def test_train_checks_its_values_before_building_features(
             self, capsys, tmp_path, monkeypatch):
@@ -204,10 +248,11 @@ class TestValuesThatCannotWork:
 
 
 def _save_one_sample_record(directory, fs):
-    rec, _, _ = generate(SynthSpec(bpm=70, fs=fs, duration=2.0, seed=3),
+    """One sample whose header gives ``fs``."""
+    rec, _, _ = generate(SynthSpec(bpm=70, fs=100, duration=2.0, seed=3),
                          record_id="tiny")
     os.makedirs(directory)
-    save_record(dataclasses.replace(rec, signals=rec.signals[:, :1]), directory)
+    save_record(dataclasses.replace(rec, signals=rec.signals[:, :1], fs=fs), directory)
 
 
 @pytest.fixture(scope="module")
@@ -415,9 +460,10 @@ class TestTrainPredictScore:
         assert not out.exists()
 
     def _predict_with_header_value(self, capsys, pipeline_dirs, tmp_path,
-                                   section, key, value):
+                                   section, key, value, **config):
         """Exit 1 with one ``error:`` line naming ``key`` after setting it in
-        one section of the checkpoint's JSON header."""
+        one section of the checkpoint's JSON header (and ``config`` in its
+        config section)."""
         import struct
         from ecgdx.nn.checkpoint import MAGIC
         data, ckpt, _ = pipeline_dirs
@@ -425,6 +471,7 @@ class TestTrainPredictScore:
         (n,) = struct.unpack("<I", blob[8:12])
         header = json.loads(blob[12:12 + n])
         header[section][key] = value
+        header["config"].update(config)
         text = json.dumps(header).encode("utf-8")
         bad = tmp_path / "edited.ckpt"
         bad.write_bytes(MAGIC + struct.pack("<I", len(text)) + text + blob[12 + n:])
@@ -441,6 +488,14 @@ class TestTrainPredictScore:
         """It loaded before, and predict then died in np.pad."""
         self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
                                         "config", "stem_kernel", 7.0)
+
+    def test_window_too_long_for_an_array_exits_1(self, capsys, pipeline_dirs,
+                                                  tmp_path):
+        """Its spec loaded, and predict then died in ``fix_length``'s
+        ``np.zeros`` with "array is too big"."""
+        self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
+                                        "preprocess", "window_seconds", 1e16,
+                                        input_length=128 * 10**16)
 
     def test_huge_decomposition_level_exits_1(self, capsys, pipeline_dirs, tmp_path):
         self._predict_with_header_value(capsys, pipeline_dirs, tmp_path,
@@ -692,7 +747,8 @@ def stream_inputs(tmp_path_factory):
     ckpts = []
     for name, window, seed in (("long", 30, 1), ("short", 10, 2)):
         model = SeResNet(SeResNetConfig.small(input_length=500 * window, seed=seed),
-                         preprocess=PreprocessConfig(window_seconds=window,
+                         preprocess=PreprocessConfig(target_fs=500,
+                                                     window_seconds=window,
                                                      denoise_enabled=False))
         ckpts.append(root / f"{name}.ckpt")
         save_checkpoint(ckpts[-1], model)

@@ -531,10 +531,11 @@ class TestModelForward:
 
     def test_default_parameter_count_regression(self):
         # frozen from the committed default architecture
-        assert self._parameters(SeResNetConfig()) == 2284043
+        assert self._parameters(SeResNetConfig(input_length=15000)) == 2284043
         assert self._parameters(SeResNetConfig.small()) == 17895
 
-    @pytest.mark.parametrize("cfg", [SeResNetConfig(), SeResNetConfig.small(), CFG])
+    @pytest.mark.parametrize("cfg", [SeResNetConfig(input_length=15000),
+                                     SeResNetConfig.small(), CFG])
     def test_only_conv2_and_the_dense_layers_have_a_bias(self, cfg):
         """Every other conv feeds a batch normalization, which cancels a bias."""
         biased = {name[:-2] for name, _, _ in array_layout(cfg) if name.endswith(".b")}
@@ -558,7 +559,8 @@ class TestModelForward:
                                       model.predict_logits(x))
 
     @pytest.mark.parametrize("cfg, shape", [(CFG, (2, 8, 64)),
-                                            (SeResNetConfig(), (2, 8, 256))],
+                                            (SeResNetConfig(input_length=15000),
+                                             (2, 8, 256))],
                              ids=["tiny", "default"])
     def test_predict_logits_equal_graph_forward(self, cfg, shape):
         model = SeResNet(cfg)
@@ -588,7 +590,8 @@ class TestModelForward:
     def test_se_reduction_must_divide_stage_channels(self):
         with pytest.raises(EcgdxError,
                            match="se reduction 4 does not divide channels 30"):
-            SeResNetConfig(channels_per_stage=(30, 64, 128, 256))
+            SeResNetConfig(input_length=15000,
+                           channels_per_stage=(30, 64, 128, 256))
 
     @pytest.mark.parametrize("field, value", [
         ("stem_kernel", 7.0), ("input_length", 512.0), ("stem_channels", True),
@@ -1221,7 +1224,7 @@ class TestCheckpoint:
     @pytest.mark.parametrize("damage", sorted(MALFORMED))
     def test_malformed_file_rejected(self, tmp_path, damage):
         path = tmp_path / "model.ckpt"
-        spec = PreprocessConfig(target_fs=32, window_seconds=2)
+        spec = PreprocessConfig(target_fs=32, window_seconds=2, denoise_enabled=True)
         save_checkpoint(path, SeResNet(TestModelForward.CFG, preprocess=spec))
         load_checkpoint(path)   # the undamaged file is valid
         path.write_bytes(MALFORMED[damage](path.read_bytes()))
@@ -1274,7 +1277,7 @@ def _mutate(header, data):
 class TestCheckpointProperties:
     """Any edit of a valid header loads or raises ``EcgdxError``."""
 
-    SPEC = PreprocessConfig(target_fs=32, window_seconds=2)
+    SPEC = PreprocessConfig(target_fs=32, window_seconds=2, denoise_enabled=True)
 
     def _load_edited(self, edit):
         model = SeResNet(TestModelForward.CFG, preprocess=self.SPEC)

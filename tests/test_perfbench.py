@@ -69,7 +69,8 @@ def test_traced_make_example_times_the_denoiser(monkeypatch):
     tracer = tracing.Tracer("test")
     tracing.install(tracer)
     try:
-        cli.make_example(rec, PreprocessConfig(window_seconds=30))
+        cli.make_example(rec, PreprocessConfig(target_fs=500, window_seconds=30,
+                                                denoise_enabled=True))
     finally:
         tracer.uninstall()
     metrics = tracing.layer_metrics([tracer.report()])

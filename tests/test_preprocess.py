@@ -268,13 +268,15 @@ class TestMakeExample:
 
     def test_downsample_and_window_30s(self):
         rec = self._record_at(1000, 40.0)
-        x, y = make_example(rec, PreprocessConfig(window_seconds=30))
+        x, y = make_example(rec, PreprocessConfig(target_fs=500, window_seconds=30,
+                                                  denoise_enabled=True))
         assert x.shape == (8, 15000)
         assert y.shape == (27,)
 
     def test_window_10s(self):
         rec = self._record_at(1000, 40.0)
-        x, _ = make_example(rec, PreprocessConfig(window_seconds=10))
+        x, _ = make_example(rec, PreprocessConfig(target_fs=500, window_seconds=10,
+                                                  denoise_enabled=True))
         assert x.shape == (8, 5000)
 
     def test_window_is_the_specs_window_samples(self):
@@ -288,7 +290,7 @@ class TestMakeExample:
 
     def test_identity_composition(self):
         rec, _, _ = generate(SynthSpec(bpm=72, fs=500, duration=30.0, seed=12))
-        cfg = PreprocessConfig(window_seconds=30, denoise_enabled=False)
+        cfg = PreprocessConfig(target_fs=500, window_seconds=30, denoise_enabled=False)
         x, _ = make_example(rec, cfg)
         np.testing.assert_array_equal(x, np.vstack([rec.lead(n) for n in TRAINING_LEADS]))
 
@@ -302,13 +304,14 @@ class TestMakeExample:
         monkeypatch.setattr(preprocess, "wavelet_denoise", counted)
         for seed in (1, 2):
             rec, _, _ = generate(SynthSpec(bpm=72, fs=1000, duration=12.0, seed=seed))
-            make_example(rec, PreprocessConfig(window_seconds=10))
+            make_example(rec, PreprocessConfig(target_fs=500, window_seconds=10,
+                                               denoise_enabled=True))
         assert calls == [(8, 6000), (8, 6000)]
 
 
 class TestPreprocessConfig:
     def test_invalid_values_rejected(self):
         with pytest.raises(EcgdxError, match="target_fs must be positive"):
-            PreprocessConfig(target_fs=0)
+            PreprocessConfig(target_fs=0, window_seconds=30, denoise_enabled=True)
         with pytest.raises(EcgdxError, match="window_seconds must be positive"):
-            PreprocessConfig(window_seconds=0)
+            PreprocessConfig(target_fs=500, window_seconds=0, denoise_enabled=True)

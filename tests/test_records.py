@@ -246,8 +246,8 @@ class TestLeadArithmetic:
     def _generate(self, monkeypatch, lead_i, lead_ii):
         """A noiseless record whose leads I and II are ``lead_i`` and
         ``lead_ii`` times the same beat template."""
-        monkeypatch.setitem(synth._LEAD_SCALE, "I", lead_i)
-        monkeypatch.setitem(synth._LEAD_SCALE, "II", lead_ii)
+        monkeypatch.setattr(synth, "_LEAD_SCALE",
+                            (lead_i, lead_ii, *synth._LEAD_SCALE[2:]))
         rec, _, _ = generate(SynthSpec(bpm=70, fs=100, duration=3.0))
         return rec
 
@@ -277,9 +277,12 @@ class TestLeadArithmetic:
 
     def _rows(self, rec):
         """``make_example``'s features: the 8 leads at the record's rate."""
-        x, _ = make_example(rec, PreprocessConfig(target_fs=rec.fs, window_seconds=10,
-                                                  denoise_enabled=False))
+        x, _ = make_example(rec, self._spec(rec.fs))
         return x
+
+    @staticmethod
+    def _spec(fs):
+        return PreprocessConfig(target_fs=fs, window_seconds=10, denoise_enabled=False)
 
     def test_select_drops_derived_leads(self):
         full = self._full12()
@@ -307,9 +310,9 @@ class TestLeadArithmetic:
         rec = EcgRecord("m", np.zeros((1, 4)), ("V1",), 500)
         with pytest.raises(EcgdxError,
                            match=r"missing training leads \['I', 'II', 'V2'"):
-            make_example(rec)
+            make_example(rec, self._spec(500))
 
     def test_select_missing_chest_lead(self):
         rec = EcgRecord("p", np.zeros((2, 4)), ("I", "II"), 500)
         with pytest.raises(EcgdxError, match="V1"):
-            make_example(rec)
+            make_example(rec, self._spec(500))
