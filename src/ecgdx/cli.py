@@ -436,14 +436,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list[str]:
     """Insert defaults from a key=value file; explicit flags still win.
 
-    The file is named by ``--config PATH`` or ``--config=PATH``.  Each key
-    names an option of the subcommand; a switch reads ``true`` or ``false``
-    in any case, as the manifest writes it.
+    The file is named by ``--config PATH`` or ``--config=PATH``, once.
+    Each key names an option of the subcommand, and its value passes that
+    option's type and choices; a switch reads ``true`` or ``false`` in any
+    case, as the manifest writes it.
     """
     argv = [part for arg in argv for part in
             (arg.split("=", 1) if arg.startswith("--config=") else (arg,))]
     if "--config" not in argv:
         return argv
+    if argv.count("--config") > 1:
+        raise EcgdxError("--config given more than once")
     idx = argv.index("--config")
     if idx + 1 == len(argv) or not argv[idx + 1]:
         raise EcgdxError("--config needs a file path")
@@ -468,14 +471,19 @@ def _apply_config_file(argv: list[str], parser: argparse.ArgumentParser) -> list
         dest = key.replace("-", "_")
         if dest not in options:
             raise EcgdxError(f"{path}:{number}: {key} is not an option of {head[0]}")
-        flag = options[dest].option_strings[0]
-        if options[dest].nargs != 0:
-            injected.extend([flag, value])
-        elif value.lower() in ("true", "false"):
-            injected.extend([flag] if value.lower() == "true" else [])
-        else:
-            raise EcgdxError(f"{path}:{number}: {key} must be true or false,"
+        action, where = options[dest], f"{path}:{number}: {key}"
+        switch = action.nargs == 0
+        convert = str.lower if switch else action.type or str
+        choices = ("true", "false") if switch else action.choices
+        try:   # argparse would reject a bad value with a usage block naming no line
+            parsed = convert(value)
+        except ValueError:
+            raise EcgdxError(f"{where} must be {convert.__name__}, got {value!r}") from None
+        if choices is not None and parsed not in choices:
+            raise EcgdxError(f"{where} must be one of {', '.join(map(str, choices))},"
                              f" got {value!r}")
+        flag = action.option_strings[0]
+        injected.extend(([flag] if parsed == "true" else []) if switch else [flag, value])
     return [head[0]] + injected + head[1:]
 
 

@@ -12,10 +12,10 @@ A ``Var`` may also carry ``rebuild``, a closure that recomputes a range
 of its channels from arrays the graph keeps anyway: :func:`batchnorm`
 gives one, and :func:`conv1d` captures it in place of its input, so no
 batch normalization's output outlives the forward (Pleiss et al., 2017,
-recompute the cheap layers in the backward).  The conv's backward then
-runs one group of at most ``GROUP_CHANNELS`` input channels at a time,
-so no whole-batch im2col matrix or its cotangent exists while the graph
-is alive, and a batch normalization keeps its ReLU mask as bits.
+recompute the cheap layers in the backward), and its vjp recomputes its
+ReLU mask.  The conv's backward then runs one group of at most
+``GROUP_CHANNELS`` input channels at a time, so no whole-batch im2col
+matrix or its cotangent exists while the graph is alive.
 Leaves, the parameters and the batch, are linked as the ``Var`` itself.
 :func:`backward` topologically sorts the graph from the root,
 accumulates gradients into the leaves and frees each interior vertex
@@ -370,20 +370,17 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     and fusing the two (Rota Bulò, Porzi & Kontschieder, 2018) keeps no
     pre-activation array alive for the backward.
 
-    No closure keeps ``out`` either.  With a graph, the mask is packed
-    along time into ``bits`` (``np.packbits``, one bit per value), and
-    the vjp captures ``xhat`` and ``bits``.  The result carries a
-    ``rebuild(c0, c1)`` closure that repeats the forward's steps on
-    channels ``c0:c1`` of them (``xhat * gamma``, ``+= beta``, ``*=
-    mask``), so a consumer that needs ``out`` in its backward gets the
-    same bits, ``-0.0`` included, at the cost of one elementwise pass
-    (Pleiss et al., *Memory-Efficient Implementation of DenseNets*,
-    2017).  Both unpack the mask in the memory order that ``out > 0``
-    had.  Inside ``no_grad`` nothing is packed.
-
-    The vjp first masks the cotangent, ``g = g * mask``.  The
-    training backward is then the closed form over the ``N = B*T``
-    values of a channel: with ``dbeta = sum(g)`` and ``dgamma =
+    No closure keeps ``out`` or its mask either.  ``pre(c0, c1)``
+    computes channels ``c0:c1`` of the pre-activation (``xhat * gamma``,
+    ``+= beta``) for the forward, for the result's ``rebuild(c0, c1)``,
+    which applies the ReLU as ``r *= r > 0`` (so a consumer that needs
+    ``out`` in its backward gets its bits, ``-0.0`` included, for one
+    elementwise pass; Pleiss et al., *Memory-Efficient Implementation of
+    DenseNets*, 2017), and for the vjp, which first masks the cotangent
+    as ``g = g * (pre > 0)``.  That mask has ``xhat``'s memory order, as
+    ``out > 0`` had, so ``g * mask`` and the sums over it keep their
+    bits.  The training backward is then the closed form over the ``N =
+    B*T`` values of a channel: with ``dbeta = sum(g)`` and ``dgamma =
     sum(g * xhat)``, ``dx = gamma * inv_std * (g - dbeta/N - xhat *
     dgamma/N)``, since ``mean(dxhat) = gamma*dbeta/N`` and ``mean(dxhat
     * xhat) = gamma*dgamma/N`` for ``dxhat = g * gamma``.
@@ -403,24 +400,25 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
     inv_std = 1.0 / np.sqrt(var + BN_EPS)
     xhat *= inv_std[None, :, None]
     gv, bv = gamma.value, beta.value
-    out = xhat * gv[None, :, None]
-    out += bv[None, :, None]
-    mask = out > 0
-    out *= mask
-    if not _grad_enabled:   # no graph reads the mask again
-        return Var(out)
-    _, c, t = out.shape
-    channel_major = mask.strides[1] > mask.strides[0]   # a conv output's layout
-    bits = np.packbits(mask.transpose(1, 0, 2) if channel_major else mask, axis=-1)
 
-    def rebuild(c0, c1):
+    def pre(c0, c1):
         r = xhat[:, c0:c1] * gv[None, c0:c1, None]
         r += bv[None, c0:c1, None]
-        r *= _unpack(bits, channel_major, c0, c1, t)
+        return r
+
+    out = pre(0, len(gv))
+    mask = out > 0   # named, not rebuild's ``r *= r > 0``: that form raised VmHWM by 5 MiB
+    out *= mask
+    if not _grad_enabled:   # no graph reads xhat again
+        return Var(out)
+
+    def rebuild(c0, c1):
+        r = pre(c0, c1)
+        r *= r > 0
         return r
 
     def vjp(g):
-        g = g * _unpack(bits, channel_major, 0, c, t)
+        g = g * (pre(0, len(gv)) > 0)
         dgamma = (g * xhat).sum(axis=(0, 2))
         dbeta = g.sum(axis=(0, 2))
         scale = (gv * inv_std)[None, :, None]
@@ -434,19 +432,6 @@ def batchnorm(x: Var, gamma: Var, beta: Var, running_mean: np.ndarray,
         return dx, dgamma, dbeta
 
     return Var(out, (x, gamma, beta), vjp, rebuild)
-
-
-def _unpack(bits: np.ndarray, channel_major: bool, c0: int, c1: int,
-            t: int) -> np.ndarray:
-    """Channels ``c0:c1`` of a ReLU mask that :func:`batchnorm` packed along
-    time, as a bool ``[B, c1 - c0, T]`` array in the memory order of the
-    mask it packed: ``[C, B, T]`` when ``channel_major``, else ``[B, C, T]``.
-    ``g * mask`` takes its layout from both operands, and numpy's sums over
-    (batch, time) follow that layout, so a mask unpacked in another order
-    can change the bits of ``dgamma`` and ``dbeta``."""
-    if channel_major:
-        return np.unpackbits(bits[c0:c1], axis=-1, count=t).view(bool).transpose(1, 0, 2)
-    return np.unpackbits(bits[:, c0:c1], axis=-1, count=t).view(bool)
 
 
 def se_block(x: Var, params: dict) -> Var:

@@ -167,8 +167,8 @@ class SeResNet:
         gate's scaling, is freed once the next op has used it.  So is a
         batch normalization's output: the convs that read it capture its
         ``rebuild`` closure and recompute it in the backward, one group of
-        input channels at a time, from the ``xhat`` and the bit-packed
-        ReLU mask that its own vjp keeps.  Without a graph
+        input channels at a time, from the ``xhat`` that its own vjp
+        keeps, which also recomputes the ReLU mask.  Without a graph
         (inside ``no_grad``) the same ops run on the same arrays, and no
         activation outlives the block that reads it.
         """

@@ -1278,7 +1278,8 @@ class TestConfigFile:
 
     @pytest.mark.parametrize("line", [
         "no_denoise", "no_denoise=yes", "no_denoise=1", "no_denoise=", "count=",
-        "=3", "count 3", "colour=red", "config=other.cfg", "data=d"])
+        "=3", "count 3", "colour=red", "config=other.cfg", "data=d", "bpm=abc",
+        "count=1.5"])
     def test_malformed_line_exits_1_naming_it(self, capsys, tmp_path, line):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"# header\nbpm=50\n{line}\n")
@@ -1288,6 +1289,33 @@ class TestConfigFile:
         assert err.startswith(f"error: {cfg}:3: ") and err.count("\n") == 1
         assert line.partition("=")[0] in err
         assert not (tmp_path / "d").exists()
+
+    def test_value_outside_choices_exits_1_naming_it(self, capsys, tmp_path):
+        """argparse would exit 2 with a usage block naming no file or line."""
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("epochs=1\nwindow=20\n")
+        code, _, err = run(capsys, "train", "--config", str(cfg), "--data",
+                           str(tmp_path), "--out", str(tmp_path / "m.ckpt"))
+        assert code == 1
+        assert err == f"error: {cfg}:2: window must be one of 10, 30, got '20'\n"
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("argv", [
+        ["--config", "{a}", "--config", "{b}", "synth"],
+        ["--config={a}", "synth", "--config={b}"],
+        ["synth", "--config", "{a}", "--config={b}"]])
+    def test_second_config_exits_1(self, capsys, tmp_path, argv):
+        """Only one file is read, so a second ``--config`` is refused before
+        either is read or anything is created."""
+        a, b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        a.write_text("bpm=200\n")
+        b.write_text("bpm=30\n")
+        out = tmp_path / "d"
+        code, _, err = run(capsys, *[arg.format(a=a, b=b) for arg in argv],
+                           "--out", str(out))
+        assert code == 1
+        assert err == "error: --config given more than once\n"
+        assert not out.exists()
 
     def test_manifest_as_config_exits_1(self, capsys, tmp_path):
         """A manifest's ``command=`` and ``version=`` lines are no options."""

@@ -6,6 +6,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import types
 import warnings
 import weakref
 
@@ -376,17 +377,18 @@ class TestOpsAgainstReferences:
 
     @settings(max_examples=60, deadline=None)
     @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)),
-           gamma_sign=st.sampled_from([-1.0, 0.0, 1.0]),
-           beta_sign=st.sampled_from([-1.0, 0.0, 1.0]),
+           gamma_sign=st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
+           beta_sign=st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
            training=st.booleans(), channel_major=st.booleans(),
            seed=st.integers(0, 2**16), data=st.data())
     def test_batchnorm_rebuild_is_the_forward_output(self, shape, gamma_sign,
                                                      beta_sign, training,
                                                      channel_major, seed, data):
         """Channels ``c0:c1`` of the rebuilt output have the forward's bytes,
-        ``-0.0`` included, for a C-contiguous input and for a conv output
-        (a ``[B, C, T]`` view of ``[C, B, T]`` memory), and each call
-        returns a fresh array."""
+        ``-0.0`` included (a zero gamma and beta of either sign make
+        pre-activations of exactly ``+0.0`` and ``-0.0``), for a
+        C-contiguous input and for a conv output (a ``[B, C, T]`` view of
+        ``[C, B, T]`` memory), and each call returns a fresh array."""
         rng = np.random.default_rng(seed)
         c = shape[1]
         c0 = data.draw(st.integers(0, c - 1), label="c0")
@@ -407,15 +409,17 @@ class TestOpsAgainstReferences:
     def test_batchnorm_vjp_bytes_equal_masking_with_the_forward_mask(self, training,
                                                                      channel_major,
                                                                      g_channel_major):
-        """The vjp unpacks its bit-packed mask in the layout of the forward's
-        bool mask, so ``dx``, ``dgamma`` and ``dbeta`` have the bytes of the
-        closed form masked with ``out > 0`` itself: ``g * mask`` takes a
-        layout from both operands, and numpy's sums over (batch, time)
-        follow it."""
+        """The vjp recomputes the mask from ``xhat``, in the layout of the
+        forward's bool mask, so ``dx``, ``dgamma`` and ``dbeta`` have the
+        bytes of the closed form masked with ``out > 0`` itself: ``g *
+        mask`` takes a layout from both operands, and numpy's sums over
+        (batch, time) follow it.  One channel's gamma and beta are 0, so
+        its pre-activations are all zero and its mask is all false."""
         rng = np.random.default_rng(17)
         shape, c = (5, 6, 203), 6
         v = _in_layout(rng.normal(size=shape) * 2 + 0.5, channel_major)
         gamma, beta = rng.uniform(-1.5, 1.5, size=c), rng.normal(size=c)
+        gamma[2] = beta[2] = 0.0
         running_mean, running_var = rng.normal(size=c), rng.uniform(0.5, 2, size=c)
         mu = v.mean(axis=(0, 2)) if training else running_mean.copy()
         xhat = v - mu[None, :, None]
@@ -900,8 +904,8 @@ class TestBackwardThroughModel:
         """A vertex holds no value: after a graph forward no vertex but the
         root and the leaves holds one, and what the forward still holds is
         what the vjp closures captured, each owning buffer counted once.
-        Each batch normalization keeps its ReLU mask as ``uint8`` bits, one
-        bit per value, and no closure keeps a bool mask."""
+        Each batch normalization's vjp, with the closures it calls, holds
+        ``xhat`` and no ReLU mask, neither bool nor packed ``uint8``."""
         model = SeResNet(SeResNetConfig.small())
         x = np.random.default_rng(12).normal(size=(4, 8, 2048))
         tracemalloc.start()
@@ -928,13 +932,17 @@ class TestBackwardThroughModel:
         assert len(bn_vjps) == sum(1 for name in model.buffers
                                    if name.endswith(".running_mean"))
         for vjp in bn_vjps:
-            arrays = [cell.cell_contents for cell in vjp.__closure__
-                      if isinstance(cell.cell_contents, np.ndarray)]
-            assert not any(a.dtype == np.bool_ for a in arrays)
-            (bits,) = [a for a in arrays if a.dtype == np.uint8]
-            (xhat,) = [a for a in arrays if a.dtype == np.float64 and a.ndim == 3]
-            batch, c, t = xhat.shape
-            assert bits.size == batch * c * -(-t // 8)
+            arrays, functions = {}, [vjp]
+            while functions:   # the vjp's cells and those of the closures it calls
+                for cell in functions.pop().__closure__ or ():
+                    value = cell.cell_contents
+                    if isinstance(value, np.ndarray):
+                        arrays[id(value)] = value
+                    elif isinstance(value, types.FunctionType):
+                        functions.append(value)
+            assert not any(a.dtype in (np.bool_, np.uint8) for a in arrays.values())
+            (xhat,) = [a for a in arrays.values() if a.ndim == 3]
+            assert xhat.dtype == np.float64
 
     @pytest.mark.parametrize("case", [
         _conv1d_case, _batchnorm_case(True), _batchnorm_case(False),

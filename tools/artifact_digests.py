@@ -9,11 +9,11 @@ taken from ``ROOT/src`` (default: the current directory): ``synth`` (four
 noisy 12 s records at 48 bpm with ectopy), ``preprocess``, ``train`` of a
 10 s window with denoising and of a 30 s window without (small preset,
 50 Hz, two epochs each), ``train`` of the default network on the 10 s
-window at 100 Hz and batch 4 (its second blocks have identity shortcuts,
-which the small preset's one block per stage lacks, and its stage-2
-convs see ``B*T'`` = 4 * 63, off a multiple of 8, where a channel
-group's ``dcols`` product could sum differently from the whole one),
-``predict`` with both small
+window at 125 Hz and batch 3 (its second blocks have identity shortcuts,
+which the small preset's one block per stage lacks; its last batch holds
+one record; and its stage-2 convs see ``B*T'`` = 3 * 79, off a multiple
+of 8, where a channel group's ``dcols`` product could sum differently
+from the whole one), ``predict`` with both small
 checkpoints, ``score`` and ``report``, then ``synth`` of 33 more records
 (100 Hz, 12 s) and ``predict`` of those, the multi-record inference run.  It then prints one
 ``sha256  relative/path`` line per file, sorted by path, manifests and
@@ -48,7 +48,7 @@ PIPELINE = (
      "--epochs", "2", "--batch-size", "2", "--window", "30", "--target-fs", "50",
      "--no-denoise", "--seed", "1"],
     ["train", "--data", "records", "--out", "default.ckpt", "--preset", "default",
-     "--epochs", "2", "--batch-size", "4", "--window", "10", "--target-fs", "100"],
+     "--epochs", "2", "--batch-size", "3", "--window", "10", "--target-fs", "125"],
     ["predict", "--data", "records", "--checkpoint-short", "short.ckpt",
      "--checkpoint-long", "long.ckpt", "--out", "predictions.csv"],
     ["score", "--truth", "records", "--pred", "predictions.csv", "--out", "score"],
