@@ -96,6 +96,14 @@ def _check_id(file_of: dict[str, str], record_id: str, path: str) -> None:
                          f" {record_id!r}")
 
 
+def _check_out_file(path: str) -> None:
+    """Refuse a directory, or a path in no directory, as an ``--out`` file."""
+    if os.path.isdir(path):
+        raise EcgdxError(f"--out {path} is a directory")
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise EcgdxError(f"--out {path}: no such directory")
+
+
 def _load_records(paths: list[str]):
     """Yield the records at the path stems ``paths`` one at a time."""
     file_of: dict[str, str] = {}
@@ -238,8 +246,9 @@ def _model_config(args, input_length: int) -> SeResNetConfig:
 
 
 def _cmd_train(args) -> int:
-    cfg = _preprocess_config(args)
     # every value that cannot work exits before the feature pass
+    _check_out_file(args.out)
+    cfg = _preprocess_config(args)
     config = _model_config(args, input_length=cfg.window_samples)
     check_schedule(args.epochs, args.batch_size)
     x, y, _ = _features(args, cfg)
@@ -259,17 +268,18 @@ def _cmd_predict(args) -> int:
     """Write one predictions row per ``--data`` record, in file-stem order:
     its short- and long-window probabilities, post-processed.
 
-    Each distinct checkpoint loads first, so a missing or malformed one
-    exits before any record is read, and one path given to both flags
-    loads and runs once.  Then one record at a time is read and run
-    through each model as a batch of one: a row depends only on its
-    record and the checkpoints, and memory does not grow with the record
-    count.  A record is built once per distinct ``(target_fs,
-    denoise_enabled)`` of the models' specs, at the longest of their
-    windows, and each model gets its own window's prefix of those
-    features: windowing comes last, so the prefix is what a build at the
-    model's own spec gives, byte for byte.
+    An ``--out`` that cannot be written exits first.  Then each distinct
+    checkpoint loads, so a missing or malformed one exits before any
+    record is read, and one path given to both flags loads and runs once.
+    Then one record at a time is read and run through each model as a
+    batch of one: a row depends only on its record and the checkpoints,
+    and memory does not grow with the record count.  A record is built
+    once per distinct ``(target_fs, denoise_enabled)`` of the models'
+    specs, at the longest of their windows, and each model gets its own
+    window's prefix of those features: windowing comes last, so the
+    prefix is what a build at the model's own spec gives, byte for byte.
     """
+    _check_out_file(args.out)
     models = {path: load_checkpoint(path) for path in
               dict.fromkeys((args.checkpoint_long, args.checkpoint_short))}
     longest: dict[tuple[int, bool], PreprocessConfig] = {}

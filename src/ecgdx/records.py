@@ -1,9 +1,10 @@
 """ECG record parsing/writing and the scored-class map.
 
 The on-disk container is a text header plus little-endian 16-bit samples
-with per-lead gain/offset.  The reader accepts any finite non-zero gain
-and any integer offset, as the source datasets differ; the writer always
-uses ``WRITE_GAIN`` units/mV at offset 0.  Header grammar, one record::
+with per-lead gain/offset.  The reader accepts any non-zero gain and
+integer offset that give every sample finite float64 millivolts, as the
+source datasets differ; the writer always uses ``WRITE_GAIN`` units/mV
+at offset 0.  Header grammar, one record::
 
     <record_id> <n_leads> <fs> <n_samples>
     <gain> <offset> <lead_name>          (one line per lead)
@@ -180,6 +181,13 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
         if gains[-1] == 0 or not np.isfinite(gains[-1]):
             raise EcgdxError(
                 f"line {lineno}: gain {parts[0]} is not finite and non-zero")
+        try:   # the largest |raw - offset| / |gain| of an int16 sample
+            peak = (32768 + abs(offsets[-1])) / abs(gains[-1])
+        except OverflowError:   # an offset past the largest float
+            peak = np.inf
+        if not np.isfinite(peak):
+            raise EcgdxError(f"line {lineno}: gain {parts[0]} and offset {parts[1]}"
+                             " give millivolts outside the float64 range")
         names.append(parts[2])
 
     dx: set[str] = set()

@@ -1,100 +1,42 @@
-"""Biorthogonal spline wavelet transform with exact reconstruction.
+"""The paper's bior2.6 wavelet transform, with exact reconstruction.
 
-Filter pairs are constructed from first principles in rational
-arithmetic: the synthesis low-pass is a B-spline factor ``cos(w/2)^p``
-and the analysis low-pass carries the complementary ``cos(w/2)^pt``
-times the binomial half-band polynomial, so the two-channel product is
-half-band and reconstruction is exact (not merely approximate).  The
-member named ``biorP.Q`` gives the analysis wavelet P vanishing moments
-and the synthesis wavelet Q; the module builds one bank, ``BANK``, for
-the paper's ``bior2.6``, and decomposes to the paper's ``LEVEL`` 8.
+bior2.6 is defined here by its lifting steps (Daubechies and Sweldens,
+*Factoring wavelet transforms into lifting steps*, J. Fourier Anal.
+Appl., 1998).  With ``e[m]`` and ``o[m]`` the even and odd samples of a
+signal's symmetric extension (``_PAD`` samples per side, zero outside
+it), one predict step makes ``d[m] = e[m] - (o[m - 1] + o[m]) / 2`` and
+the detail band ``d / sqrt(2)``, and one update step makes the
+approximation band ``sqrt(2) * (o[m - LAG] + sum_i UPDATE[i] * d[m - i])``.
+The two steps factor the spline bank of orders 2 and 6 (Cohen,
+Daubechies and Feauveau, Comm. Pure Appl. Math., 1992) exactly: its
+analysis low-pass is ``sqrt(2) * (-5, 10, 34, -78, -123, 324, 700, 324,
+-123, -78, 34, 10, -5) / 1024``, whose odd taps are ``sqrt(2) *
+UPDATE``, and its analysis high-pass ``sqrt(2) * (-1, 2, -1) / 4`` (the
+tests expand the steps into these taps).  So each level returns every
+odd-phase output of the full convolutions of the extension with the
+analysis filters, and ``wavedec`` decomposes to the paper's ``LEVEL`` 8.
 
-The forward transform extends the signal symmetrically and returns every
-odd-phase output of its full convolutions with ``BANK.dec_lo`` and
-``BANK.dec_hi``.  It computes them as lifting steps (Daubechies and
-Sweldens, *Factoring wavelet transforms into lifting steps*, J. Fourier
-Anal. Appl., 1998) on the even and odd samples of the extension: one
-predict step, whose two taps give the detail band, and one update step,
-whose taps ``UPDATE`` are the odd taps of ``dec_lo`` divided by sqrt(2).
-That factorization of ``BANK`` is exact (the tests expand it back into the
-filters), so the bank stays the one source of truth.  The inverse runs
-the same two steps backwards, interleaves the phases and trims the pad.
-Because no odd-phase coefficient of the (slightly redundant) extended
-convolution is dropped, round trips are exact for any signal length.
-Both directions work on every row of a ``[rows, n]`` array at once with
-elementwise numpy passes and no BLAS call, and each row's result is the
-one a 1-D call gives.
+The inverse runs the same two steps backwards, interleaves the phases and
+trims the pad.  Because no odd-phase coefficient of the (slightly
+redundant) extended convolution is dropped, round trips are exact for any
+signal length.  Both directions work on every row of a ``[rows, n]``
+array at once with elementwise numpy passes and no BLAS call, and each
+row's result is the one a 1-D call gives.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import comb
 
 import numpy as np
 
 _SQRT2 = np.sqrt(2.0)
 
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
-
-
-def _poly_pow(a: list[Fraction], n: int) -> list[Fraction]:
-    out = [Fraction(1)]
-    for _ in range(n):
-        out = _poly_mul(out, a)
-    return out
-
-
-def _spline_lowpass_pair(p: int, pt: int) -> tuple[list[Fraction], list[Fraction]]:
-    """Exact (rec_lo, dec_lo) tap lists for even orders, sqrt(2) factored out."""
-    q = (p + pt) // 2
-    cos2 = [Fraction(1, 4), Fraction(1, 2), Fraction(1, 4)]    # cos^2(w/2)
-    sin2 = [Fraction(-1, 4), Fraction(1, 2), Fraction(-1, 4)]  # sin^2(w/2)
-    rec = _poly_pow(cos2, p // 2)
-    halfband = [Fraction(0)] * (2 * q - 1)   # sum of C(q-1+n, n) sin^2n(w/2)
-    for n in range(q):
-        for i, c in enumerate(_poly_pow(sin2, n)):
-            halfband[q - 1 - n + i] += comb(q - 1 + n, n) * c
-    dec = _poly_mul(_poly_pow(cos2, pt // 2), halfband)
-    return rec, dec
-
-
-@dataclass(frozen=True)
-class FilterBank:
-    dec_lo: np.ndarray
-    dec_hi: np.ndarray
-    rec_lo: np.ndarray
-    rec_hi: np.ndarray
-    delay: int  # group delay of the analysis-synthesis cascade
-
-
-def _build(p: int, pt: int) -> FilterBank:
-    rec_f, dec_f = _spline_lowpass_pair(p, pt)
-    rec_lo = np.array([float(x) for x in rec_f]) * _SQRT2
-    dec_lo = np.array([float(x) for x in dec_f]) * _SQRT2
-    n = np.arange(len(rec_lo))
-    dec_hi = ((-1.0) ** (n + 1)) * rec_lo
-    m = np.arange(len(dec_lo))
-    rec_hi = ((-1.0) ** m) * dec_lo
-    delay = (len(rec_lo) - 1) // 2 + (len(dec_lo) - 1) // 2
-    return FilterBank(dec_lo, dec_hi, rec_lo, rec_hi, delay)
-
-
-NAME = "bior2.6"
-BANK = _build(2, 6)
-LEVEL = 8
-
-_PAD = len(BANK.dec_lo) - 1            # symmetric extension per side
-UPDATE = BANK.dec_lo[1::2] / _SQRT2    # (5, -39, 162, 162, -39, 5) / 512
+UPDATE = np.array([5, -39, 162, 162, -39, 5]) / 512   # the update step's taps
 _TAPS = len(UPDATE)
 LAG = _TAPS // 2                       # lo[m] reads o[m - LAG]
+_PAD = 2 * _TAPS                       # extension per side: 13 low-pass taps - 1
+LEVEL = 8
 
 
 @dataclass
@@ -137,7 +79,7 @@ def _dwt_single(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``d[m] = e[m] - (o[m - 1] + o[m]) / 2`` and ``hi[m] = d[m] / sqrt(2)``,
     and the update step ``lo[m] = sqrt(2) * (o[m - LAG] + sum_i
     UPDATE[i] * d[m - i])``.  These are the odd outputs of the full
-    convolutions of the extension with ``BANK.dec_hi`` and ``BANK.dec_lo``,
+    convolutions of the extension with the analysis high- and low-pass,
     all of them: ``n // 2 + 13`` detail and ``n // 2 + 18`` approximation
     coefficients.
     """
@@ -169,7 +111,7 @@ def _idwt_single(ca: np.ndarray, cd: np.ndarray, n: int) -> np.ndarray:
     """Invert one level onto ``n`` samples per row: undo the update, then
     the predict step, for the phase samples of the extension's middle
     ``n`` samples only, and interleave them.  Both this and synthesis with
-    ``BANK.rec_lo`` and ``BANK.rec_hi`` invert the analysis exactly, so
+    the bank's synthesis filters invert the analysis exactly, so
     they are the same linear map for any coefficients, thresholded ones
     included, not only for those of a signal.
     """

@@ -102,6 +102,30 @@ class TestSynthAndRpeaks:
         assert all(abs(rr - 1.2) < 0.05 for rr in rrs)
 
 
+class TestHeaderValuesOutsideFloat64:
+    """A gain and offset that scale an int16 sample past float64 exit 1
+    naming the header line, before any division: an offset past the
+    largest float raised an OverflowError traceback, and a subnormal gain
+    printed numpy's overflow warning and then an error naming no line."""
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", ["rpeaks", "preprocess"])
+    @pytest.mark.parametrize("gain, offset", [("1000", str(10**400)), ("5e-324", "0")],
+                             ids=["offset-past-a-float", "subnormal-gain"])
+    def test_exits_1_naming_the_line(self, capsys, tmp_path, command, gain, offset):
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "2", "--duration", "4", "--fs", "128",
+                         "--out", str(data)]) == 0
+        header = data / "rec000.hea"
+        header.write_text(header.read_text().replace("1000 0 I\n", f"{gain} {offset} I\n"))
+        argv = ([str(data / "rec000")] if command == "rpeaks"
+                else ["--data", str(data), "--out", str(tmp_path / "out")])
+        code, out, err = run(capsys, command, *argv)
+        assert code == 1 and out == ""
+        assert err == (f"error: line 2: gain {gain} and offset {offset}"
+                       " give millivolts outside the float64 range\n")
+
+
 class TestPreprocessCommand:
     def test_writes_features(self, capsys, tmp_path):
         data = tmp_path / "d"
@@ -245,6 +269,35 @@ class TestValuesThatCannotWork:
         assert code == 1
         assert err == ("error: batch size (0) and epochs (19) must be at least 1\n")
         assert not out.exists()
+
+
+class TestOutFileThatCannotBeWritten:
+    """``train`` and ``predict`` refuse an ``--out`` file in no directory,
+    or one that is a directory, before they read a record or checkpoint;
+    they failed only when they wrote it, after all their work."""
+
+    @pytest.mark.parametrize("command", ["train", "predict"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_exits_1_before_any_work(self, capsys, tmp_path, monkeypatch, command,
+                                     where):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work done before --out was checked")
+        for name in ("_record_paths", "load_checkpoint", "train"):
+            monkeypatch.setattr(cli, name, no_work)
+        if where == "directory":
+            out = tmp_path / "m.ckpt"
+            out.mkdir()
+            expected = f"error: --out {out} is a directory\n"
+        else:
+            out = tmp_path / "nodir" / "m.ckpt"
+            expected = f"error: --out {out}: no such directory\n"
+        argv = (["--preset", "small"] if command == "train"
+                else _both_windows(tmp_path / "c.ckpt"))
+        code, _, err = run(capsys, command, "--data", str(tmp_path), "--out", str(out),
+                           *argv)
+        assert code == 1
+        assert err == expected
+        assert sorted(tmp_path.rglob("*")) == ([out] if where == "directory" else [])
 
 
 def _save_one_sample_record(directory, fs):

@@ -103,74 +103,95 @@ class TestWavelet:
             out = wavelet_denoise(np.random.default_rng(n).normal(size=n))
             assert len(out) == n
 
-    def test_filter_sums(self):
-        fb = wavelet.BANK
-        assert abs(fb.dec_lo.sum() - np.sqrt(2)) < 1e-12
-        assert abs(fb.rec_lo.sum() - np.sqrt(2)) < 1e-12
-        assert abs(fb.dec_hi.sum()) < 1e-12
-        assert abs(fb.rec_hi.sum()) < 1e-12
+    def test_reference_taps(self):
+        """The reference bank is bior2.6: its analysis wavelet has 2
+        vanishing moments and its synthesis wavelet 6, its low-passes sum
+        to sqrt(2), and their product is half-band about the delay, so
+        analysis then synthesis returns the signal delayed by ``_DELAY``."""
+        assert _vanishing_moments(_DEC_HI) == 2
+        assert _vanishing_moments(_REC_HI) == 6
+        for lo in (_DEC_LO, _REC_LO):
+            assert abs(lo.sum() - np.sqrt(2)) < 1e-12
+        product = np.convolve(_DEC_LO, _REC_LO)[_DELAY % 2::2]
+        np.testing.assert_allclose(product, np.eye(1, len(product), _DELAY // 2)[0],
+                                   rtol=0, atol=1e-15)
 
     def test_lifting_steps_expand_to_the_bank(self):
         """The predict step d[m] = e[m] - (o[m-1] + o[m]) / 2 with
         hi = d / sqrt(2), and the update step lo[m] = sqrt(2) * (o[m - LAG]
         + sum_i UPDATE[i] d[m - i]), expanded into taps on the extension
-        (lo[m] = sum_k dec_lo[k] ext[2m + 1 - k]), give the bank exactly."""
-        fb, update, sqrt2 = wavelet.BANK, wavelet.UPDATE, np.sqrt(2.0)
-        np.testing.assert_array_equal(update, fb.dec_lo[1::2] / sqrt2)
-        np.testing.assert_array_equal(update * 512, [5, -39, 162, 162, -39, 5])
+        (lo[m] = sum_k dec_lo[k] ext[2m + 1 - k]), give the reference
+        analysis filters exactly."""
+        sqrt2 = np.sqrt(2.0)
         # hi[m] reads o[m], e[m], o[m - 1]: taps k = 0, 1, 2
-        np.testing.assert_array_equal(np.array([-0.25, 0.5, -0.25]) * sqrt2, fb.dec_hi)
+        predict = np.array([-0.5, 1.0, -0.5])
+        np.testing.assert_array_equal(predict * sqrt2 / 2, _DEC_HI)
         # lo[m]'s odd taps read e[m - i] through d[m - i]; its even taps
         # read o[m - j] directly (j = LAG) and through d[m - j] and d[m - j + 1]
-        np.testing.assert_array_equal(update * sqrt2, fb.dec_lo[1::2])
-        padded = np.concatenate([[0.0], update, [0.0]])
-        even = -(padded[:-1] + padded[1:]) / 2
-        even[wavelet.LAG] += 1.0
-        np.testing.assert_array_equal(even * sqrt2, fb.dec_lo[0::2])
+        lo = np.zeros(2 * len(wavelet.UPDATE) + 1)
+        lo[1::2] = wavelet.UPDATE
+        padded = np.concatenate([[0.0], wavelet.UPDATE, [0.0]])
+        lo[0::2] = -(padded[:-1] + padded[1:]) / 2
+        lo[2 * wavelet.LAG] += 1.0
+        np.testing.assert_array_equal(lo * sqrt2, _DEC_LO)
 
 
-# Reference transform: per-lead full convolutions, odd-phase decimation and
-# a zero-upsampled inverse, the textbook form the decimated polyphase code
-# must reproduce up to summation order.
+# Reference transform: bior2.6 as exact taps, per-lead full convolutions,
+# odd-phase decimation and a zero-upsampled inverse, the textbook form the
+# lifting code must reproduce up to summation order.
 
-def _ref_dwt(x, fb):
-    pad = len(fb.dec_lo) - 1
+_DEC_LO = np.sqrt(2.0) * np.array(
+    [-5, 10, 34, -78, -123, 324, 700, 324, -123, -78, 34, 10, -5]) / 1024
+_REC_LO = np.sqrt(2.0) * np.array([1, 2, 1]) / 4
+_DEC_HI = (-1.0) ** np.arange(1, len(_REC_LO) + 1) * _REC_LO
+_REC_HI = (-1.0) ** np.arange(len(_DEC_LO)) * _DEC_LO
+_DELAY = 7   # group delay of the analysis-synthesis cascade
+
+
+def _vanishing_moments(h):
+    """How many leading moments sum_k k^j h[k] of ``h`` vanish."""
+    k, j = np.arange(len(h), dtype=np.float64), 0
+    while abs(np.sum(k ** j * h)) <= 1e-12 * np.sum(np.abs(k ** j * h)):
+        j += 1
+    return j
+
+
+def _ref_dwt(x):
+    pad = len(_DEC_LO) - 1
     ext = np.pad(x, pad, mode="symmetric")
-    return (np.convolve(ext, fb.dec_lo, mode="full")[1::2],
-            np.convolve(ext, fb.dec_hi, mode="full")[1::2])
+    return (np.convolve(ext, _DEC_LO, mode="full")[1::2],
+            np.convolve(ext, _DEC_HI, mode="full")[1::2])
 
 
-def _ref_idwt(ca, cd, fb, n):
-    pad = len(fb.dec_lo) - 1
+def _ref_idwt(ca, cd, n):
+    pad = len(_DEC_LO) - 1
     n_ext = n + 2 * pad
-    ulo = np.zeros(n_ext + len(fb.dec_lo) - 1)
+    ulo = np.zeros(n_ext + len(_DEC_LO) - 1)
     ulo[1::2] = ca
-    uhi = np.zeros(n_ext + len(fb.dec_hi) - 1)
+    uhi = np.zeros(n_ext + len(_DEC_HI) - 1)
     uhi[1::2] = cd
-    a = np.convolve(ulo, fb.rec_lo, mode="full")
-    d = np.convolve(uhi, fb.rec_hi, mode="full")
+    a = np.convolve(ulo, _REC_LO, mode="full")
+    d = np.convolve(uhi, _REC_HI, mode="full")
     out = np.zeros(max(len(a), len(d)))
     out[:len(a)] += a
     out[:len(d)] += d
-    start = fb.delay + pad
+    start = _DELAY + pad
     return out[start:start + n]
 
 
 def _ref_wavedec(x, level=wavelet.LEVEL):
-    fb = wavelet.BANK
     approx, details, lengths = x, [], []
     for _ in range(level):
         lengths.append(len(approx))
-        approx, d = _ref_dwt(approx, fb)
+        approx, d = _ref_dwt(approx)
         details.append(d)
     return approx, details, lengths
 
 
 def _ref_waverec(approx, details, lengths):
-    fb = wavelet.BANK
     x = approx
     for d, n in zip(reversed(details), reversed(lengths)):
-        x = _ref_idwt(x, d, fb, n)
+        x = _ref_idwt(x, d, n)
     return x
 
 

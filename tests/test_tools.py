@@ -1,18 +1,59 @@
 """The repository tools: the artifact digest run and the surface count."""
 
+import os
 import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
+TOOLS = ["artifact_digests.py", "count_surface.py"]
+
+
+def _tool(name, *argv):
+    """Run a tool with this tree's ``src`` on ``PYTHONPATH``, as tier-1 does."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "tools" / name), *argv],
+                          capture_output=True, text=True, timeout=60, env=env)
 
 
 def _run_tool(name):
-    done = subprocess.run([sys.executable, str(ROOT / "tools" / name), str(ROOT)],
-                          capture_output=True, text=True, timeout=60)
+    done = _tool(name, str(ROOT))
     assert done.returncode == 0, done.stderr
     return done.stdout.splitlines()
+
+
+@pytest.mark.parametrize("name", TOOLS)
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_prints_the_docstring(name, flag):
+    done = _tool(name, flag)
+    assert done.returncode == 0 and done.stderr == ""
+    assert done.stdout.startswith(("Print the sha256", "Count the settable"))
+    assert "[ROOT]" in done.stdout
+
+
+@pytest.mark.parametrize("name", TOOLS)
+def test_root_without_the_package_exits_1(name, tmp_path):
+    """It measured the ``PYTHONPATH`` tree instead, and exited 0."""
+    root = tmp_path.resolve() / "nonexistent"
+    done = _tool(name, str(root))
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == f"error: {root} has no src/ecgdx/cli.py\n"
+
+
+@pytest.mark.parametrize("name", TOOLS)
+def test_package_imported_from_elsewhere_exits_1(name, tmp_path):
+    """``ROOT/src/ecgdx`` without ``__init__.py`` is no regular package, so
+    ``import ecgdx`` finds the one on ``PYTHONPATH``."""
+    package = tmp_path.resolve() / "src" / "ecgdx"
+    package.mkdir(parents=True)
+    (package / "cli.py").write_text("")
+    done = _tool(name, str(package.parent.parent))
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == (f"error: ecgdx imports from {ROOT / 'src' / 'ecgdx'},"
+                           f" not from {package}\n")
 
 
 def test_artifact_digests_cover_every_stage_and_repeat():

@@ -23,7 +23,9 @@ Two trees that behave the same print the same lines, so ``diff`` of two
 outputs is the byte-identity check of a change.  Paths are relative to the
 run directory, so no manifest names it.  Trained weights depend on the
 BLAS build and thread count: compare outputs made with the same
-``OPENBLAS_NUM_THREADS``.
+``OPENBLAS_NUM_THREADS``.  A ROOT without ``src/ecgdx/cli.py``, or an
+``ecgdx`` imported from elsewhere, is an error; ``-h`` or ``--help``
+prints this text.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ import os
 import sys
 import tempfile
 from pathlib import Path
+
+from source_tree import checked_root
 
 PIPELINE = (
     ["synth", "--count", "4", "--bpm", "48", "--duration", "12",
@@ -69,8 +73,7 @@ def digests(run_dir: Path) -> list[str]:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else ".").resolve()
-    sys.path.insert(0, str(root / "src"))
+    checked_root(argv, __doc__)
     from ecgdx.cli import dispatch
 
     cwd = os.getcwd()

@@ -17,7 +17,9 @@ and four counts of settable values:
 - their sum, the settable values.
 
 The sources are read, never imported, except ``ecgdx.cli`` for its parser,
-which is taken from ``ROOT/src`` (default: the current directory).
+which is taken from ``ROOT/src`` (default: the current directory).  A ROOT
+without ``src/ecgdx/cli.py``, or an ``ecgdx`` imported from elsewhere, is
+an error; ``-h`` or ``--help`` prints this text.
 """
 
 from __future__ import annotations
@@ -27,14 +29,15 @@ import ast
 import sys
 from pathlib import Path
 
+from source_tree import checked_root
+
 
 def source_files(root: Path) -> list[Path]:
     package = root / "src" / "ecgdx"
     return sorted(package.glob("*.py")) + sorted((package / "nn").glob("*.py"))
 
 
-def cli_options(root: Path) -> int:
-    sys.path.insert(0, str(root / "src"))
+def cli_options() -> int:
     from ecgdx.cli import build_parser
 
     def counted(parser: argparse.ArgumentParser) -> int:
@@ -84,10 +87,9 @@ def ast_counts(files: list[Path]) -> tuple[int, int]:
 
 
 def main(argv: list[str]) -> int:
-    root = Path(argv[0] if argv else ".").resolve()
-    files = source_files(root)
+    files = source_files(checked_root(argv, __doc__))
     lines = sum(p.read_bytes().count(b"\n") for p in files)   # as wc -l
-    options = cli_options(root)
+    options = cli_options()
     fields, params = ast_counts(files)
     print(f"src lines         {lines}")
     print(f"cli options       {options}")
