@@ -312,7 +312,11 @@ def _aligned_arrays(args):
     """The ``--pred`` labels and the ``--truth`` labels, one row per truth
     record in truth order, and their per-class metrics.  Each truth record
     needs one prediction row, and each row a truth record."""
-    preds = {p.record_id: p for p in read_predictions(read_text(args.pred))}
+    text = read_text(args.pred)
+    try:
+        preds = {p.record_id: p for p in read_predictions(text)}
+    except EcgdxError as exc:
+        raise EcgdxError(f"{args.pred}: {exc}") from None
     if not preds:
         raise EcgdxError(f"{args.pred}: no prediction rows")
     truth_by_id = {rec.record_id: labels_from_codes(rec.dx_codes)

@@ -137,6 +137,10 @@ def labels_from_codes(dx_codes: Iterable[str]) -> np.ndarray:
 # header + binary signal container
 # ----------------------------------------------------------------------
 
+class _PayloadSizeError(EcgdxError):
+    """A payload of another byte count than its header declares."""
+
+
 def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
     """Parse a header/signal pair into an :class:`EcgRecord`.
 
@@ -205,7 +209,7 @@ def parse_record(header_text: str, signal_bytes: bytes) -> EcgRecord:
 
     expected = n_leads * n_samples * 2
     if len(signal_bytes) != expected:
-        raise EcgdxError(
+        raise _PayloadSizeError(
             f"record {record_id!r}: expected {expected} signal bytes "
             f"({n_leads} leads x {n_samples} samples x 2), got {len(signal_bytes)}")
     raw = np.frombuffer(signal_bytes, dtype="<i2").reshape(n_samples, n_leads).T
@@ -259,9 +263,18 @@ def read_text(path) -> str:
 
 
 def load_record(path_stem) -> EcgRecord:
-    """Read ``<path_stem>.hea`` + ``<path_stem>.dat``."""
+    """Read ``<path_stem>.hea`` + ``<path_stem>.dat``.
+
+    A :func:`parse_record` error is prefixed with the file at fault: the
+    ``.dat`` file for a payload of the wrong size, else the ``.hea`` file.
+    """
     path_stem = str(path_stem)
     header = read_text(path_stem + ".hea")
     with open(path_stem + ".dat", "rb") as fh:
         payload = fh.read()
-    return parse_record(header, payload)
+    try:
+        return parse_record(header, payload)
+    except _PayloadSizeError as exc:
+        raise EcgdxError(f"{path_stem}.dat: {exc}") from None
+    except EcgdxError as exc:
+        raise EcgdxError(f"{path_stem}.hea: {exc}") from None

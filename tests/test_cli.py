@@ -104,7 +104,7 @@ class TestSynthAndRpeaks:
 
 class TestHeaderValuesOutsideFloat64:
     """A gain and offset that scale an int16 sample past float64 exit 1
-    naming the header line, before any division: an offset past the
+    naming the header file and line, before any division: an offset past the
     largest float raised an OverflowError traceback, and a subnormal gain
     printed numpy's overflow warning and then an error naming no line."""
 
@@ -122,8 +122,51 @@ class TestHeaderValuesOutsideFloat64:
                 else ["--data", str(data), "--out", str(tmp_path / "out")])
         code, out, err = run(capsys, command, *argv)
         assert code == 1 and out == ""
-        assert err == (f"error: line 2: gain {gain} and offset {offset}"
+        assert err == (f"error: {header}: line 2: gain {gain} and offset {offset}"
                        " give millivolts outside the float64 range\n")
+
+
+class TestErrorsNameTheirFile:
+    """A command over many files names the one at fault: the header for a
+    bad header line, the payload for a wrong byte count, ``--pred`` for a
+    bad predictions cell."""
+
+    @pytest.mark.parametrize("damage, fault", [
+        ("header", "rec001.hea: line 2: bad gain/offset in 'x 0 I'"),
+        ("payload", "rec001.dat: record 'rec001': expected 12288 signal bytes"
+                    " (12 leads x 512 samples x 2), got 12286")])
+    def test_preprocess_names_the_bad_record_file(self, capsys, tmp_path, damage,
+                                                  fault):
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "2", "--duration", "4", "--fs", "128",
+                         "--out", str(data)]) == 0
+        if damage == "header":
+            header = data / "rec001.hea"
+            header.write_text(header.read_text().replace("1000 0 I\n", "x 0 I\n"))
+        else:
+            payload = data / "rec001.dat"
+            payload.write_bytes(payload.read_bytes()[:-2])
+        code, out, err = run(capsys, "preprocess", "--data", str(data),
+                             "--out", str(tmp_path / "o"), "--target-fs", "128")
+        assert code == 1 and out == ""
+        assert err == f"error: {data / fault}\n"
+
+    def test_score_names_the_predictions_file(self, capsys, tmp_path):
+        from ecgdx.ensemble import PredictionSet, write_predictions
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "2", "--duration", "4", "--fs", "128",
+                         "--out", str(data)]) == 0
+        rows = write_predictions([PredictionSet(f"rec{i:03d}", np.full(27, 0.5),
+                                                np.ones(27, dtype=np.uint8))
+                                  for i in range(2)]).splitlines()
+        rows[2] = rows[2].replace(",1,", ",x,", 1)
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(rows) + "\n")
+        code, out, err = run(capsys, "score", "--truth", str(data), "--pred", str(bad),
+                             "--out", str(tmp_path / "s"))
+        assert code == 1 and out == ""
+        assert err == (f"error: {bad}: prediction file row 3: invalid literal for"
+                       " int() with base 10: 'x'\n")
 
 
 class TestPreprocessCommand:

@@ -375,6 +375,21 @@ class TestOpsAgainstReferences:
                            running_var, training)
         np.testing.assert_array_equal(out.value, ref)
 
+    def test_batchnorm_training_moves_running_buffers_by_a_tenth(self):
+        """One training forward sets each running buffer to ``old * 0.9 +
+        0.1 * batch_stat`` bit for bit (momentum 0.1, the biased variance)."""
+        rng = np.random.default_rng(31)
+        v = rng.normal(size=(3, 4, 21)) * 3 - 1
+        running_mean, running_var = rng.normal(size=4), rng.uniform(0.5, 2, size=4)
+        mu = v.mean(axis=(0, 2))
+        var = np.square(v - mu[None, :, None]).mean(axis=(0, 2))
+        want_mean = running_mean * 0.9 + 0.1 * mu
+        want_var = running_var * 0.9 + 0.1 * var
+        ad.batchnorm(ad.Var(v), ad.Var(np.ones(4)), ad.Var(np.zeros(4)), running_mean,
+                     running_var, True)
+        np.testing.assert_array_equal(running_mean, want_mean)
+        np.testing.assert_array_equal(running_var, want_var)
+
     @settings(max_examples=60, deadline=None)
     @given(shape=st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)),
            gamma_sign=st.sampled_from([-1.0, -0.0, 0.0, 1.0]),
@@ -1039,6 +1054,18 @@ class TestOptimizer:
         # bias-corrected first step is ~lr * sign(g)
         np.testing.assert_allclose(params["w"],
                                    [1.0 - 0.001, -2.0 + 0.001], atol=1e-6)
+
+    def test_epsilon_decides_a_tiny_step(self):
+        """On a gradient of 1e-8, the denominator's 1e-8 halves the first
+        step: the result is the Adam formula with eps 1e-8, bit for bit."""
+        g = np.array([1e-8, -1e-8, 3e-8])
+        params = {"w": np.array([1.0, -2.0, 0.5])}
+        Adam().step(params, {"w": g}, lr=0.001)
+        m, v = (1.0 - 0.9) * g, (1.0 - 0.999) * (g * g)
+        want = np.array([1.0, -2.0, 0.5])
+        want -= 0.001 * (m / (1.0 - 0.9)) / (np.sqrt(v / (1.0 - 0.999)) + 1e-8)
+        np.testing.assert_array_equal(params["w"], want)
+        np.testing.assert_allclose(want[:2], [1.0 - 0.0005, -2.0 + 0.0005], rtol=1e-9)
 
     def test_deterministic_given_same_inputs(self):
         def run():

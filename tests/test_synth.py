@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from ecgdx import synth
 from ecgdx.errors import EcgdxError
 from ecgdx.records import ClassMap
 from ecgdx.synth import SynthSpec, generate
@@ -95,3 +98,90 @@ def test_record_is_12_lead_and_consistent():
     assert rec.signals.shape[0] == 12
     np.testing.assert_allclose(rec.lead("III"), rec.lead("II") - rec.lead("I"),
                                atol=1e-12)
+
+
+def _full_length_signals(spec):
+    """The record's 12 leads with every wave evaluated over every sample."""
+    def bump(t, center, sigma, amp):
+        return amp * np.exp(-0.5 * ((t - center) / sigma) ** 2)
+
+    rng = np.random.default_rng(np.random.PCG64(spec.seed))
+    n = int(round(spec.duration * spec.fs))
+    period = 60.0 / spec.bpm
+    t = np.arange(n) / spec.fs
+    beat_times = []
+    k = 0
+    while True:
+        bt = 0.3 * period + k * period
+        if bt >= spec.duration:
+            break
+        beat_times.append(bt)
+        k += 1
+    is_ectopic = rng.random(len(beat_times)) < spec.ectopic_rate
+    base = np.zeros(n)
+    for bt, ect in zip(beat_times, is_ectopic):
+        if ect:
+            bt -= 0.25 * period
+            base += bump(t, bt, 2.5 * 0.012, 1.3 * 1.0)
+            base += bump(t, bt + 0.22, 0.060, -0.30)
+        else:
+            base += bump(t, bt, 0.012, 1.0)
+            base += bump(t, bt - 0.16, 0.025, 0.15)
+            base += bump(t, bt + 0.22, 0.060, 0.30)
+    sig = np.vstack([scale * base for scale in (0.9, 1.1, 0.5, 0.7, 0.9, 1.0, 0.9, 0.8)])
+    sig = sig + spec.noise_sigma * rng.standard_normal(sig.shape)
+    i, ii = sig[0], sig[1]
+    return np.vstack([sig, ii - i, -(i + ii) / 2.0, i - ii / 2.0, ii - i / 2.0])
+
+
+class TestWaveSupport:
+    """Each wave is evaluated on +-40 sigmas around its centre only."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(fs=st.integers(1, 1000), duration=st.floats(2.0, 12.0),
+           bpm=st.floats(20.0, 250.0), ectopic_rate=st.sampled_from([0.0, 0.5, 1.0]),
+           noise_sigma=st.sampled_from([0.0, 0.05]), seed=st.integers(0, 2**16))
+    @example(fs=1, duration=2.5, bpm=20.0, ectopic_rate=0.0, noise_sigma=0.0, seed=0)
+    @example(fs=3, duration=2.5, bpm=250.0, ectopic_rate=0.5, noise_sigma=0.05, seed=1)
+    @example(fs=1000, duration=2.0005, bpm=250.0, ectopic_rate=1.0, noise_sigma=0.0,
+             seed=2)
+    def test_record_equals_full_length_evaluation(self, fs, duration, bpm,
+                                                  ectopic_rate, noise_sigma, seed):
+        """Bit for bit: outside the window every term is exactly 0.0.  The
+        examples cover a single-sample rate, durations of a fractional
+        sample count and the bpm and ectopy extremes."""
+        spec = SynthSpec(bpm=bpm, fs=fs, duration=duration, noise_sigma=noise_sigma,
+                         ectopic_rate=ectopic_rate, seed=seed)
+        np.testing.assert_array_equal(generate(spec)[0].signals,
+                                      _full_length_signals(spec))
+
+    @pytest.mark.parametrize("ectopic_rate", [0.0, 1.0], ids=["sinus", "ectopic"])
+    def test_waves_cut_by_both_record_ends(self, ectopic_rate):
+        """At 250 bpm the first P wave is centred before sample 0, and the
+        last T wave (negative on an ectopic beat) after the last sample."""
+        spec = SynthSpec(bpm=250, fs=500, duration=2.0, ectopic_rate=ectopic_rate)
+        rec, beats, _ = generate(spec)
+        if ectopic_rate == 0.0:
+            assert beats[0] / spec.fs - 0.16 < 0
+        assert beats[-1] / spec.fs + 0.22 > spec.duration
+        np.testing.assert_array_equal(rec.signals, _full_length_signals(spec))
+
+    def test_exp_work_is_waves_times_window(self, monkeypatch):
+        """On a 120 s record, ``exp`` sees at most each wave's window of
+        +-40 sigmas of the widest wave (T), not each wave times the record."""
+        class ExpCounter:
+            elements = 0
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def exp(self, x, *args, **kwargs):
+                ExpCounter.elements += np.size(x)
+                return np.exp(x, *args, **kwargs)
+
+        monkeypatch.setattr(synth, "np", ExpCounter())
+        spec = SynthSpec(bpm=60, fs=500, duration=120.0)
+        _, beats, _ = generate(spec)
+        waves, n = 3 * len(beats), 120 * 500
+        window = 2 * 40 * 0.060 * 500 + 2
+        assert ExpCounter.elements <= waves * window < waves * n / 20

@@ -20,7 +20,10 @@ checkpoints, ``score`` and ``report``, then ``synth`` of 33 more records
 histories included.
 
 Two trees that behave the same print the same lines, so ``diff`` of two
-outputs is the byte-identity check of a change.  Paths are relative to the
+outputs is the byte-identity check of a change.  The ``synth`` records are
+stored as int16 at ``records.WRITE_GAIN`` units/mV, so their digests see a
+change in ``synth.generate`` only where it moves a rounded sample;
+``tests/test_synth.py`` compares the float64 signals bit for bit.  Paths are relative to the
 run directory, so no manifest names it.  Trained weights depend on the
 BLAS build and thread count: compare outputs made with the same
 ``OPENBLAS_NUM_THREADS``.  A ROOT without ``src/ecgdx/cli.py``, or an
