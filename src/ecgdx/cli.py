@@ -136,6 +136,14 @@ def _preprocess_config(args) -> PreprocessConfig:
                             denoise_enabled=not args.no_denoise)
 
 
+def _example(path: str, rec, cfg: PreprocessConfig):
+    """``make_example``, its error prefixed with the record's header file."""
+    try:
+        return make_example(rec, cfg)
+    except EcgdxError as exc:
+        raise EcgdxError(f"{path}.hea: {exc}") from None
+
+
 def _build_row(x, y, cfg: PreprocessConfig, i: int, path: str):
     """Build the record at ``path`` into ``x[i]`` and ``y[i]``.
 
@@ -146,7 +154,7 @@ def _build_row(x, y, cfg: PreprocessConfig, i: int, path: str):
     """
     rec = load_record(path)
     try:
-        x[i], y[i] = make_example(rec, cfg)
+        x[i], y[i] = _example(path, rec, cfg)
     except EcgdxError as exc:
         return rec.record_id, exc
     return rec.record_id, None
@@ -286,9 +294,10 @@ def _cmd_predict(args) -> int:
     for spec in (model.preprocess for model in models.values()):
         key = spec.target_fs, spec.denoise_enabled
         longest[key] = max(longest.get(key, spec), spec, key=lambda s: s.window_samples)
+    paths = _record_paths(args.data)
     pred_sets = []
-    for rec in _load_records(_record_paths(args.data)):
-        x = {key: make_example(rec, spec)[0] for key, spec in longest.items()}
+    for path, rec in zip(paths, _load_records(paths)):
+        x = {key: _example(path, rec, spec)[0] for key, spec in longest.items()}
         # a batch per model, and no build held past the forward that reads
         # it: a 30 s build held through the 10 s forward raised the peak
         # RSS of predict (two default networks, twelve 30 s records) from

@@ -43,21 +43,6 @@ class PredictionSet:
         object.__setattr__(self, "labels", lab.astype(np.uint8))
 
 
-def fuse(p_short, p_long) -> np.ndarray:
-    """Combine the 10 s and 30 s model outputs (arithmetic mean)."""
-    a = np.asarray(p_short, dtype=np.float64)
-    b = np.asarray(p_long, dtype=np.float64)
-    if a.shape != b.shape:
-        raise EcgdxError(
-            f"cannot fuse probability vectors of shapes {a.shape} and {b.shape}")
-    return 0.5 * a + 0.5 * b
-
-
-def binarize(probs) -> np.ndarray:
-    """Label = 1 iff probability >= ``THRESHOLD`` (closed lower bound)."""
-    return (np.asarray(probs, dtype=np.float64) >= THRESHOLD).astype(np.uint8)
-
-
 def snr_postprocess(labels) -> np.ndarray:
     """All-negative predictions are revised to the default sinus-rhythm class."""
     out = np.asarray(labels, dtype=np.uint8).copy()
@@ -87,9 +72,10 @@ def apply_brady_veto(labels, record: EcgRecord) -> np.ndarray:
 
 
 def postprocess(p_short, p_long, record: EcgRecord) -> PredictionSet:
-    """Full pipeline: fuse -> binarize -> slow-rhythm veto -> sinus fallback."""
-    probs = fuse(p_short, p_long)
-    labels = binarize(probs)
+    """Full pipeline: fuse (the two windows' mean) -> binarize (closed at
+    ``THRESHOLD``) -> slow-rhythm veto -> sinus fallback."""
+    probs = 0.5 * p_short + 0.5 * p_long
+    labels = (probs >= THRESHOLD).astype(np.uint8)
     labels = apply_brady_veto(labels, record)
     labels = snr_postprocess(labels)
     return PredictionSet(record_id=record.record_id, probs=probs, labels=labels)

@@ -76,6 +76,17 @@ def _kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray
     return rng.uniform(-bound, bound, size=shape)
 
 
+def _blocks(config: SeResNetConfig):
+    """``(prefix, in_c, out_c, stride)`` of every residual block, in order: a
+    stage's first block has stride 2 and a conv shortcut, the rest neither."""
+    in_c = config.stem_channels
+    for s, (n_blocks, out_c) in enumerate(zip(config.blocks_per_stage,
+                                              config.channels_per_stage)):
+        for b in range(n_blocks):
+            yield f"stage{s}.block{b}", in_c, out_c, 2 if b == 0 else 1
+            in_c = out_c
+
+
 def array_layout(config: SeResNetConfig) -> list[tuple[str, str, tuple[int, ...]]]:
     """``(name, kind, shape)`` of every array a model of ``config`` holds,
     in initialization order; ``kind`` is ``"param"`` or ``"buffer"``."""
@@ -99,22 +110,18 @@ def array_layout(config: SeResNetConfig) -> list[tuple[str, str, tuple[int, ...]
     c = config.stem_channels
     conv("stem.conv", INPUT_LEADS, c, config.stem_kernel)
     bn("stem.bn", c)
-    in_c, k, r = c, BLOCK_KERNEL, SE_REDUCTION
-    for s, (n_blocks, out_c) in enumerate(zip(config.blocks_per_stage,
-                                              config.channels_per_stage)):
-        for b in range(n_blocks):
-            prefix = f"stage{s}.block{b}"
-            bn(prefix + ".bn1", in_c)
-            conv(prefix + ".conv1", in_c, out_c, k)
-            bn(prefix + ".bn2", out_c)
-            conv(prefix + ".conv2", out_c, out_c, k, bias=True)
-            dense(prefix + ".se.fc1", out_c, out_c // r)
-            dense(prefix + ".se.fc2", out_c // r, out_c)
-            if b == 0:   # a stage's first block: stride 2 and a conv shortcut
-                conv(prefix + ".short", in_c, out_c, 1)
-            in_c = out_c
-    bn("head.bn", in_c)
-    dense("head.fc", in_c, N_CLASSES)
+    k, r = BLOCK_KERNEL, SE_REDUCTION
+    for prefix, in_c, c, stride in _blocks(config):
+        bn(prefix + ".bn1", in_c)
+        conv(prefix + ".conv1", in_c, c, k)
+        bn(prefix + ".bn2", c)
+        conv(prefix + ".conv2", c, c, k, bias=True)
+        dense(prefix + ".se.fc1", c, c // r)
+        dense(prefix + ".se.fc2", c // r, c)
+        if stride != 1:
+            conv(prefix + ".short", in_c, c, 1)
+    bn("head.bn", c)   # c: the last block's width, or the stem's
+    dense("head.fc", c, N_CLASSES)
     return layout
 
 
@@ -181,27 +188,24 @@ class SeResNet:
         h = ad.conv1d(x, pvars["stem.conv.w"], stride=2,
                       padding=self.config.stem_kernel // 2)
         h = self._bn_relu(h, "stem.bn", pvars, training)
-        for s, n_blocks in enumerate(self.config.blocks_per_stage):
-            for b in range(n_blocks):
-                prefix = f"stage{s}.block{b}"
-                stride = 2 if b == 0 else 1   # a stage's first block downsamples
-                pre = self._bn_relu(h, prefix + ".bn1", pvars, training)
-                if stride != 1:   # a conv shortcut, of the normalized input
-                    short = ad.conv1d(pre, pvars[prefix + ".short.w"],
-                                      stride=stride, padding=0)
-                else:
-                    short = h
-                h = ad.conv1d(pre, pvars[prefix + ".conv1.w"], stride=stride,
-                              padding=k // 2)
-                h = self._bn_relu(h, prefix + ".bn2", pvars, training)
-                h = ad.conv1d(h, pvars[prefix + ".conv2.w"], pvars[prefix + ".conv2.b"],
-                              stride=1, padding=k // 2)
-                se_params = {"fc1_w": pvars[prefix + ".se.fc1.w"],
-                             "fc1_b": pvars[prefix + ".se.fc1.b"],
-                             "fc2_w": pvars[prefix + ".se.fc2.w"],
-                             "fc2_b": pvars[prefix + ".se.fc2.b"]}
-                h = ad.se_block(h, se_params)
-                h = ad.add(h, short)
+        for prefix, _, _, stride in _blocks(self.config):
+            pre = self._bn_relu(h, prefix + ".bn1", pvars, training)
+            if stride != 1:   # a conv shortcut, of the normalized input
+                short = ad.conv1d(pre, pvars[prefix + ".short.w"],
+                                  stride=stride, padding=0)
+            else:
+                short = h
+            h = ad.conv1d(pre, pvars[prefix + ".conv1.w"], stride=stride,
+                          padding=k // 2)
+            h = self._bn_relu(h, prefix + ".bn2", pvars, training)
+            h = ad.conv1d(h, pvars[prefix + ".conv2.w"], pvars[prefix + ".conv2.b"],
+                          stride=1, padding=k // 2)
+            se_params = {"fc1_w": pvars[prefix + ".se.fc1.w"],
+                         "fc1_b": pvars[prefix + ".se.fc1.b"],
+                         "fc2_w": pvars[prefix + ".se.fc2.w"],
+                         "fc2_b": pvars[prefix + ".se.fc2.b"]}
+            h = ad.se_block(h, se_params)
+            h = ad.add(h, short)
         h = self._bn_relu(h, "head.bn", pvars, training)
         pooled = ad.mean_last(h)
         logits = ad.dense(pooled, pvars["head.fc.w"], pvars["head.fc.b"])

@@ -95,13 +95,11 @@ def confusion(pred_merged, truth_merged) -> np.ndarray:
 
     ``a[i][j]`` accumulates ``1/|G u P|`` for predicted i and true j.
     Records with no positive prediction and no positive truth contribute
-    nothing (logged as a warning).
+    nothing (logged as a warning).  The two matrices are aligned, as
+    :func:`challenge_score` checks.
     """
     pred = np.atleast_2d(np.asarray(pred_merged)).astype(bool)
     truth = np.atleast_2d(np.asarray(truth_merged)).astype(bool)
-    if pred.shape != truth.shape:
-        raise EcgdxError(
-            f"prediction matrix {pred.shape} does not align with truth {truth.shape}")
     union = np.count_nonzero(pred | truth, axis=1)
     for r in np.flatnonzero(union == 0):
         logger.warning("record %d has no positive prediction or truth; skipped", r)

@@ -15,7 +15,7 @@ from ecgdx.rpeaks import brady_rule, detect_rpeaks
 from ecgdx.scoring import RewardMatrix, challenge_score
 from ecgdx.signloss import sign_loss, sign_loss_grad
 from ecgdx.synth import SynthSpec, generate
-from ecgdx.ensemble import apply_brady_veto, binarize, fuse, snr_postprocess
+from ecgdx.ensemble import THRESHOLD, apply_brady_veto, postprocess, snr_postprocess
 from ecgdx import wavelet
 from test_train import exact_match_accuracy
 
@@ -342,22 +342,30 @@ def test_criterion_8_pipeline_invariants():
     slow, _, _ = generate(SynthSpec(bpm=50, fs=500, duration=20.0, seed=81))
     fast, _, _ = generate(SynthSpec(bpm=90, fs=500, duration=20.0, seed=82))
     rng = np.random.default_rng(808)
+    fused_by_mean = True
+    stages_in_order = True
     all_positive = True
     veto_never_sets = True
     snr_idempotent = True
     for i in range(1000):
         rec = slow if i % 2 == 0 else fast
-        probs = fuse(rng.uniform(size=27), rng.uniform(size=27))
-        labels = binarize(probs)
+        a, b = rng.uniform(size=27), rng.uniform(size=27)
+        ps = postprocess(a, b, rec)
+        if not np.array_equal(ps.probs, 0.5 * a + 0.5 * b):
+            fused_by_mean = False
+        labels = (ps.probs >= THRESHOLD).astype(np.uint8)
         vetoed = apply_brady_veto(labels, rec)
         if np.any(vetoed > labels):
             veto_never_sets = False
-        final = snr_postprocess(vetoed)
+        final = ps.labels
+        if not np.array_equal(final, snr_postprocess(vetoed)):
+            stages_in_order = False
         if final.sum() < 1:
             all_positive = False
         if not np.array_equal(snr_postprocess(final), final):
             snr_idempotent = False
-    ok = all_positive and veto_never_sets and snr_idempotent
+    ok = (fused_by_mean and stages_in_order and all_positive and veto_never_sets
+          and snr_idempotent)
     _report(8, ok, f"1000 vectors: >=1 label {all_positive}, veto never sets "
                    f"{veto_never_sets}, sinus fallback idempotent {snr_idempotent}")
 

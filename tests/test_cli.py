@@ -128,8 +128,8 @@ class TestHeaderValuesOutsideFloat64:
 
 class TestErrorsNameTheirFile:
     """A command over many files names the one at fault: the header for a
-    bad header line, the payload for a wrong byte count, ``--pred`` for a
-    bad predictions cell."""
+    bad header line or a record the spec cannot build, the payload for a
+    wrong byte count, ``--pred`` for a bad predictions cell."""
 
     @pytest.mark.parametrize("damage, fault", [
         ("header", "rec001.hea: line 2: bad gain/offset in 'x 0 I'"),
@@ -150,6 +150,48 @@ class TestErrorsNameTheirFile:
                              "--out", str(tmp_path / "o"), "--target-fs", "128")
         assert code == 1 and out == ""
         assert err == f"error: {data / fault}\n"
+
+    @pytest.mark.parametrize("command", ["preprocess", "train"])
+    @pytest.mark.parametrize("damage, fault", [
+        ("rate", "rec000.hea: resampling 128 Hz -> 96 Hz is not an integer ratio"),
+        ("lead", "rec001.hea: record 'rec001': missing training leads ['V6']")],
+        ids=["rate", "lead"])
+    def test_feature_pass_names_the_record_it_cannot_build(
+            self, capsys, tmp_path, command, damage, fault):
+        """A readable record the spec cannot build: a rate that is no
+        integer multiple of ``--target-fs``, or a training lead missing."""
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "2", "--duration", "4", "--fs", "128",
+                         "--out", str(data)]) == 0
+        if damage == "lead":
+            header = data / "rec001.hea"
+            header.write_text(header.read_text().replace(" V6\n", " V7\n"))
+        out = tmp_path / ("o" if command == "preprocess" else "m.ckpt")
+        code, stdout, err = run(capsys, command, "--data", str(data), "--out", str(out),
+                                "--target-fs", "96" if damage == "rate" else "128")
+        assert code == 1 and stdout == ""
+        assert err == f"error: {data / fault}\n"
+
+    @pytest.mark.parametrize("damage, fault", [
+        ("rate", "rec000.hea: resampling 192 Hz -> 128 Hz is not an integer ratio"),
+        ("lead", "rec000.hea: record 'rec000': missing training leads ['V6']")],
+        ids=["rate", "lead"])
+    def test_predict_names_the_record_it_cannot_build(self, capsys, pipeline_dirs,
+                                                      tmp_path, damage, fault):
+        _, ckpt, _ = pipeline_dirs    # its spec resamples to 128 Hz
+        data = tmp_path / "d"
+        assert dispatch(["synth", "--count", "1", "--duration", "4",
+                         "--fs", "192" if damage == "rate" else "128",
+                         "--out", str(data)]) == 0
+        if damage == "lead":
+            header = data / "rec000.hea"
+            header.write_text(header.read_text().replace(" V6\n", " V7\n"))
+        out = tmp_path / "p.csv"
+        code, stdout, err = run(capsys, "predict", "--data", str(data),
+                                *_both_windows(ckpt), "--out", str(out))
+        assert code == 1 and stdout == ""
+        assert err == f"error: {data / fault}\n"
+        assert not out.exists()
 
     def test_score_names_the_predictions_file(self, capsys, tmp_path):
         from ecgdx.ensemble import PredictionSet, write_predictions
@@ -1152,8 +1194,8 @@ class TestFeatureWorkers:
         shutil.copy(first / "a.hea", first / "f.hea")
         shutil.copy(first / "a.dat", first / "f.dat")
         code, _, err = run(capsys, *argv, "--data", str(first))
-        self._ends_alone(code, err,
-                         "error: record 'c': missing training leads ['V6']\n")
+        self._ends_alone(code, err, f"error: {first / 'c'}.hea: record 'c':"
+                                    " missing training leads ['V6']\n")
         self._records(second, ["a", "b", "d"])
         self._records(second, ["e"], lead_names=no_v6)
         shutil.copy(second / "a.hea", second / "c.hea")

@@ -7,9 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ecgdx.ensemble import (PredictionSet, apply_brady_veto, binarize, fuse,
-                            postprocess, read_predictions, snr_postprocess,
-                            write_predictions)
+from ecgdx.ensemble import (PredictionSet, apply_brady_veto, postprocess,
+                            read_predictions, snr_postprocess, write_predictions)
 from ecgdx.errors import EcgdxError
 from ecgdx.records import ClassMap
 from ecgdx.synth import SynthSpec, generate
@@ -20,34 +19,40 @@ BRADY = CMAP.bradycardia_index
 
 
 class TestFuse:
-    def test_identical_vectors_unchanged(self):
-        p = np.linspace(0, 1, 27)
-        np.testing.assert_array_equal(fuse(p, p), p)
+    """``postprocess`` fuses the two windows by their arithmetic mean."""
 
-    def test_arithmetic_mean(self):
+    def test_identical_vectors_unchanged(self, fast_record):
+        p = np.linspace(0, 1, 27)
+        np.testing.assert_array_equal(postprocess(p, p, fast_record).probs, p)
+
+    def test_arithmetic_mean(self, fast_record):
         a = np.full(27, 0.4)
         b = np.full(27, 0.6)
-        np.testing.assert_allclose(fuse(a, b), 0.5)
-
-    def test_idempotent_on_equal_inputs(self):
-        p = np.random.default_rng(0).uniform(size=27)
-        np.testing.assert_allclose(fuse(fuse(p, p), p), fuse(p, p))
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(EcgdxError, match="cannot fuse"):
-            fuse(np.zeros(27), np.zeros(24))
+        np.testing.assert_array_equal(postprocess(a, b, fast_record).probs, 0.5)
 
 
 class TestBinarize:
-    def test_threshold_is_closed_below(self):
-        assert binarize(np.array([0.36]))[0] == 1
+    """``postprocess`` labels a class positive iff its fused probability is
+    at least ``THRESHOLD``.  AF is neither the slow-rhythm class, which the
+    veto may clear, nor sinus rhythm, which the fallback may set."""
 
-    def test_just_below_threshold(self):
-        assert binarize(np.array([0.359]))[0] == 0
+    AF = CMAP.abbreviations.index("AF")
 
-    def test_all_high(self):
-        np.testing.assert_array_equal(binarize(np.full(27, 0.9)), 1)
+    def _af_label(self, prob, record):
+        p = np.zeros(27)
+        p[self.AF] = prob
+        return postprocess(p, p, record).labels[self.AF]
 
+    def test_threshold_is_closed_below(self, fast_record):
+        assert self._af_label(0.36, fast_record) == 1
+
+    def test_just_below_threshold(self, fast_record):
+        assert self._af_label(0.359, fast_record) == 0
+
+    def test_all_high(self, slow_record):
+        # the slow record's R-R intervals keep the slow-rhythm bit too
+        p = np.full(27, 0.9)
+        np.testing.assert_array_equal(postprocess(p, p, slow_record).labels, 1)
 
 
 class TestSnrPostprocess:

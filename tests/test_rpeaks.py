@@ -52,6 +52,65 @@ class TestDetect:
         assert peaks.dtype == np.int64
 
 
+def _qrs_only(beats, amps, seconds, fs=500):
+    """A lead I holding only R waves: a Gaussian of sigma 12 ms and height
+    ``amps[i]`` mV centred at ``beats[i]`` seconds, ``seconds`` long."""
+    t = np.arange(int(seconds * fs)) / fs
+    x = np.zeros(t.size)
+    for centre, amp in zip(beats, amps):
+        x += amp * np.exp(-0.5 * ((t - centre) / 0.012) ** 2)
+    return x
+
+
+def _finds(peaks, beat, fs=500):
+    """Whether a detected peak lies within 50 ms of ``beat`` seconds."""
+    return bool(np.any(np.abs(peaks - beat * fs) <= 0.05 * fs))
+
+
+class TestDetectorConstants:
+    """Hand-built leads on which one detector constant decides a beat.
+
+    Regular sinus records never bring a QRS near the refractory period, a
+    gap near the search-back factor or a threshold near a beat, so each
+    test places one there on both sides of the constant's value.
+    """
+
+    @pytest.mark.parametrize("after, found", [(0.204, True), (0.196, False)])
+    def test_refractory_period_is_200_ms(self, after, found):
+        """A second QRS 204 ms after a beat of a 60 bpm train is a beat of
+        its own; one 196 ms after it is not (``REFRACTORY_S``)."""
+        beats = sorted([0.5 + i for i in range(8)] + [4.5 + after])
+        peaks = detect_rpeaks(_qrs_only(beats, [1.0] * 9, 9.0), 500)
+        assert len(peaks) == 8 + found
+        assert _finds(peaks, 4.5) and _finds(peaks, 5.5)
+        assert (np.diff(peaks) == round(after * 500)).any() == found
+
+    @pytest.mark.parametrize("gap, found", [(1.68, True), (1.62, False)])
+    def test_search_back_opens_past_1_66_mean_intervals(self, gap, found):
+        """A beat too weak for the threshold (0.38 of the others' height)
+        is searched back for once the gap since the last beat passes 1.66
+        times the mean R-R interval, here 1 s (``SEARCHBACK_FACTOR``)."""
+        weak = 5.5 + gap
+        beats = [0.5 + i for i in range(6)] + [weak + i for i in range(4)]
+        amps = [1.0] * 6 + [0.38] + [1.0] * 3
+        peaks = detect_rpeaks(_qrs_only(beats, amps, weak + 3.5), 500)
+        assert _finds(peaks, weak) == found
+        assert len(peaks) == 9 + found
+
+    @pytest.mark.parametrize("amp, found", [(1.058, True), (1.041, False)])
+    def test_signal_estimate_moves_an_eighth_per_beat(self, amp, found):
+        """The signal estimate, and the threshold with it, moves an eighth of
+        the way to each beat's energy (``SIGNAL_UPDATE``).  After two beats
+        at four times the height of the first eight, the next beat passes
+        at 1.058 mV and not at 1.041 mV.  A faster estimate (0.130) misses
+        the first, a slower one (0.120) takes the second."""
+        beats = [0.5 + i for i in range(12)]
+        amps = [1.0] * 8 + [4.0] * 2 + [amp] + [4.0]
+        peaks = detect_rpeaks(_qrs_only(beats, amps, 12.5), 500)
+        assert _finds(peaks, beats[10]) == found
+        assert len(peaks) == 11 + found
+
+
 class TestBradyRule:
     def test_all_in_band(self):
         assert brady_rule([1.2] * 8) is True
